@@ -48,15 +48,18 @@ class ArrowResult:
             if not gadget_graph.has_vertex(x):
                 raise ValueError(f"distinguished vertex {x!r} is not in the gadget graph")
         interior = [w for w in gadget_graph.vertices if w not in (a, b)]
-        base_ids = set(digraph.vertices)
+        # the id format is not injective (a comma or "::" inside an id can
+        # shift the split), so every id is checked against all earlier ones
+        used = set(digraph.vertices)
         index: dict[tuple[Arc, Vertex], Vertex] = {}
         vertices = list(digraph.vertices)
         for arc in digraph.arcs:
             u, v = arc
             for w in interior:
                 pid = interior_id(u, v, w)
-                if pid in base_ids:
-                    raise ValueError(f"digraph vertex id {pid!r} collides with an interior id")
+                if pid in used:
+                    raise ValueError(f"interior id {pid!r} collides with another product vertex id")
+                used.add(pid)
                 index[(arc, w)] = pid
                 vertices.append(pid)
         edges = set()

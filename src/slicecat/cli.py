@@ -3,9 +3,11 @@
 Every command prints a single JSON document on standard output; progress for
 long sweeps goes to standard error.  Exit codes: 0 for success or a passing
 verdict, 1 for a negative verdict or a counterexample (the payload then
-carries the machine-readable witness), 2 for usage or input errors.  A
-negative verdict is an answer, not a failure: ``classify`` on a non-universal
-base prints its decomposition and exits 1 so shell pipelines can branch.
+carries the machine-readable witness), 2 for usage or input errors, 3 for
+an internal fault (a JSON ``error`` naming the exception).  A negative verdict
+is an answer, not a failure: ``classify`` on a non-universal base prints its
+decomposition and exits 1 so shell pipelines can branch, and exit 1 never
+comes without a verdict payload.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+import traceback
+from typing import Iterator, Optional
 
-from .core import Digraph, Graph, SliceObject
+from .core import Digraph, Graph, Morphism, SliceObject
 from .gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
@@ -92,7 +95,7 @@ def _load_homs_side(path: str):
     text = _read_text(path)
     if _wants_json(path, text):
         data = json.loads(text)
-        if "carrier" in data:
+        if isinstance(data, dict) and "carrier" in data:
             return SliceObject.from_dict(data)
         return Graph.from_dict(data)
     return Graph.from_edgelist(text)
@@ -190,29 +193,23 @@ def cmd_homs(args) -> int:
                 raise ValueError("slice objects do not live over the given base")
         if A.base != B.base:
             raise ValueError("slice objects live over different bases")
-        maps = [dict(sm.map.mapping) for sm in enumerate_slice_homs(A, B, budget)]
+        homs: Iterator[Morphism] = (sm.map for sm in enumerate_slice_homs(A, B, budget))
     else:
-        maps = [m.as_dict() for m in enumerate_homs(A, B, budget=budget)]
+        homs = enumerate_homs(A, B, budget=budget)
     if args.mode == "exists":
-        _emit({"mode": "exists", "exists": bool(maps)})
-        return 0 if maps else 1
+        exists = next(homs, None) is not None
+        _emit({"mode": "exists", "exists": exists})
+        return 0 if exists else 1
     if args.mode == "count":
-        _emit({"mode": "count", "count": len(maps)})
+        _emit({"mode": "count", "count": sum(1 for _ in homs)})
     else:
+        maps = [m.as_dict() for m in homs]
         _emit({"mode": "list", "count": len(maps), "homs": maps})
     return 0
 
 
 def cmd_endos(args) -> int:
-    text = _read_text(args.object)
-    data = json.loads(text) if _wants_json(args.object, text) else None
-    if data is not None and "carrier" in data:
-        obj: SliceObject | Graph = SliceObject.from_dict(data)
-    elif data is not None:
-        obj = Graph.from_dict(data)
-    else:
-        obj = Graph.from_edgelist(text)
-    _emit(classify_endomorphisms(obj).to_dict())
+    _emit(classify_endomorphisms(_load_homs_side(args.object)).to_dict())
     return 0
 
 
@@ -259,6 +256,12 @@ def cmd_gadget(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:  # a sweep over no sizes would pass vacuously
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicecat",
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-gadget", help="check that slice morphisms into products are exactly the copy maps")
     p.add_argument("--gadget", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--max-size", type=int, help="sweep all isolated-point-free digraphs up to this size")
+    group.add_argument("--max-size", type=_positive_int, help="sweep all isolated-point-free digraphs up to this size")
     group.add_argument("--digraph", help="check one digraph file")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify_gadget)
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--max-size", type=int)
+    group.add_argument("--max-size", type=_positive_int)
     group.add_argument("--digraph")
     p.add_argument("--regime", choices=["irreflexive", "no-isolated"], default="irreflexive")
     p.set_defaults(fn=cmd_strong_replacement)
@@ -323,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dichotomy", help="sweep slice objects over a non-universal base")
     p.add_argument("base")
-    p.add_argument("--max-carrier", type=int, required=True)
+    p.add_argument("--max-carrier", type=_positive_int, required=True)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_dichotomy)
 
     p = sub.add_parser("embed-check", help="verify hom-set bijections between glued products")
     p.add_argument("--gadget", required=True)
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     p.set_defaults(fn=cmd_embed_check)
 
     p = sub.add_parser("enumerate-digraphs", help="list labeled digraphs of one size")
@@ -358,6 +361,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc)})
         return 2
+    except Exception as exc:  # an internal fault must not look like exit 1
+        traceback.print_exc(file=sys.stderr)
+        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"})
+        return 3
 
 
 if __name__ == "__main__":

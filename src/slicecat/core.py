@@ -23,6 +23,47 @@ Edge = tuple[Vertex, Vertex]
 Arc = tuple[Vertex, Vertex]
 
 
+def _document(data: object, kind: str, keys: Sequence[str]) -> Mapping:
+    """A parsed document, checked to be an object carrying ``keys``."""
+    if not isinstance(data, Mapping) or any(k not in data for k in keys):
+        raise ValueError(f"{kind} document requires " + " and ".join(repr(k) for k in keys))
+    return data
+
+
+def document_id(value: object, what: str) -> Vertex:
+    """A vertex id read from a document: a string, or an integer taken as one."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{what} {value!r} is not a vertex id")
+    return str(value)
+
+
+def _document_ids(value: object, what: str, size: Optional[int] = None) -> list[Vertex]:
+    if not isinstance(value, list) or size not in (None, len(value)):
+        count = f"{size} " if size else ""
+        raise ValueError(f"{what} must be a list of {count}vertex ids, got {value!r}")
+    return [document_id(v, what) for v in value]
+
+
+def _document_pairs(value: object, what: str) -> list[Sequence[Vertex]]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of vertex id pairs, got {value!r}")
+    return [_document_ids(pair, f"{what} entry", 2) for pair in value]
+
+
+def _parse_edgelist(text: str, kind: str) -> tuple[list[Vertex], list[Sequence[Vertex]]]:
+    """Vertex ids and pairs of a text list: one id per isolated vertex, two per pair."""
+    vertices: list[Vertex] = []
+    pairs: list[Sequence[Vertex]] = []
+    for raw in text.splitlines():
+        parts = raw.split("#", 1)[0].split()
+        if len(parts) > 2:
+            raise ValueError(f"{kind}-list line has {len(parts)} tokens: {raw!r}")
+        vertices.extend(parts)
+        if len(parts) == 2:
+            pairs.append(parts)
+    return vertices, pairs
+
+
 def _canonical_edge(u: Vertex, v: Vertex) -> Edge:
     if u == v:
         raise ValueError(f"loops are not allowed in an undirected graph: ({u!r}, {u!r})")
@@ -123,9 +164,8 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Graph":
-        if "vertices" not in data or "edges" not in data:
-            raise ValueError("graph document requires 'vertices' and 'edges'")
-        return cls(data["vertices"], data["edges"])
+        data = _document(data, "graph", ("vertices", "edges"))
+        return cls(_document_ids(data["vertices"], "vertices"), _document_pairs(data["edges"], "edges"))
 
     def to_edgelist(self) -> str:
         """Text form: one edge per line, isolated vertices on their own line."""
@@ -136,21 +176,7 @@ class Graph:
 
     @classmethod
     def from_edgelist(cls, text: str) -> "Graph":
-        vertices: list[Vertex] = []
-        edges: list[tuple[Vertex, Vertex]] = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                vertices.append(parts[0])
-            elif len(parts) == 2:
-                vertices.extend(parts)
-                edges.append((parts[0], parts[1]))
-            else:
-                raise ValueError(f"edge-list line has {len(parts)} tokens: {raw!r}")
-        return cls(vertices, edges)
+        return cls(*_parse_edgelist(text, "edge"))
 
 
 @dataclass(frozen=True, init=False)
@@ -213,9 +239,8 @@ class Digraph:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Digraph":
-        if "vertices" not in data or "arcs" not in data:
-            raise ValueError("digraph document requires 'vertices' and 'arcs'")
-        return cls(data["vertices"], data["arcs"])
+        data = _document(data, "digraph", ("vertices", "arcs"))
+        return cls(_document_ids(data["vertices"], "vertices"), _document_pairs(data["arcs"], "arcs"))
 
     def to_edgelist(self) -> str:
         used = {v for a in self.arcs for v in a}
@@ -225,21 +250,7 @@ class Digraph:
 
     @classmethod
     def from_edgelist(cls, text: str) -> "Digraph":
-        vertices: list[Vertex] = []
-        arcs: list[tuple[Vertex, Vertex]] = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                vertices.append(parts[0])
-            elif len(parts) == 2:
-                vertices.extend(parts)
-                arcs.append((parts[0], parts[1]))
-            else:
-                raise ValueError(f"arc-list line has {len(parts)} tokens: {raw!r}")
-        return cls(vertices, arcs)
+        return cls(*_parse_edgelist(text, "arc"))
 
 
 def is_homomorphism(
@@ -357,12 +368,13 @@ class SliceObject:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SliceObject":
-        for key in ("carrier", "base", "map"):
-            if key not in data:
-                raise ValueError(f"slice document requires {key!r}")
+        data = _document(data, "slice", ("carrier", "base", "map"))
         carrier = Graph.from_dict(data["carrier"])
         base = Graph.from_dict(data["base"])
-        return cls(carrier, base, dict(data["map"]))
+        if not isinstance(data["map"], Mapping):
+            raise ValueError("slice document 'map' must be an object from carrier to base ids")
+        f = {k: document_id(v, f"map image of {k!r}") for k, v in data["map"].items()}
+        return cls(carrier, base, f)
 
 
 @dataclass(frozen=True, init=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from . import arrow
-from .core import Digraph, Graph, Morphism, SliceObject, Vertex, build_cycle
+from .core import Digraph, Graph, Morphism, SliceObject, Vertex, build_cycle, document_id
 from .homsearch import (
     DIGRAPH_ENUMERATION_CAP,
     enumerate_digraphs,
@@ -72,9 +72,9 @@ class Gadget:
 
     @classmethod
     def from_dict(cls, data) -> "Gadget":
-        if "a" not in data or "b" not in data:
+        if not isinstance(data, dict) or "a" not in data or "b" not in data:
             raise ValueError("gadget document requires 'a' and 'b'")
-        return cls(SliceObject.from_dict(data), str(data["a"]), str(data["b"]))
+        return cls(SliceObject.from_dict(data), document_id(data["a"], "a"), document_id(data["b"], "b"))
 
 
 def _path_on(letters: Sequence[str]) -> Graph:
@@ -360,9 +360,8 @@ def check_strong_replacement(
         raise ValueError(f"unknown regime {regime!r}")
     res = arrow.arrow_graph(D, H, a, b)
     copies = [frozenset(arrow.phi(res, arc).image()) for arc in D.arcs]
-    order = "mrv" if H.vertex_count > 12 else "degree"
     checked = 0
-    for hom in enumerate_homs(H, res.product, order=order):
+    for hom in enumerate_homs(H, res.product):
         checked += 1
         image = set(hom.image())
         if not any(image <= copy for copy in copies):

@@ -1,12 +1,16 @@
-"""Backtracking search for graph, slice, and digraph homomorphisms.
+"""Homomorphism search for graphs, slice objects and digraphs.
 
-The engine assigns pattern vertices one at a time and forward-prunes the
-candidate sets of unassigned neighbors.  The default variable order is fixed
-(descending degree, ties lexicographic) and candidates are tried in
-lexicographic order, so enumeration output is deterministic.  An "mrv" order
-(most-constrained vertex first) is available for large instances where the
-static order backtracks too much; it is equally deterministic but yields
-solutions in a different sequence.
+One arc-consistent engine serves every search.  Each pattern vertex is a
+variable whose domain is an int bitset over the host vertices, indexed in
+lexicographic order.  Each pattern edge or arc is a binary constraint checked
+against per-host-vertex adjacency bitmasks (out and in for digraphs).  Pins,
+slice colors and digraph loops narrow the initial domains; an injective
+search adds pairwise not-equal constraints.  AC-3 (Mackworth, "Consistency in
+networks of relations", 1977) runs at the root and after every assignment.
+Variables go in a fixed order (descending degree, then id) and values in
+ascending order.  Propagation only cuts branches without solutions, so
+solutions stream in lexicographic order of their images along that variable
+order, as a plain backtracker would emit them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 
@@ -44,124 +48,121 @@ class SearchBudget:
         return self.max_solutions
 
 
-def _variable_order(graph: Graph, order: str) -> list[Vertex]:
-    if order not in ("degree", "mrv"):
-        raise ValueError(f"unknown variable order {order!r}")
-    return sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
+# one constraint group of a variable x: (support, partners).  When x takes
+# value i, every variable in partners must take a value in support[i].
+Constraints = list[list[tuple[Sequence[int], list[int]]]]
+
+
+def _mask(index: Mapping[Vertex, int], vertices: Iterable[Vertex]) -> int:
+    return sum(1 << index[v] for v in vertices)
+
+
+def _propagate(doms: list[int], changed: Iterable[int], constraints: Constraints) -> Optional[list[int]]:
+    """AC-3 from the variables in ``changed``, narrowing ``doms`` in place;
+    None when a domain is wiped out."""
+    queue = list(changed)
+    while queue:
+        x = queue.pop()
+        dx = doms[x]
+        for support, partners in constraints[x]:
+            allowed = 0
+            m = dx
+            while m:
+                low = m & -m
+                allowed |= support[low.bit_length() - 1]
+                m ^= low
+            for y in partners:
+                dy = doms[y] & allowed
+                if dy != doms[y]:
+                    if not dy:
+                        return None
+                    doms[y] = dy
+                    if y not in queue:
+                        queue.append(y)
+    return doms
+
+
+def _solve(
+    variables: Sequence[Vertex],
+    values: Sequence[Vertex],
+    domains: list[int],
+    constraints: Constraints,
+    limit: Optional[int],
+) -> Iterator[dict[Vertex, Vertex]]:
+    """Yield every assignment of ``values`` to ``variables`` within the domain
+    bitsets that satisfies the constraints (each listed from both ends),
+    assigning variables in list order and values in ascending order."""
+    if not variables:
+        yield {}
+        return
+    root = _propagate(list(domains), range(len(variables)), constraints) if all(domains) else None
+    emitted = 0
+    # one frame per depth: the domains on entry and the values left to try
+    stack = [(root, root[0])] if root else []
+    while stack:
+        doms, left = stack[-1]
+        if not left:
+            stack.pop()
+            continue
+        low = left & -left
+        depth = len(stack) - 1
+        stack[-1] = (doms, left ^ low)
+        child = doms  # a forced value was propagated when it was forced
+        if doms[depth] != low:
+            child = doms.copy()
+            child[depth] = low
+            child = _propagate(child, (depth,), constraints)
+            if child is None:
+                continue
+        if depth + 1 < len(variables):
+            stack.append((child, child[depth + 1]))
+            continue
+        yield {v: values[d.bit_length() - 1] for v, d in zip(variables, child)}
+        emitted += 1
+        if emitted == limit:
+            return
 
 
 def _search(
     pattern: Graph,
     host: Graph,
-    base_candidates: dict[Vertex, tuple[Vertex, ...]],
     *,
+    pins: Optional[Mapping[Vertex, Vertex]] = None,
+    colors: Optional[tuple[Mapping[Vertex, Vertex], Mapping[Vertex, Vertex]]] = None,
     injective: bool = False,
-    order: str = "degree",
     limit: Optional[int] = None,
 ) -> Iterator[dict[Vertex, Vertex]]:
-    """Yield total maps pattern -> host respecting adjacency and candidates."""
-    variables = _variable_order(pattern, order)
-    if not variables:
-        yield {}
-        return
-    if any(not base_candidates[v] for v in variables):
-        return
+    """Yield total edge-preserving maps pattern -> host that extend ``pins``.
 
-    host_adj = {v: frozenset(host.neighbors(v)) for v in host.vertices}
-    candidates = {v: tuple(base_candidates[v]) for v in variables}
-    assignment: dict[Vertex, Vertex] = {}
-    used: set[Vertex] = set()
-    dynamic = order == "mrv"
-    emitted = 0
-
-    def pick_next() -> Vertex:
-        if not dynamic:
-            return variables[len(assignment)]
-        return min(
-            (v for v in variables if v not in assignment),
-            key=lambda v: (len(candidates[v]), v),
-        )
-
-    def prune(var: Vertex, value: Vertex) -> Optional[list[tuple[Vertex, tuple[Vertex, ...]]]]:
-        """Narrow neighbor candidates after var := value; None on a dead end."""
-        saved: list[tuple[Vertex, tuple[Vertex, ...]]] = []
-        allowed = host_adj[value]
-        targets = pattern.neighbors(var) if not injective else variables
-        for other in targets:
-            if other in assignment or other == var:
-                continue
-            old = candidates[other]
-            adjacent = pattern.has_edge(var, other)
-            new = tuple(
-                c
-                for c in old
-                if (not adjacent or c in allowed) and not (injective and c == value)
-            )
-            if len(new) != len(old):
-                saved.append((other, old))
-                candidates[other] = new
-                if not new:
-                    for v, o in saved:
-                        candidates[v] = o
-                    return None
-        return saved
-
-    def rec() -> Iterator[dict[Vertex, Vertex]]:
-        nonlocal emitted
-        if len(assignment) == len(variables):
-            yield dict(assignment)
-            emitted += 1
-            return
-        var = pick_next()
-        for value in candidates[var]:
-            # candidate lists are pruned eagerly, but a pinned vertex assigned
-            # next to an already-fixed neighbor still needs the direct check
-            if any(
-                nb in assignment and assignment[nb] not in host_adj[value]
-                for nb in pattern.neighbors(var)
-            ):
-                continue
-            if injective and value in used:
-                continue
-            saved = prune(var, value)
-            if saved is None:
-                continue
-            assignment[var] = value
-            used.add(value)
-            yield from rec()
-            del assignment[var]
-            used.discard(value)
-            for v, old in saved:
-                candidates[v] = old
-            if limit is not None and emitted >= limit:
-                return
-
-    yield from rec()
-
-
-def _full_candidates(
-    pattern: Graph,
-    host: Graph,
-    pins: Optional[Mapping[Vertex, Vertex]],
-    colors: Optional[tuple[Mapping[Vertex, Vertex], Mapping[Vertex, Vertex]]],
-) -> dict[Vertex, tuple[Vertex, ...]]:
-    if pins:
-        for k, v in pins.items():
-            if not pattern.has_vertex(k):
-                raise ValueError(f"pin {k!r} is not a pattern vertex")
-            if not host.has_vertex(v):
-                raise ValueError(f"pin image {v!r} is not a host vertex")
-    out: dict[Vertex, tuple[Vertex, ...]] = {}
-    for v in pattern.vertices:
-        if pins and v in pins:
-            opts: tuple[Vertex, ...] = (pins[v],)
-        else:
-            opts = host.vertices
-        if colors is not None:
-            cp, ch = colors
-            opts = tuple(w for w in opts if ch[w] == cp[v])
-        out[v] = opts
-    return out
+    ``colors = (pattern colors, host colors)`` keeps every vertex on host
+    vertices of its own color.  ``injective`` adds a not-equal constraint
+    between every two pattern vertices.
+    """
+    index = {w: i for i, w in enumerate(host.vertices)}
+    full = (1 << len(index)) - 1
+    domain = dict.fromkeys(pattern.vertices, full)
+    if colors is not None:
+        fibers: dict[Vertex, int] = {}
+        for w, c in colors[1].items():
+            fibers[c] = fibers.get(c, 0) | 1 << index[w]
+        domain = {v: fibers.get(colors[0][v], 0) for v in domain}
+    for k, v in (pins or {}).items():
+        if not pattern.has_vertex(k):
+            raise ValueError(f"pin {k!r} is not a pattern vertex")
+        if not host.has_vertex(v):
+            raise ValueError(f"pin image {v!r} is not a host vertex")
+        domain[k] &= 1 << index[v]
+    variables = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+    position = {v: i for i, v in enumerate(variables)}
+    adjacency = [_mask(index, host.neighbors(w)) for w in host.vertices]
+    constraints: Constraints = [
+        [(adjacency, [position[w] for w in pattern.neighbors(v)])] for v in variables
+    ]
+    if injective:
+        not_equal = [full ^ 1 << i for i in range(len(index))]
+        for x, group in enumerate(constraints):
+            group.append((not_equal, [y for y in range(len(variables)) if y != x]))
+    yield from _solve(variables, host.vertices, [domain[v] for v in variables], constraints, limit)
 
 
 def enumerate_homs(
@@ -169,13 +170,10 @@ def enumerate_homs(
     B: Graph,
     pins: Optional[Mapping[Vertex, Vertex]] = None,
     budget: Optional[SearchBudget] = None,
-    *,
-    order: str = "degree",
 ) -> Iterator[Morphism]:
     """Stream every homomorphism A -> B extending ``pins``."""
     limit = budget.limit() if budget else None
-    cands = _full_candidates(A, B, pins, None)
-    for mapping in _search(A, B, cands, order=order, limit=limit):
+    for mapping in _search(A, B, pins=pins, limit=limit):
         yield Morphism(A, B, mapping)
 
 
@@ -191,8 +189,6 @@ def enumerate_slice_homs(
     X: SliceObject,
     Y: SliceObject,
     budget: Optional[SearchBudget] = None,
-    *,
-    order: str = "degree",
 ) -> Iterator[SliceMorphism]:
     """Stream the slice morphisms X -> Y.
 
@@ -203,12 +199,8 @@ def enumerate_slice_homs(
     if X.base != Y.base:
         raise ValueError("slice objects live over different bases")
     limit = budget.limit() if budget else None
-    colors = (
-        {v: X.color(v) for v in X.carrier.vertices},
-        {w: Y.color(w) for w in Y.carrier.vertices},
-    )
-    cands = _full_candidates(X.carrier, Y.carrier, None, colors)
-    for mapping in _search(X.carrier, Y.carrier, cands, order=order, limit=limit):
+    colors = (dict(X.structure_map.mapping), dict(Y.structure_map.mapping))
+    for mapping in _search(X.carrier, Y.carrier, colors=colors, limit=limit):
         yield SliceMorphism(X, Y, mapping)
 
 
@@ -240,11 +232,6 @@ class EndoReport:
         }
 
 
-# beyond this size the static variable order backtracks too much on
-# uncolored self-maps; switch to most-constrained-first
-_MRV_THRESHOLD = 12
-
-
 def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     """Count endomorphisms and automorphisms; exhibit a proper endomorphism.
 
@@ -252,13 +239,10 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     or a plain graph (ordinary graph endomorphisms).  For finite objects an
     endomorphism is proper exactly when its vertex map is non-bijective.
     """
-    carrier = X if isinstance(X, Graph) else X.carrier
-    order = "mrv" if carrier.vertex_count > _MRV_THRESHOLD else "degree"
     if isinstance(X, Graph):
-        stream: Iterator[Morphism] = enumerate_homs(X, X, order=order)
+        n, stream = X.vertex_count, enumerate_homs(X, X)
     else:
-        stream = (sm.map for sm in enumerate_slice_homs(X, X, order=order))
-    n = carrier.vertex_count
+        n, stream = X.carrier.vertex_count, (sm.map for sm in enumerate_slice_homs(X, X))
     endo_count = 0
     auto_count = 0
     witness: Optional[Morphism] = None
@@ -283,8 +267,7 @@ def contains_subgraph(pattern: Graph, host: Graph) -> Optional[Morphism]:
     Ordinary (non-induced) subgraph containment: host edges between image
     vertices that are not pattern edges are fine.
     """
-    cands = _full_candidates(pattern, host, None, None)
-    for mapping in _search(pattern, host, cands, injective=True, limit=1):
+    for mapping in _search(pattern, host, injective=True, limit=1):
         return Morphism(pattern, host, mapping)
     return None
 
@@ -369,43 +352,24 @@ def enumerate_digraph_homs(
     D2: Digraph,
     budget: Optional[SearchBudget] = None,
 ) -> Iterator[dict[Vertex, Vertex]]:
-    """Stream all arc-preserving vertex maps D1 -> D2 as plain dicts."""
+    """Stream all arc-preserving vertex maps D1 -> D2 as plain dicts.
+
+    Variables go by descending out-degree plus in-degree (a loop counts
+    twice), ties by id.  A loop of D1 is a unary filter: its vertex may only
+    land on a looped vertex of D2.
+    """
     limit = budget.limit() if budget else None
-    variables = sorted(
-        D1.vertices,
-        key=lambda v: (-(len(D1.out_neighbors(v)) + len(D1.in_neighbors(v))), v),
-    )
-    if not variables:
-        yield {}
-        return
-
-    emitted = 0
-    assignment: dict[Vertex, Vertex] = {}
-
-    def consistent(var: Vertex, value: Vertex) -> bool:
-        if D1.has_arc(var, var) and not D2.has_arc(value, value):
-            return False
-        for w in D1.out_neighbors(var):
-            if w in assignment and not D2.has_arc(value, assignment[w]):
-                return False
-        for w in D1.in_neighbors(var):
-            if w in assignment and not D2.has_arc(assignment[w], value):
-                return False
-        return True
-
-    def rec(depth: int) -> Iterator[dict[Vertex, Vertex]]:
-        nonlocal emitted
-        if depth == len(variables):
-            yield dict(assignment)
-            emitted += 1
-            return
-        var = variables[depth]
-        for value in D2.vertices:
-            if consistent(var, value):
-                assignment[var] = value
-                yield from rec(depth + 1)
-                del assignment[var]
-                if limit is not None and emitted >= limit:
-                    return
-
-    yield from rec(0)
+    variables = sorted(D1.vertices, key=lambda v: (-len(D1.out_neighbors(v)) - len(D1.in_neighbors(v)), v))
+    index = {w: i for i, w in enumerate(D2.vertices)}
+    position = {v: i for i, v in enumerate(variables)}
+    out, inn = ([_mask(index, nbrs(w)) for w in D2.vertices] for nbrs in (D2.out_neighbors, D2.in_neighbors))
+    constraints: Constraints = [
+        [
+            (out, [position[w] for w in D1.out_neighbors(v) if w != v]),
+            (inn, [position[w] for w in D1.in_neighbors(v) if w != v]),
+        ]
+        for v in variables
+    ]
+    looped = _mask(index, (w for w in D2.vertices if D2.has_arc(w, w)))
+    domains = [looped if D1.has_arc(v, v) else (1 << len(index)) - 1 for v in variables]
+    yield from _solve(variables, D2.vertices, domains, constraints, limit)

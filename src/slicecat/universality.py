@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -187,9 +188,9 @@ def classify_cone_base(G: Graph) -> ConeClassification:
         color[root] = 0
         parent[root] = None
         depth[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for y in G.neighbors(x):
                 if y not in color:
                     color[y] = 1 - color[x]
@@ -291,9 +292,9 @@ class RetractionPlan:
 
 def _bfs_distance(graph: Graph, sources: list[Vertex]) -> dict[Vertex, int]:
     dist = {s: 0 for s in sources}
-    queue = list(sources)
+    queue = deque(sources)
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         for y in graph.neighbors(x):
             if y not in dist:
                 dist[y] = dist[x] + 1

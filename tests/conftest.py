@@ -61,6 +61,22 @@ def naive_injective_subgraph(pattern: Graph, host: Graph) -> bool:
     return False
 
 
+def graph_variable_order(pattern: Graph) -> list[str]:
+    """The engine's static variable order: descending degree, then id."""
+    return sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+
+
+def digraph_variable_order(D: Digraph) -> list[str]:
+    """Descending out-degree plus in-degree (a loop counts twice), then id."""
+    return sorted(D.vertices, key=lambda v: (-(len(D.out_neighbors(v)) + len(D.in_neighbors(v))), v))
+
+
+def static_order_sequence(solutions, order: list[str]) -> list[tuple[tuple[str, str], ...]]:
+    """Sort solution keys by their images along ``order``: the sequence a
+    depth-first search with that variable order and ascending values emits."""
+    return sorted(solutions, key=lambda key: [dict(key)[v] for v in order])
+
+
 def naive_endo_counts(X: SliceObject) -> tuple[int, int]:
     """(endomorphisms, automorphisms) by exhaustive enumeration."""
     homs = naive_slice_homs(X, X)

@@ -1,0 +1,159 @@
+"""Write the golden CLI corpus that ``tests/test_golden.py`` compares against.
+
+    PYTHONPATH=src python tests/golden/make_corpus.py
+
+Input documents go to ``inputs/``, the exact standard output of each command
+to ``expected/<case>.json`` and the argument lists with their exit codes to
+``cases.json``.  Input paths in ``cases.json`` are relative to this
+directory.  Regenerating rewrites every file, so a change in output shows up
+as a diff; only regenerate when an output change is intended.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from slicecat.arrow import arrow_slice
+from slicecat.cli import main
+from slicecat.core import (
+    Digraph,
+    Graph,
+    SliceObject,
+    build_cycle,
+    build_path,
+    build_star,
+    disjoint_union,
+)
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget
+
+HERE = Path(__file__).resolve().parent
+ENDO_VERTEX_LIMIT = 12
+
+
+def _identity_slice(g: Graph) -> SliceObject:
+    return SliceObject(g, g, {v: v for v in g.vertices})
+
+
+def _documents() -> dict[str, dict]:
+    """Named input documents: graphs and slice objects."""
+    arc = Digraph(["u", "v"], [("u", "v")])
+    two_cycle = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
+    loop_arc = Digraph(["u", "v"], [("u", "u"), ("u", "v")])
+    out_star = Digraph(["u", "v", "w"], [("u", "v"), ("u", "w")])
+    c3g, c4g, yg = (builtin_gadget(n) for n in ("C3", "C4", "Y"))
+    p3 = build_path(3)
+    odd = Graph(
+        ["b", "a1", "Z", "q q", "m,n"],
+        [("b", "a1"), ("a1", "Z"), ("Z", "q q"), ("q q", "b"), ("b", "m,n")],
+    )
+    fan = Graph(
+        [f"x{i}" for i in range(8)],
+        [("x0", "x1"), ("x1", "x2"), ("x2", "x0"), ("x2", "x3"), ("x3", "x4"),
+         ("x4", "x5"), ("x5", "x6"), ("x6", "x7"), ("x7", "x4"), ("x1", "x6")],
+    )
+    folded = disjoint_union([p3, p3])
+    slices = {
+        "c3_gadget": c3g.slice,
+        "c4_gadget": c4g.slice,
+        "y_gadget": yg.slice,
+        "c3_arc": arrow_slice(arc, c3g),
+        "c3_two_cycle": arrow_slice(two_cycle, c3g),
+        "c3_loop_arc": arrow_slice(loop_arc, c3g),
+        "c3_out_star": arrow_slice(out_star, c3g),
+        "c4_arc": arrow_slice(arc, c4g),
+        "c4_two_cycle": arrow_slice(two_cycle, c4g),
+        "y_arc": arrow_slice(arc, yg),
+        "y_out_star": arrow_slice(out_star, yg),
+        "p3_identity": _identity_slice(p3),
+        "p3_folded": SliceObject(
+            folded, p3, {f"{i}:v{j}": f"v{j}" for i in range(2) for j in range(4)}
+        ),
+    }
+    graphs = {
+        "p1": build_path(1),
+        "p2": build_path(2),
+        "p3": p3,
+        "p5": build_path(5),
+        "c3": build_cycle(3),
+        "c4": build_cycle(4),
+        "c5": build_cycle(5),
+        "c6": build_cycle(6),
+        "star3": build_star(3),
+        "k4": Graph(list("abcd"), [(x, y) for x in "abcd" for y in "abcd" if x < y]),
+        "odd_ids": odd,
+        "fan": fan,
+        "two_triangles": disjoint_union([build_cycle(3), build_cycle(3)]),
+    }
+    docs = {name: g.to_dict() for name, g in graphs.items()}
+    docs.update({name: x.to_dict() for name, x in slices.items()})
+    return docs
+
+
+HOMS_PAIRS = [
+    ("p2", "c4"),
+    ("c4", "p1"),
+    ("p3", "c5"),
+    ("star3", "p2"),
+    ("c5", "c3"),
+    ("odd_ids", "c4"),
+    ("p2", "odd_ids"),
+    ("c3", "k4"),
+    ("c3_gadget", "c3_two_cycle"),
+    ("c3_gadget", "c3_loop_arc"),
+    ("c3_arc", "c3_two_cycle"),
+    ("c3_two_cycle", "c3_loop_arc"),
+    ("c4_gadget", "c4_two_cycle"),
+    ("y_gadget", "y_out_star"),
+    ("p3_identity", "p3_folded"),
+    ("p3_folded", "p3_folded"),
+]
+
+
+def _cases(docs: dict[str, dict]) -> dict[str, list]:
+    """Case name -> argv, with input files as ``inputs/<name>.json``."""
+    cases: dict[str, list] = {}
+    for src, dst in HOMS_PAIRS:
+        cases[f"homs_list_{src}__{dst}"] = [
+            "homs", f"inputs/{src}.json", f"inputs/{dst}.json", "--mode", "list"
+        ]
+    for name, doc in docs.items():
+        carrier = doc.get("carrier", doc)
+        if len(carrier["vertices"]) <= ENDO_VERTEX_LIMIT:
+            cases[f"endos_{name}"] = ["endos", f"inputs/{name}.json"]
+    for g in BUILTIN_GADGET_NAMES:
+        cases[f"verify_gadget_{g}"] = ["verify-gadget", "--gadget", g, "--max-size", "2"]
+        cases[f"embed_check_{g}"] = ["embed-check", "--gadget", g, "--max-size", "2"]
+    return cases
+
+
+def run_case(argv: list[str], root: Path) -> tuple[int, str]:
+    """Run one CLI command with input paths resolved under ``root``."""
+    resolved = [str(root / a) if a.startswith("inputs/") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(resolved)
+    return code, out.getvalue()
+
+
+def write_corpus(root: Path = HERE) -> int:
+    docs = _documents()
+    (root / "inputs").mkdir(exist_ok=True)
+    (root / "expected").mkdir(exist_ok=True)
+    for name, doc in docs.items():
+        (root / "inputs" / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    cases = _cases(docs)
+    manifest = {}
+    for name, argv in cases.items():
+        code, out = run_case(argv, root)
+        (root / "expected" / f"{name}.json").write_text(out, encoding="utf-8")
+        manifest[name] = {"argv": argv, "exit": code}
+    (root / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return len(manifest)
+
+
+if __name__ == "__main__":
+    print(f"{write_corpus()} cases written", file=sys.stderr)

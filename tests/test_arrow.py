@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicecat.arrow import (
     arrow_graph,
@@ -13,7 +14,7 @@ from slicecat.arrow import (
     slice_phi,
 )
 from slicecat.core import Digraph, Graph, Morphism, SliceMorphism, SliceObject
-from slicecat.gadgets import BUILTIN_GADGET_NAMES, Gadget, builtin_gadget
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, Gadget, builtin_gadget, verify_gadget
 from slicecat.homsearch import enumerate_digraph_homs, enumerate_digraphs
 
 from conftest import random_digraph
@@ -21,6 +22,11 @@ from conftest import random_digraph
 C3_GADGET = builtin_gadget("C3")
 SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
 LOOP = Digraph(["u"], [("u", "u")])
+# ids glued from the separators of the interior-id format, so that distinct
+# arcs often format to the same interior id
+ADVERSARIAL_IDS = st.lists(
+    st.sampled_from(["a", "b", "c", ",", "(", ")", "::", " ", "\t"]), min_size=1, max_size=3
+).map("".join)
 
 
 class TestArrowGraph:
@@ -57,6 +63,44 @@ class TestArrowGraph:
         clash = Digraph(["u", "v", interior_id("u", "v", "b")], [("u", "v")])
         with pytest.raises(ValueError, match="collides"):
             arrow_graph(clash, C3_GADGET.carrier, "a", "d")
+
+    def test_interior_ids_colliding_with_each_other_detected(self):
+        # "(a,b,c)::b" is the interior id of both arcs; before the check the
+        # two copies merged into a 6-vertex product and verification failed
+        clash = Digraph(["a,b", "c", "a", "b,c"], [("a,b", "c"), ("a", "b,c")])
+        with pytest.raises(ValueError, match="collides"):
+            arrow_graph(clash, C3_GADGET.carrier, "a", "d")
+
+    @settings(max_examples=100, deadline=None)
+    @given(ADVERSARIAL_IDS, ADVERSARIAL_IDS, ADVERSARIAL_IDS)
+    def test_shifted_comma_always_detected(self, p, q, r):
+        # arcs (p+","+q, r) and (p, q+","+r) both format as "(p,q,r)::w"
+        names = {p + "," + q, r, p, q + "," + r}
+        arcs = [(p + "," + q, r), (p, q + "," + r)]
+        with pytest.raises(ValueError, match="collides"):
+            arrow_graph(Digraph(names, arcs), C3_GADGET.carrier, "a", "d")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(ADVERSARIAL_IDS, min_size=1, max_size=4, unique=True),
+        st.data(),
+    )
+    def test_adversarial_ids_never_corrupt_the_product(self, names, data):
+        arcs = data.draw(
+            st.lists(st.sampled_from([(u, v) for u in names for v in names]), min_size=1, max_size=4, unique=True)
+        )
+        d = Digraph(names, arcs)
+        interior = [w for w in C3_GADGET.carrier.vertices if w not in ("a", "d")]
+        ids = list(d.vertices) + [interior_id(u, v, w) for u, v in d.arcs for w in interior]
+        if len(set(ids)) < len(ids):
+            with pytest.raises(ValueError, match="collides"):
+                arrow_graph(d, C3_GADGET.carrier, "a", "d")
+            return
+        res = arrow_graph(d, C3_GADGET.carrier, "a", "d")
+        assert res.product.vertex_count == len(ids)
+        assert res.product.edge_count == 3 * d.arc_count
+        if not d.isolated_vertices():
+            assert verify_gadget(C3_GADGET, d).verdict
 
     def test_antiparallel_arcs_share_only_base_vertices(self):
         d = Digraph(["u", "v"], [("u", "v"), ("v", "u")])

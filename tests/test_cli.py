@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slicecat import cli
 from slicecat.cli import main
 from slicecat.core import build_cycle, build_path
 from slicecat.gadgets import builtin_gadget
@@ -271,3 +277,105 @@ class TestEmbedAndEnumerate:
     def test_usage_error_exits_two(self, capsys):
         assert main(["no-such-command"]) == 2
         assert main([]) == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["a", "b", "v0", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "b", "v0"]), inner, max_size=3),
+    max_leaves=6,
+)
+GRAPH_LIKE = st.fixed_dictionaries({"vertices": JSON_VALUES, "edges": JSON_VALUES})
+SLICE_LIKE = st.fixed_dictionaries(
+    {"carrier": GRAPH_LIKE | st.just(build_path(1).to_dict()), "base": GRAPH_LIKE | st.just(build_path(1).to_dict()), "map": JSON_VALUES}
+)
+DOCUMENTS = JSON_VALUES | GRAPH_LIKE | SLICE_LIKE | st.sampled_from(
+    [build_path(1).to_dict(), build_path(3).to_dict(), build_cycle(3).to_dict()]
+)
+COMMANDS = [
+    ["classify", "{doc}"],
+    ["cone-classify", "{doc}"],
+    ["endos", "{doc}"],
+    ["retract", "{doc}"],
+    ["homs", "{doc}", "{doc}", "--mode", "exists"],
+    ["arrow", "{doc}", "--gadget", "c3"],
+    ["verify-gadget", "--gadget", "{doc}", "--max-size", "1"],
+    ["strong-replacement", "--graph", "{doc}", "--a", "a", "--b", "b", "--max-size", "1"],
+    ["dichotomy", "{doc}", "--max-carrier", "2"],
+]
+VERDICT_KEYS = ("verdict", "holds", "exists")
+
+
+def run_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"vertices": 5, "edges": []},
+            {"vertices": ["a", "b"], "edges": [5]},
+            {"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+            {"vertices": [["a"]], "edges": []},
+            {"vertices": [True], "edges": []},
+            [1, 2],
+            7,
+            None,
+        ],
+    )
+    @pytest.mark.parametrize("command", ["classify", "endos"])
+    def test_malformed_graph_documents_exit_two(self, capsys, tmp_path, doc, command):
+        code, out = run(capsys, [command, write(tmp_path / "bad.json", doc)])
+        assert code == 2 and "error" in json.loads(out)
+
+    def test_malformed_slice_map_exits_two(self, capsys, tmp_path):
+        doc = {"carrier": build_path(1).to_dict(), "base": build_path(1).to_dict(), "map": ["v0"]}
+        code, out = run(capsys, ["endos", write(tmp_path / "bad.json", doc)])
+        assert code == 2 and "error" in json.loads(out)
+
+    def test_internal_fault_exits_three(self, capsys, monkeypatch, c3_file):
+        def broken(graph):
+            raise RuntimeError("invariant violated")
+
+        monkeypatch.setattr(cli, "classify_slice_base", broken)
+        code, out = run(capsys, ["classify", c3_file])
+        assert code == 3
+        assert json.loads(out) == {"error": "internal error: RuntimeError: invariant violated"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-gadget", "--gadget", "c3", "--max-size", "0"],
+            ["embed-check", "--gadget", "c3", "--max-size", "-1"],
+            ["strong-replacement", "--graph", "g.json", "--a", "x", "--b", "y", "--max-size", "0"],
+            ["dichotomy", "base.json", "--max-carrier", "0"],
+        ],
+    )
+    def test_sizes_below_one_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_count_mode_matches_list_mode(self, capsys, tmp_path, c3_file):
+        p2 = write(tmp_path / "p2.json", build_path(2).to_dict())
+        _, listed = run(capsys, ["homs", p2, c3_file, "--mode", "list"])
+        _, counted = run(capsys, ["homs", p2, c3_file, "--mode", "count"])
+        assert json.loads(counted)["count"] == json.loads(listed)["count"] == 12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(COMMANDS), DOCUMENTS)
+    def test_exit_one_only_with_a_verdict(self, command, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "doc.json")
+            write(Path(path), doc)
+            code, out = run_quiet([path if a == "{doc}" else a for a in command])
+        # malformed input is exit 2; no input may reach an internal fault
+        assert code in (0, 1, 2)
+        payload = json.loads(out)
+        if code == 1:
+            assert "error" not in payload
+            assert any(key in payload for key in VERDICT_KEYS)
+        if code == 2:
+            assert set(payload) == {"error"}

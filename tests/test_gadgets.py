@@ -212,3 +212,17 @@ class TestStrongReplacement:
     def test_replacement_graph_is_rigid(self):
         report = classify_endomorphisms(build_gk(2).graph)
         assert report.verdict is EndoVerdict.RIGID
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_replacement_family_is_rigid(self, k):
+        # 19 to 43 vertices: arc consistency at the root pins every vertex
+        report = classify_endomorphisms(build_gk(k).graph)
+        assert report.verdict is EndoVerdict.RIGID
+        assert (report.endo_count, report.auto_count) == (1, 1)
+        assert report.witness is None
+
+    def test_replacement_graph_over_directed_triangle(self):
+        gk = build_gk(3)
+        triangle = Digraph(["u", "v", "w"], [("u", "v"), ("v", "w"), ("w", "u")])
+        report = check_strong_replacement(gk.graph, gk.a, gk.b, triangle)
+        assert report.holds and report.homs_checked == 3
