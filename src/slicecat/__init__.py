@@ -42,6 +42,7 @@ from .arrow import (
     interior_id,
     phi,
     phi_is_strong,
+    product_slice,
     product_structure_map,
     slice_phi,
 )

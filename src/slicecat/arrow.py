@@ -62,9 +62,14 @@ class ArrowResult:
                 used.add(pid)
                 index[(arc, w)] = pid
                 vertices.append(pid)
+        object.__setattr__(self, "digraph", digraph)
+        object.__setattr__(self, "gadget_graph", gadget_graph)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_interior_index", index)
         edges = set()
         for arc in digraph.arcs:
-            copy = _copy_map(arc, gadget_graph, a, b, index)
+            copy = self.copy_map(arc)
             for s, t in gadget_graph.edges:
                 ps, pt = copy[s], copy[t]
                 if ps == pt:
@@ -74,48 +79,19 @@ class ArrowResult:
                         "simple graphs"
                     )
                 edges.add((ps, pt))
-        object.__setattr__(self, "digraph", digraph)
-        object.__setattr__(self, "gadget_graph", gadget_graph)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "product", Graph(vertices, edges))
-        object.__setattr__(self, "_interior_index", index)
-
-    def base_vertex(self, u: Vertex) -> Vertex:
-        """Product id of the digraph vertex u (the identity embedding)."""
-        if u not in self.digraph.vertices:
-            raise ValueError(f"{u!r} is not a digraph vertex")
-        return u
-
-    @property
-    def base_embedding(self) -> dict[Vertex, Vertex]:
-        return {u: u for u in self.digraph.vertices}
 
     def interior(self, arc: Arc, w: Vertex) -> Vertex:
         return self._interior_index[(tuple(arc), w)]  # type: ignore[attr-defined]
 
-    @property
-    def interior_index(self) -> dict[tuple[Arc, Vertex], Vertex]:
-        return dict(self._interior_index)  # type: ignore[attr-defined]
-
-
-def _copy_map(
-    arc: Arc,
-    gadget_graph: Graph,
-    a: Vertex,
-    b: Vertex,
-    index: Mapping[tuple[Arc, Vertex], Vertex],
-) -> dict[Vertex, Vertex]:
-    u, v = arc
-    out = {}
-    for x in gadget_graph.vertices:
-        if x == a:
-            out[x] = u
-        elif x == b:
-            out[x] = v
-        else:
-            out[x] = index[(arc, x)]
-    return out
+    def copy_map(self, arc: Arc) -> dict[Vertex, Vertex]:
+        """The copy map of one digraph arc (u, v) as a plain dict: a to u, b to
+        v, and every interior vertex w to ``interior((u, v), w)``."""
+        u, v = arc
+        index = self._interior_index  # type: ignore[attr-defined]
+        copy = {w: index[((u, v), w)] for w in self.gadget_graph.vertices if w not in (self.a, self.b)}
+        copy.update({self.a: u, self.b: v})
+        return copy
 
 
 def arrow_graph(D: Digraph, H: Graph, a: Vertex, b: Vertex) -> ArrowResult:
@@ -132,8 +108,7 @@ def phi(res: ArrowResult, arc: Arc) -> Morphism:
     arc = (arc[0], arc[1])
     if not res.digraph.has_arc(*arc):
         raise ValueError(f"{arc!r} is not an arc of the digraph")
-    mapping = _copy_map(arc, res.gadget_graph, res.a, res.b, res._interior_index)  # type: ignore[attr-defined]
-    return Morphism(res.gadget_graph, res.product, mapping)
+    return Morphism(res.gadget_graph, res.product, res.copy_map(arc))
 
 
 def product_structure_map(res: ArrowResult, gadget: "Gadget") -> Morphism:
@@ -147,16 +122,19 @@ def product_structure_map(res: ArrowResult, gadget: "Gadget") -> Morphism:
     return Morphism(res.product, gadget.base, mapping)
 
 
+def product_slice(res: ArrowResult, gadget: "Gadget") -> SliceObject:
+    """The product of ``res`` as a slice object over the gadget's base."""
+    return SliceObject(res.product, gadget.base, product_structure_map(res, gadget))
+
+
 def arrow_slice(D: Digraph, gadget: "Gadget") -> SliceObject:
     """The product as a slice object over the gadget's base."""
-    res = arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
-    return SliceObject(res.product, gadget.base, product_structure_map(res, gadget))
+    return product_slice(arrow_graph(D, gadget.carrier, gadget.a, gadget.b), gadget)
 
 
 def slice_phi(res: ArrowResult, gadget: "Gadget", arc: Arc) -> SliceMorphism:
     """The copy map of one arc as a slice morphism into the product object."""
-    product = SliceObject(res.product, gadget.base, product_structure_map(res, gadget))
-    return SliceMorphism(gadget.slice, product, phi(res, arc))
+    return SliceMorphism(gadget.slice, product_slice(res, gadget), phi(res, arc))
 
 
 def arrow_morphism(
@@ -180,12 +158,10 @@ def arrow_morphism(
         )
     res1 = arrow_graph(D1, gadget.carrier, gadget.a, gadget.b)
     res2 = arrow_graph(D2, gadget.carrier, gadget.a, gadget.b)
-    source = SliceObject(res1.product, gadget.base, product_structure_map(res1, gadget))
-    target = SliceObject(res2.product, gadget.base, product_structure_map(res2, gadget))
     mapping: dict[Vertex, Vertex] = {u: h[u] for u in D1.vertices}
     for ((u, v), w), pid in res1._interior_index.items():  # type: ignore[attr-defined]
         mapping[pid] = res2.interior((h[u], h[v]), w)
-    return SliceMorphism(source, target, mapping)
+    return SliceMorphism(product_slice(res1, gadget), product_slice(res2, gadget), mapping)
 
 
 def phi_is_strong(res: ArrowResult, arc: Arc) -> tuple[bool, Optional[tuple[Vertex, Vertex]]]:
@@ -197,7 +173,7 @@ def phi_is_strong(res: ArrowResult, arc: Arc) -> tuple[bool, Optional[tuple[Vert
     distinct images and treats edges at a and b as interchangeable.
     """
     arc = (arc[0], arc[1])
-    copy = _copy_map(arc, res.gadget_graph, res.a, res.b, res._interior_index)  # type: ignore[attr-defined]
+    copy = res.copy_map(arc)
     g = res.gadget_graph
     is_loop = arc[0] == arc[1]
     swap = {res.a: res.b, res.b: res.a}

@@ -15,7 +15,7 @@ All types are immutable after construction; no operation mutates its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 Vertex = str
@@ -64,6 +64,24 @@ def _parse_edgelist(text: str, kind: str) -> tuple[list[Vertex], list[Sequence[V
     return vertices, pairs
 
 
+def _ids(vertices: Iterable[Vertex]) -> tuple[Vertex, ...]:
+    if isinstance(vertices, str):  # would give one id per character
+        raise TypeError(f"vertices must be an iterable of ids, not the string {vertices!r}")
+    return tuple(sorted({str(v) for v in vertices}))
+
+
+def _format_edgelist(vertices: Sequence[Vertex], pairs: Sequence[Sequence[Vertex]]) -> str:
+    """One pair per line, isolated vertices alone.  The parser splits at
+    whitespace and cuts at ``#``, so ids that are empty or hold either are refused."""
+    for v in vertices:
+        if not v or "#" in v or any(c.isspace() for c in v):
+            raise ValueError(f"vertex id {v!r} cannot be written as an edge list")
+    used = {v for p in pairs for v in p}
+    lines = [v for v in vertices if v not in used]
+    lines += [f"{u} {v}" for u, v in pairs]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def _canonical_edge(u: Vertex, v: Vertex) -> Edge:
     if u == v:
         raise ValueError(f"loops are not allowed in an undirected graph: ({u!r}, {u!r})")
@@ -82,7 +100,7 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
-        vs = tuple(sorted({str(v) for v in vertices}))
+        vs = _ids(vertices)
         vset = frozenset(vs)
         es = sorted({_canonical_edge(str(u), str(v)) for u, v in edges})
         for u, v in es:
@@ -168,11 +186,7 @@ class Graph:
         return cls(_document_ids(data["vertices"], "vertices"), _document_pairs(data["edges"], "edges"))
 
     def to_edgelist(self) -> str:
-        """Text form: one edge per line, isolated vertices on their own line."""
-        used = {v for e in self.edges for v in e}
-        lines = [v for v in self.vertices if v not in used]
-        lines += [f"{u} {v}" for u, v in self.edges]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _format_edgelist(self.vertices, self.edges)
 
     @classmethod
     def from_edgelist(cls, text: str) -> "Graph":
@@ -187,7 +201,7 @@ class Digraph:
     arcs: tuple[Arc, ...]
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Sequence[Vertex]] = ()):
-        vs = tuple(sorted({str(v) for v in vertices}))
+        vs = _ids(vertices)
         vset = frozenset(vs)
         ars = sorted({(str(u), str(v)) for u, v in arcs})
         for u, v in ars:
@@ -243,10 +257,7 @@ class Digraph:
         return cls(_document_ids(data["vertices"], "vertices"), _document_pairs(data["arcs"], "arcs"))
 
     def to_edgelist(self) -> str:
-        used = {v for a in self.arcs for v in a}
-        lines = [v for v in self.vertices if v not in used]
-        lines += [f"{u} {v}" for u, v in self.arcs]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _format_edgelist(self.vertices, self.arcs)
 
     @classmethod
     def from_edgelist(cls, text: str) -> "Digraph":
@@ -280,7 +291,7 @@ class Morphism:
 
     domain: Graph
     codomain: Graph
-    mapping: tuple[tuple[Vertex, Vertex], ...]
+    _map: dict[Vertex, Vertex]  # the map, kept once, in sorted key order
 
     def __init__(self, domain: Graph, codomain: Graph, mapping: Mapping[Vertex, Vertex]):
         extra = set(mapping) - set(domain.vertices)
@@ -295,26 +306,32 @@ class Morphism:
             )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "mapping", tuple(sorted((str(k), str(v)) for k, v in mapping.items())))
-        object.__setattr__(self, "_map", dict(self.mapping))
+        object.__setattr__(self, "_map", dict(sorted((str(k), str(v)) for k, v in mapping.items())))
+
+    @property
+    def mapping(self) -> tuple[tuple[Vertex, Vertex], ...]:
+        return tuple(self._map.items())
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, self.mapping))
 
     def __call__(self, v: Vertex) -> Vertex:
-        return self._map[v]  # type: ignore[attr-defined]
+        return self._map[v]
 
     def as_dict(self) -> dict[Vertex, Vertex]:
-        return dict(self.mapping)
+        return dict(self._map)
 
     def is_injective(self) -> bool:
-        return len({w for _, w in self.mapping}) == len(self.mapping)
+        return len(set(self._map.values())) == len(self._map)
 
     def is_surjective(self) -> bool:
-        return {w for _, w in self.mapping} == set(self.codomain.vertices)
+        return set(self._map.values()) == set(self.codomain.vertices)
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
     def image(self) -> tuple[Vertex, ...]:
-        return tuple(sorted({w for _, w in self.mapping}))
+        return tuple(sorted(set(self._map.values())))
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """Return ``self after inner`` (apply ``inner`` first)."""
@@ -327,7 +344,7 @@ class Morphism:
         return cls(graph, graph, {v: v for v in graph.vertices})
 
     def to_dict(self) -> dict:
-        return {"map": {k: v for k, v in self.mapping}}
+        return {"map": self.as_dict()}
 
 
 @dataclass(frozen=True, init=False)
@@ -363,7 +380,7 @@ class SliceObject:
         return {
             "carrier": self.carrier.to_dict(),
             "base": self.base.to_dict(),
-            "map": {k: v for k, v in self.structure_map.mapping},
+            "map": self.structure_map.as_dict(),
         }
 
     @classmethod
@@ -414,7 +431,7 @@ class SliceMorphism:
         return cls(obj, obj, Morphism.identity(obj.carrier))
 
     def to_dict(self) -> dict:
-        return {"map": {k: v for k, v in self.map.mapping}}
+        return {"map": self.map.as_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +501,3 @@ def path_order(graph: Graph, component: Sequence[Vertex]) -> tuple[Vertex, ...]:
         raise ValueError(f"component {comp} is not a path")
     return tuple(order)
 
-
-def iter_subgraph_edges(graph: Graph, vertices: Iterable[Vertex]) -> Iterator[Edge]:
-    ks = set(vertices)
-    for u, v in graph.edges:
-        if u in ks and v in ks:
-            yield (u, v)

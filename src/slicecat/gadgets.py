@@ -15,8 +15,9 @@ path of length 4, and length 6 over the 3-leaf star.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 from . import arrow
@@ -26,6 +27,7 @@ from .homsearch import (
     enumerate_digraphs,
     enumerate_homs,
     enumerate_slice_homs,
+    hom_leaves,
 )
 
 BUILTIN_GADGET_NAMES = ("C3", "C4", "P4", "Y")
@@ -216,25 +218,22 @@ def verify_gadget(gadget: Gadget, D: Digraph) -> GadgetReport:
     if isolated:
         raise ValueError(f"digraph has isolated vertices: {list(isolated)}")
     res = arrow.arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
-    product = SliceObject(res.product, gadget.base, arrow.product_structure_map(res, gadget))
-    expected = {arc: arrow.phi(res, arc).mapping for arc in D.arcs}
-    expected_set = set(expected.values())
-    found = {sm.map.mapping for sm in enumerate_slice_homs(gadget.slice, product)}
-    size = D.vertex_count
-    extra = sorted(found - expected_set)
-    if extra:
-        ce = GadgetCounterexample(digraph=D, kind="extra-hom", mapping=dict(extra[0]))
-        return GadgetReport(1, size, False, ce, hom_count=len(found))
-    missing = sorted(expected_set - found)
-    if missing:
-        ce = GadgetCounterexample(digraph=D, kind="missing-copy-map", mapping=dict(missing[0]))
-        return GadgetReport(1, size, False, ce, hom_count=len(found))
-    return GadgetReport(1, size, True, hom_count=len(found))
-
-
-def _verify_one(args: tuple[Gadget, Digraph]) -> GadgetReport:
-    gadget, D = args
-    return verify_gadget(gadget, D)
+    product = arrow.product_slice(res, gadget)
+    # the copy maps in the engine's raw form: singleton bitsets over the
+    # product's vertices, in the engine's variable order
+    variables, leaves = hom_leaves(gadget.slice, product)
+    bit = {w: 1 << i for i, w in enumerate(res.product.vertices)}
+    copies = sorted([bit[copy[x]] for x in variables] for copy in map(res.copy_map, D.arcs))
+    found = sorted(leaves)
+    if found == copies:
+        return GadgetReport(1, D.vertex_count, True, hom_count=len(found))
+    # on failure the counterexample is drawn from validated morphisms
+    expected = {arrow.phi(res, arc).mapping for arc in D.arcs}
+    maps = {sm.map.mapping for sm in enumerate_slice_homs(gadget.slice, product)}
+    extra = maps - expected
+    kind, mapping = ("extra-hom", min(extra)) if extra else ("missing-copy-map", min(expected - maps))
+    ce = GadgetCounterexample(digraph=D, kind=kind, mapping=dict(mapping))
+    return GadgetReport(1, D.vertex_count, False, ce, hom_count=len(found))
 
 
 def verify_gadget_exhaustive(
@@ -254,24 +253,16 @@ def verify_gadget_exhaustive(
         raise ValueError(f"digraph enumeration is capped at {cap} vertices (requested {max_n})")
     checked = 0
     total_homs = 0
-    digraphs: Iterator[Digraph] = (
-        D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True, cap=cap)
-    )
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = pool.map(
-                _verify_one, ((gadget, D) for D in digraphs), chunksize=16
-            )
-            for report in reports:
-                checked += 1
-                total_homs += report.hom_count or 0
-                if progress and checked % 100 == 0:
-                    progress(checked)
-                if not report.verdict:
-                    return replace(report, digraphs_checked=checked, max_size=max_n)
-    else:
-        for D in digraphs:
-            report = verify_gadget(gadget, D)
+    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True, cap=cap))
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            import concurrent.futures  # only parallel sweeps pay for its import
+
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            reports: Iterator[GadgetReport] = pool.map(verify_gadget, repeat(gadget), digraphs, chunksize=16)
+        else:
+            reports = map(verify_gadget, repeat(gadget), digraphs)
+        for report in reports:
             checked += 1
             total_homs += report.hom_count or 0
             if progress and checked % 100 == 0:

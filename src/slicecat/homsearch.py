@@ -11,6 +11,12 @@ Variables go in a fixed order (descending degree, then id) and values in
 ascending order.  Propagation only cuts branches without solutions, so
 solutions stream in lexicographic order of their images along that variable
 order, as a plain backtracker would emit them.
+
+Validation happens once, where results leave the library.  ``hom_leaves``
+and ``digraph_hom_leaves`` give the raw stream; the public ``enumerate_*``
+functions wrap it and yield validated morphisms (dicts for digraphs).  The
+internal verifiers count and compare raw solutions and validate only the
+witnesses and counterexamples they return.
 """
 
 from __future__ import annotations
@@ -82,20 +88,16 @@ def _propagate(doms: list[int], changed: Iterable[int], constraints: Constraints
     return doms
 
 
-def _solve(
-    variables: Sequence[Vertex],
-    values: Sequence[Vertex],
-    domains: list[int],
-    constraints: Constraints,
-    limit: Optional[int],
-) -> Iterator[dict[Vertex, Vertex]]:
-    """Yield every assignment of ``values`` to ``variables`` within the domain
-    bitsets that satisfies the constraints (each listed from both ends),
-    assigning variables in list order and values in ascending order."""
-    if not variables:
-        yield {}
+def _solve(domains: list[int], constraints: Constraints, limit: Optional[int]) -> Iterator[list[int]]:
+    """Yield every assignment within the domain bitsets that satisfies the
+    constraints (each listed from both ends), assigning variables in list
+    order and values in ascending order.  A solution is yielded as its list of
+    singleton domains, which may be one of the search's frames: never mutate it.
+    """
+    if not domains:
+        yield []
         return
-    root = _propagate(list(domains), range(len(variables)), constraints) if all(domains) else None
+    root = _propagate(list(domains), range(len(domains)), constraints) if all(domains) else None
     emitted = 0
     # one frame per depth: the domains on entry and the values left to try
     stack = [(root, root[0])] if root else []
@@ -114,55 +116,67 @@ def _solve(
             child = _propagate(child, (depth,), constraints)
             if child is None:
                 continue
-        if depth + 1 < len(variables):
+        if depth + 1 < len(domains):
             stack.append((child, child[depth + 1]))
             continue
-        yield {v: values[d.bit_length() - 1] for v, d in zip(variables, child)}
+        yield child
         emitted += 1
         if emitted == limit:
             return
 
 
-def _search(
-    pattern: Graph,
-    host: Graph,
+def _mapping(variables: Sequence[Vertex], values: Sequence[Vertex], leaf: list[int]) -> dict[Vertex, Vertex]:
+    """The vertex map that one raw solution stands for."""
+    return {v: values[d.bit_length() - 1] for v, d in zip(variables, leaf)}
+
+
+def hom_leaves(
+    A: Graph | SliceObject,
+    B: Graph | SliceObject,
     *,
     pins: Optional[Mapping[Vertex, Vertex]] = None,
-    colors: Optional[tuple[Mapping[Vertex, Vertex], Mapping[Vertex, Vertex]]] = None,
     injective: bool = False,
     limit: Optional[int] = None,
-) -> Iterator[dict[Vertex, Vertex]]:
-    """Yield total edge-preserving maps pattern -> host that extend ``pins``.
+) -> tuple[list[Vertex], Iterator[list[int]]]:
+    """The variable order (descending degree, then id) and the raw solutions
+    A -> B: per solution the variables' singleton bitsets, bit i for B's i-th
+    vertex.  Raw solutions are unvalidated and must not be mutated.
 
-    ``colors = (pattern colors, host colors)`` keeps every vertex on host
-    vertices of its own color.  ``injective`` adds a not-equal constraint
-    between every two pattern vertices.
+    For slice objects structure-map fibers act as colors, which is exactly
+    the commuting-triangle condition.  ``injective`` adds not-equal
+    constraints between all pattern vertices.
     """
-    index = {w: i for i, w in enumerate(host.vertices)}
+    colors = None
+    if isinstance(A, SliceObject):
+        if A.base != B.base:
+            raise ValueError("slice objects live over different bases")
+        colors = (A.structure_map.as_dict(), B.structure_map.as_dict())
+        A, B = A.carrier, B.carrier
+    index = {w: i for i, w in enumerate(B.vertices)}
     full = (1 << len(index)) - 1
-    domain = dict.fromkeys(pattern.vertices, full)
+    domain = dict.fromkeys(A.vertices, full)
     if colors is not None:
         fibers: dict[Vertex, int] = {}
         for w, c in colors[1].items():
             fibers[c] = fibers.get(c, 0) | 1 << index[w]
         domain = {v: fibers.get(colors[0][v], 0) for v in domain}
     for k, v in (pins or {}).items():
-        if not pattern.has_vertex(k):
+        if not A.has_vertex(k):
             raise ValueError(f"pin {k!r} is not a pattern vertex")
-        if not host.has_vertex(v):
+        if not B.has_vertex(v):
             raise ValueError(f"pin image {v!r} is not a host vertex")
         domain[k] &= 1 << index[v]
-    variables = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+    variables = sorted(A.vertices, key=lambda v: (-A.degree(v), v))
     position = {v: i for i, v in enumerate(variables)}
-    adjacency = [_mask(index, host.neighbors(w)) for w in host.vertices]
+    adjacency = [_mask(index, B.neighbors(w)) for w in B.vertices]
     constraints: Constraints = [
-        [(adjacency, [position[w] for w in pattern.neighbors(v)])] for v in variables
+        [(adjacency, [position[w] for w in A.neighbors(v)])] for v in variables
     ]
     if injective:
         not_equal = [full ^ 1 << i for i in range(len(index))]
         for x, group in enumerate(constraints):
             group.append((not_equal, [y for y in range(len(variables)) if y != x]))
-    yield from _solve(variables, host.vertices, [domain[v] for v in variables], constraints, limit)
+    return variables, _solve([domain[v] for v in variables], constraints, limit)
 
 
 def enumerate_homs(
@@ -172,9 +186,9 @@ def enumerate_homs(
     budget: Optional[SearchBudget] = None,
 ) -> Iterator[Morphism]:
     """Stream every homomorphism A -> B extending ``pins``."""
-    limit = budget.limit() if budget else None
-    for mapping in _search(A, B, pins=pins, limit=limit):
-        yield Morphism(A, B, mapping)
+    variables, leaves = hom_leaves(A, B, pins=pins, limit=budget.limit() if budget else None)
+    for leaf in leaves:
+        yield Morphism(A, B, _mapping(variables, B.vertices, leaf))
 
 
 def hom_count(A: Graph, B: Graph, pins: Optional[Mapping[Vertex, Vertex]] = None) -> int:
@@ -190,18 +204,10 @@ def enumerate_slice_homs(
     Y: SliceObject,
     budget: Optional[SearchBudget] = None,
 ) -> Iterator[SliceMorphism]:
-    """Stream the slice morphisms X -> Y.
-
-    Structure-map fibers act as vertex colors: a carrier vertex of X may only
-    land on Y-vertices over the same base vertex, which is exactly the
-    commuting-triangle condition.
-    """
-    if X.base != Y.base:
-        raise ValueError("slice objects live over different bases")
-    limit = budget.limit() if budget else None
-    colors = (dict(X.structure_map.mapping), dict(Y.structure_map.mapping))
-    for mapping in _search(X.carrier, Y.carrier, colors=colors, limit=limit):
-        yield SliceMorphism(X, Y, mapping)
+    """Stream the slice morphisms X -> Y (see ``hom_leaves`` for the colors)."""
+    variables, leaves = hom_leaves(X, Y, limit=budget.limit() if budget else None)
+    for leaf in leaves:
+        yield SliceMorphism(X, Y, _mapping(variables, Y.carrier.vertices, leaf))
 
 
 def slice_hom_count(X: SliceObject, Y: SliceObject) -> int:
@@ -238,20 +244,23 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     Accepts a slice object (endomorphisms in the slice, i.e. color-preserving)
     or a plain graph (ordinary graph endomorphisms).  For finite objects an
     endomorphism is proper exactly when its vertex map is non-bijective.
+    Counts come from raw solutions; only the witness is built and validated.
     """
-    if isinstance(X, Graph):
-        n, stream = X.vertex_count, enumerate_homs(X, X)
-    else:
-        n, stream = X.carrier.vertex_count, (sm.map for sm in enumerate_slice_homs(X, X))
+    carrier = X if isinstance(X, Graph) else X.carrier
+    variables, leaves = hom_leaves(X, X)
+    every_vertex = (1 << carrier.vertex_count) - 1
     endo_count = 0
     auto_count = 0
     witness: Optional[Morphism] = None
-    for m in stream:
+    for leaf in leaves:
         endo_count += 1
-        if len({w for _, w in m.mapping}) == n:
+        # n distinct singletons sum to all n bits; a repeated one carries and
+        # leaves fewer bits set, so the sum tells bijections apart
+        if sum(leaf) == every_vertex:
             auto_count += 1
         elif witness is None:
-            witness = m
+            m = _mapping(variables, carrier.vertices, leaf)
+            witness = Morphism(X, X, m) if isinstance(X, Graph) else SliceMorphism(X, X, m).map
     if endo_count == 1:
         verdict = EndoVerdict.RIGID
     elif endo_count > auto_count:
@@ -267,13 +276,55 @@ def contains_subgraph(pattern: Graph, host: Graph) -> Optional[Morphism]:
     Ordinary (non-induced) subgraph containment: host edges between image
     vertices that are not pattern edges are fine.
     """
-    for mapping in _search(pattern, host, injective=True, limit=1):
-        return Morphism(pattern, host, mapping)
+    variables, leaves = hom_leaves(pattern, host, injective=True, limit=1)
+    for leaf in leaves:
+        return Morphism(pattern, host, _mapping(variables, host.vertices, leaf))
     return None
 
 
 # ---------------------------------------------------------------------------
 # digraphs
+
+
+def digraph_masks(
+    n: int,
+    require_no_isolated: bool,
+    *,
+    cap: int = DIGRAPH_ENUMERATION_CAP,
+    canonical: bool = False,
+) -> Iterator[int]:
+    """The arc masks of ``enumerate_digraphs``, in its order; bit n*i + j is the arc (v_i, v_j)."""
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got {n}")
+    if n > cap:
+        raise ValueError(f"digraph enumeration is capped at {cap} vertices (requested {n})")
+    touching = [sum(1 << (n * i + j) | 1 << (n * j + i) for j in range(n)) for i in range(n)]
+    perms = list(permutations(range(n))) if canonical else []
+    for mask in range(1 << (n * n)):
+        if require_no_isolated and not all(mask & t for t in touching):
+            continue
+        if canonical:
+            least = mask
+            for perm in perms:
+                relabeled = 0
+                m = mask
+                while m:
+                    bit = m & (-m)
+                    i, j = divmod(bit.bit_length() - 1, n)
+                    relabeled |= 1 << (n * perm[i] + perm[j])
+                    m ^= bit
+                if relabeled < least:
+                    least = relabeled
+                    break
+            if least != mask:
+                continue
+        yield mask
+
+
+def digraph_from_mask(n: int, mask: int) -> Digraph:
+    """The digraph on v0..v(n-1) whose arcs are the set bits of ``mask``."""
+    vs = [f"v{i}" for i in range(n)]
+    return Digraph(vs, [(vs[k // n], vs[k % n]) for k in range(n * n) if mask >> k & 1])
 
 
 def enumerate_digraphs(
@@ -289,37 +340,8 @@ def enumerate_digraphs(
     some arc are produced.  ``canonical`` keeps one representative per
     isomorphism class (the least arc mask under vertex permutations).
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
-    if n > cap:
-        raise ValueError(f"digraph enumeration is capped at {cap} vertices (requested {n})")
-    vs = [f"v{i}" for i in range(n)]
-    all_arcs = [(vs[i], vs[j]) for i in range(n) for j in range(n)]
-    arc_pos = {(i, j): n * i + j for i in range(n) for j in range(n)}
-    perms = list(permutations(range(n))) if canonical else []
-    for mask in range(1 << (n * n)):
-        if canonical:
-            least = mask
-            for perm in perms:
-                relabeled = 0
-                m = mask
-                while m:
-                    bit = m & (-m)
-                    k = bit.bit_length() - 1
-                    i, j = divmod(k, n)
-                    relabeled |= 1 << arc_pos[(perm[i], perm[j])]
-                    m ^= bit
-                if relabeled < least:
-                    least = relabeled
-                    break
-            if least != mask:
-                continue
-        arcs = [all_arcs[k] for k in range(n * n) if mask >> k & 1]
-        if require_no_isolated:
-            touched = {v for a in arcs for v in a}
-            if len(touched) != n:
-                continue
-        yield Digraph(vs, arcs)
+    for mask in digraph_masks(n, require_no_isolated, cap=cap, canonical=canonical):
+        yield digraph_from_mask(n, mask)
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -347,18 +369,15 @@ def digraph_is_homomorphism(
     return True, None
 
 
-def enumerate_digraph_homs(
-    D1: Digraph,
-    D2: Digraph,
-    budget: Optional[SearchBudget] = None,
-) -> Iterator[dict[Vertex, Vertex]]:
-    """Stream all arc-preserving vertex maps D1 -> D2 as plain dicts.
+def digraph_hom_leaves(
+    D1: Digraph, D2: Digraph, limit: Optional[int] = None
+) -> tuple[list[Vertex], Iterator[list[int]]]:
+    """Raw solutions D1 -> D2 as in ``hom_leaves``.
 
     Variables go by descending out-degree plus in-degree (a loop counts
     twice), ties by id.  A loop of D1 is a unary filter: its vertex may only
     land on a looped vertex of D2.
     """
-    limit = budget.limit() if budget else None
     variables = sorted(D1.vertices, key=lambda v: (-len(D1.out_neighbors(v)) - len(D1.in_neighbors(v)), v))
     index = {w: i for i, w in enumerate(D2.vertices)}
     position = {v: i for i, v in enumerate(variables)}
@@ -372,4 +391,15 @@ def enumerate_digraph_homs(
     ]
     looped = _mask(index, (w for w in D2.vertices if D2.has_arc(w, w)))
     domains = [looped if D1.has_arc(v, v) else (1 << len(index)) - 1 for v in variables]
-    yield from _solve(variables, D2.vertices, domains, constraints, limit)
+    return variables, _solve(domains, constraints, limit)
+
+
+def enumerate_digraph_homs(
+    D1: Digraph,
+    D2: Digraph,
+    budget: Optional[SearchBudget] = None,
+) -> Iterator[dict[Vertex, Vertex]]:
+    """Stream all arc-preserving vertex maps D1 -> D2 as plain dicts."""
+    variables, leaves = digraph_hom_leaves(D1, D2, budget.limit() if budget else None)
+    for leaf in leaves:
+        yield _mapping(variables, D2.vertices, leaf)

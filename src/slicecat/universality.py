@@ -38,11 +38,13 @@ from .homsearch import (
     EndoVerdict,
     classify_endomorphisms,
     contains_subgraph,
-    enumerate_digraph_homs,
+    digraph_from_mask,
+    digraph_hom_leaves,
+    digraph_masks,
     enumerate_digraphs,
     enumerate_graphs,
     enumerate_homs,
-    enumerate_slice_homs,
+    hom_leaves,
 )
 
 PATTERN_BUILDERS = {
@@ -599,7 +601,7 @@ def _fold_comparable_components(X, base_orders, infos) -> Optional[DichotomyResu
 class EmbeddingViolation:
     D1: Digraph
     D2: Digraph
-    kind: str  # "count-mismatch" | "missing-image" | "collision"
+    kind: str  # "count-mismatch" | "missing-image"
     detail: str
 
     def to_dict(self) -> dict:
@@ -629,55 +631,45 @@ class EmbeddingReport:
         }
 
 
-def _check_embedding_pair(
-    gadget: Gadget,
-    D1: Digraph,
-    res1: arrow.ArrowResult,
-    F1: SliceObject,
-    D2: Digraph,
-    res2: arrow.ArrowResult,
-    F2: SliceObject,
-) -> tuple[int, int, Optional[EmbeddingViolation]]:
-    digraph_maps = list(enumerate_digraph_homs(D1, D2))
-    slice_maps = {sm.map.mapping for sm in enumerate_slice_homs(F1, F2)}
-    if len(digraph_maps) != len(slice_maps):
-        return (
-            len(digraph_maps),
-            len(slice_maps),
-            EmbeddingViolation(
-                D1, D2, "count-mismatch",
-                f"{len(digraph_maps)} digraph homs vs {len(slice_maps)} slice homs",
-            ),
-        )
-    seen = set()
-    for h in digraph_maps:
-        extended = dict(h)
-        for ((u, v), w), pid in res1._interior_index.items():  # type: ignore[attr-defined]
-            extended[pid] = res2.interior((h[u], h[v]), w)
-        key = tuple(sorted(extended.items()))
-        if key not in slice_maps:
-            return (
-                len(digraph_maps),
-                len(slice_maps),
-                EmbeddingViolation(D1, D2, "missing-image", f"image of {h} is not a slice hom"),
-            )
-        if key in seen:
-            return (
-                len(digraph_maps),
-                len(slice_maps),
-                EmbeddingViolation(D1, D2, "collision", f"two digraph homs share the image {h}"),
-            )
-        seen.add(key)
-    return len(digraph_maps), len(slice_maps), None
+def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Optional[EmbeddingViolation]]:
+    """Counts and violation of gluing h -> glued(h) being a bijection Hom(D1, D2) -> Hom(F1, F2).
+
+    Each slice hom (raw: singleton bitsets over F2's vertices) must carry every
+    arc copy of D1 onto the glued copy of an arc of D2.  As D1 has no isolated
+    vertex, it then restricts to a digraph hom h and equals glued(h), so
+    restriction is injective and lands in Hom(D1, D2): equal counts make it a
+    bijection inverse to gluing.  No two digraph homs share a glued map.
+    """
+    (D1, res1, F1), (D2, res2, F2) = first, second
+    interior = [w for w in gadget.carrier.vertices if w not in (gadget.a, gadget.b)]
+    bit = {w: 1 << i for i, w in enumerate(F2.carrier.vertices)}
+    glued = {(bit[x], bit[y]): [bit[res2.interior((x, y), w)] for w in interior] for x, y in D2.arcs}
+    variables, leaves = hom_leaves(F1, F2)
+    at = {v: i for i, v in enumerate(variables)}
+    copies = [(at[u], at[v], [at[res1.interior((u, v), w)] for w in interior]) for u, v in D1.arcs]
+    slice_homs = 0
+    stray = None
+    for leaf in leaves:
+        slice_homs += 1
+        if stray is None and not all(
+            glued.get((leaf[i], leaf[j])) == [leaf[k] for k in ks] for i, j, ks in copies
+        ):
+            stray = leaf
+    digraph_homs = sum(1 for _ in digraph_hom_leaves(D1, D2)[1])
+    if digraph_homs != slice_homs:
+        detail = f"{digraph_homs} digraph homs vs {slice_homs} slice homs"
+        return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "count-mismatch", detail)
+    if stray is not None:
+        # equal counts: some glued map is then not a slice hom
+        m = {v: F2.carrier.vertices[d.bit_length() - 1] for v, d in zip(variables, stray)}
+        detail = f"slice hom {dict(sorted(m.items()))} is not the glued image of a digraph hom"
+        return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "missing-image", detail)
+    return digraph_homs, slice_homs, None
 
 
-def _products_for(gadget: Gadget, digraphs: list[Digraph]):
-    out = []
-    for D in digraphs:
-        res = arrow.arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
-        F = SliceObject(res.product, gadget.base, arrow.product_structure_map(res, gadget))
-        out.append((D, res, F))
-    return out
+def _product_triple(gadget: Gadget, D: Digraph) -> tuple[Digraph, arrow.ArrowResult, SliceObject]:
+    res = arrow.arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
+    return D, res, arrow.product_slice(res, gadget)
 
 
 def full_embedding_check(
@@ -695,10 +687,8 @@ def full_embedding_check(
     """
     if max_n > cap:
         raise ValueError(f"digraph enumeration is capped at {cap} vertices (requested {max_n})")
-    digraphs = [
-        D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True, cap=cap)
-    ]
-    triples = _products_for(gadget, digraphs)
+    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True, cap=cap))
+    triples = [_product_triple(gadget, D) for D in digraphs]
     return _embedding_sweep(gadget, [(x, y) for x in triples for y in triples], progress)
 
 
@@ -711,14 +701,15 @@ def full_embedding_spot_check(
     cap: int = DIGRAPH_ENUMERATION_CAP,
     progress=None,
 ) -> EmbeddingReport:
-    """Check randomly sampled ordered pairs of n-vertex digraphs."""
-    digraphs = list(enumerate_digraphs(n, True, cap=cap))
+    """Check randomly sampled ordered pairs of n-vertex digraphs; only the
+    sampled digraphs are built, from their arc masks."""
+    masks = list(digraph_masks(n, True, cap=cap))
     rng = random.Random(seed)
     chosen_idx = sorted(
-        {(rng.randrange(len(digraphs)), rng.randrange(len(digraphs))) for _ in range(pair_count)}
+        {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
     )
     needed = sorted({i for p in chosen_idx for i in p})
-    triples = {i: _products_for(gadget, [digraphs[i]])[0] for i in needed}
+    triples = {i: _product_triple(gadget, digraph_from_mask(n, masks[i])) for i in needed}
     pairs = [(triples[i], triples[j]) for i, j in chosen_idx]
     return _embedding_sweep(gadget, pairs, progress)
 
@@ -727,8 +718,8 @@ def _embedding_sweep(gadget: Gadget, pairs, progress) -> EmbeddingReport:
     checked = 0
     total_d = 0
     total_s = 0
-    for (D1, res1, F1), (D2, res2, F2) in pairs:
-        nd, ns, violation = _check_embedding_pair(gadget, D1, res1, F1, D2, res2, F2)
+    for first, second in pairs:
+        nd, ns, violation = _check_embedding_pair(gadget, first, second)
         checked += 1
         total_d += nd
         total_s += ns

@@ -115,6 +115,11 @@ class TestArrowAndPhi:
         assert code == 0
         assert "(u,v)::b (u,v)::c" in out
 
+    def test_arrow_edgelist_of_unwritable_ids_exits_two(self, capsys, tmp_path):
+        spaced = write(tmp_path / "spaced.json", {"vertices": ["a b", "c"], "arcs": [["a b", "c"]]})
+        code, out = run(capsys, ["arrow", spaced, "--gadget", "c3", "--format", "edgelist"])
+        assert code == 2 and "edge list" in json.loads(out)["error"]
+
     def test_phi(self, capsys, arc_file):
         code, out = run(capsys, ["phi", arc_file, "--gadget", "c3", "--arc", "u", "v"])
         payload = json.loads(out)

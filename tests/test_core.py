@@ -204,6 +204,46 @@ class TestSerialization:
         assert u.edge_count == a.edge_count + b.edge_count
 
 
+# ids the edge-list format can carry: non-empty, no whitespace, no "#"
+WRITABLE_IDS = st.text(min_size=1, max_size=4).filter(
+    lambda v: "#" not in v and not any(c.isspace() for c in v)
+)
+BREAKERS = ["#", " ", "\t", "\n", "\x1c", "\u2028"]
+UNWRITABLE_IDS = st.one_of(
+    st.just(""),
+    st.tuples(WRITABLE_IDS, st.sampled_from(BREAKERS), st.text(max_size=2)).map("".join),
+)
+
+
+class TestIds:
+    @pytest.mark.parametrize("cls", [Graph, Digraph])
+    def test_bare_string_is_not_a_vertex_list(self, cls):
+        with pytest.raises(TypeError):
+            cls("abc")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(WRITABLE_IDS, min_size=1, max_size=6, unique=True), st.data())
+    def test_edgelist_roundtrip_of_writable_ids(self, ids, data):
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))))
+        d = Digraph(ids, pairs)
+        assert Digraph.from_edgelist(d.to_edgelist()) == d
+        g = Graph(ids, [(u, v) for u, v in pairs if u != v])
+        assert Graph.from_edgelist(g.to_edgelist()) == g
+
+    @settings(max_examples=100, deadline=None)
+    @given(UNWRITABLE_IDS, st.booleans())
+    def test_edgelist_rejects_unwritable_ids(self, bad, isolated):
+        edges = [] if isolated else [(bad, "x")]
+        for obj in (Graph([bad, "x"], edges), Digraph([bad, "x"], edges)):
+            with pytest.raises(ValueError, match="edge list"):
+                obj.to_edgelist()
+
+    def test_edgelist_rejects_reported_ids(self):
+        g = Graph(["a b", "c#d", "e"], [("a b", "e")])
+        with pytest.raises(ValueError):
+            g.to_edgelist()
+
+
 class TestPathOrder:
     def test_orders_from_least_endpoint(self):
         g = Graph(["m", "a", "z"], [("m", "a"), ("m", "z")])

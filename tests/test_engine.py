@@ -3,12 +3,15 @@
 Each public enumerator must yield exactly the oracle's solution set, in the
 sequence a plain depth-first search with the static variable order and
 ascending values would emit: sorted by the images along that order.
+``classify_endomorphisms`` counts from the engine's raw solutions and must
+agree with the oracle's counts.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from slicecat.core import Digraph, Graph, SliceObject, build_path
+from slicecat.core import Digraph, Graph, Morphism, SliceObject, build_path, is_homomorphism
 from slicecat.homsearch import (
+    classify_endomorphisms,
     contains_subgraph,
     enumerate_digraph_homs,
     enumerate_homs,
@@ -19,6 +22,7 @@ from conftest import (
     digraph_variable_order,
     graph_variable_order,
     naive_digraph_homs,
+    naive_endo_counts,
     naive_homs,
     naive_slice_homs,
     static_order_sequence,
@@ -111,3 +115,31 @@ def test_subgraph_containment_finds_first_injective_hom(pattern, host):
     else:
         first = static_order_sequence(injective, graph_variable_order(pattern))[0]
         assert found is not None and found.mapping == first
+
+
+def _check_endo_report(report, carrier, color, endos, autos):
+    assert (report.endo_count, report.auto_count) == (endos, autos)
+    if endos == autos:
+        assert report.witness is None
+        return
+    w = report.witness
+    assert isinstance(w, Morphism) and w.domain == w.codomain == carrier
+    assert is_homomorphism(w.as_dict(), carrier, carrier) == (True, None)
+    assert not w.is_bijective()
+    if color is not None:
+        assert all(color[w(v)] == color[v] for v in carrier.vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_graph_endo_counts_match_oracle(g):
+    homs = naive_homs(g, g)
+    autos = sum(1 for key in homs if len({w for _, w in key}) == g.vertex_count)
+    _check_endo_report(classify_endomorphisms(g), g, None, len(homs), autos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BASES).flatmap(lambda base: slice_objects(base)))
+def test_slice_endo_counts_match_oracle(x):
+    report = classify_endomorphisms(x)
+    _check_endo_report(report, x.carrier, x.structure_map.as_dict(), *naive_endo_counts(x))

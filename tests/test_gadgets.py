@@ -1,6 +1,6 @@
 import pytest
 
-from slicecat.core import Digraph, Graph, build_path, is_homomorphism
+from slicecat.core import Digraph, Graph, SliceObject, build_path, is_homomorphism
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
@@ -13,6 +13,7 @@ from slicecat.gadgets import (
     verify_mutated_gadget,
 )
 from slicecat.homsearch import classify_endomorphisms, EndoVerdict, enumerate_digraphs
+from slicecat.universality import full_embedding_check
 
 SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
 TWO_CYCLE = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
@@ -166,6 +167,31 @@ class TestMutations:
                 if caught >= 3:
                     break
             assert caught >= 3, f"{name}: fewer than 3 mutations caught"
+
+    def test_gadget_building_mutants_fail_both_verifiers(self):
+        # the single-point rewrites that still build a gadget: each admits a
+        # stray slice morphism into some product over at most two vertices,
+        # so both bounded verifiers must fail on every one of them
+        building = {}
+        for name in BUILTIN_GADGET_NAMES:
+            gadget = builtin_gadget(name)
+            for vertex, target in structure_map_mutations(gadget):
+                mutated = dict(gadget.slice.structure_map.as_dict(), **{vertex: target})
+                try:
+                    candidate = Gadget(SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b)
+                except ValueError:
+                    continue
+                building[(name, vertex, target)] = candidate
+        assert set(building) == {
+            ("C4", "b", "3"), ("C4", "c", "0"), ("C4", "d", "1"),
+            ("P4", "c", "0"), ("P4", "d", "3"), ("P4", "g", "2"), ("P4", "i", "4"), ("P4", "j", "1"),
+            ("Y", "c", "0"), ("Y", "c", "3"), ("Y", "e", "0"), ("Y", "e", "2"),
+        }
+        for key, candidate in building.items():
+            report = verify_gadget_exhaustive(candidate, 2)
+            assert not report.verdict and report.counterexample.kind == "extra-hom", key
+            embedding = full_embedding_check(candidate, 2)
+            assert not embedding.verdict and embedding.violation.kind == "count-mismatch", key
 
 
 class TestStrongReplacement:

@@ -12,11 +12,13 @@ from slicecat.core import (
     build_star,
     disjoint_union,
 )
+from slicecat.arrow import arrow_slice
 from slicecat.gadgets import builtin_gadget
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
     enumerate_digraph_homs,
+    enumerate_digraphs,
     enumerate_graphs,
     slice_hom_count,
 )
@@ -331,6 +333,46 @@ class TestFullEmbedding:
     def test_spot_check_three_vertices(self):
         report = full_embedding_spot_check(builtin_gadget("C3"), 3, 25, seed=11)
         assert report.verdict and report.pairs_checked >= 20
+
+    @pytest.mark.parametrize("name", ["C3", "Y"])
+    def test_spot_check_samples_the_same_pairs(self, name):
+        # reference: draw over the list of built digraphs, count both
+        # hom-sets through the validated public enumerators
+        g = builtin_gadget(name)
+        digraphs = list(enumerate_digraphs(3, True))
+        for seed in range(21):
+            rng = random.Random(seed)
+            pairs = sorted(
+                {(rng.randrange(len(digraphs)), rng.randrange(len(digraphs))) for _ in range(4)}
+            )
+            homs = sum(len(list(enumerate_digraph_homs(digraphs[i], digraphs[j]))) for i, j in pairs)
+            slice_homs = sum(
+                slice_hom_count(arrow_slice(digraphs[i], g), arrow_slice(digraphs[j], g)) for i, j in pairs
+            )
+            report = full_embedding_spot_check(g, 3, 4, seed)
+            assert report.to_dict() == {
+                "pairs_checked": len(pairs),
+                "digraph_homs": homs,
+                "slice_homs": slice_homs,
+                "verdict": "pass",
+                "violation": None,
+            }
+
+    def test_slice_hom_that_is_not_glued_is_reported(self, monkeypatch):
+        # equal counts do not suffice: every slice hom must be a glued map.
+        # Reversing each raw solution keeps the count but breaks gluing.
+        import slicecat.universality as universality
+
+        engine = universality.hom_leaves
+
+        def reversed_leaves(F1, F2, **kwargs):
+            variables, leaves = engine(F1, F2, **kwargs)
+            return variables, (leaf[::-1] for leaf in leaves)
+
+        monkeypatch.setattr(universality, "hom_leaves", reversed_leaves)
+        report = full_embedding_check(builtin_gadget("C3"), 1)
+        assert not report.verdict and report.violation.kind == "missing-image"
+        assert report.digraph_homs == report.slice_homs == 1
 
     def test_unverified_gadget_fails_embedding(self):
         # a foldable slice admits non-copy morphisms, breaking fullness
