@@ -22,7 +22,6 @@ from .core import (
 from .homsearch import (
     EndoReport,
     EndoVerdict,
-    SearchBudget,
     classify_endomorphisms,
     contains_subgraph,
     enumerate_digraph_homs,
@@ -31,7 +30,6 @@ from .homsearch import (
     enumerate_homs,
     enumerate_slice_homs,
     hom_count,
-    hom_exists,
     slice_hom_count,
 )
 from .arrow import (

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
-from .homsearch import digraph_is_homomorphism
 
 if TYPE_CHECKING:  # circular only at type-check time
     from .gadgets import Gadget
@@ -149,13 +148,17 @@ def arrow_morphism(
     interior of (h(u), h(v)).  The result is validated as a slice morphism
     from arrow_slice(D1) to arrow_slice(D2).
     """
-    ok, witness = digraph_is_homomorphism(h, D1, D2)
-    if not ok:
-        u, v = witness  # type: ignore[misc]
-        raise ValueError(
-            f"map is not a digraph homomorphism: arc ({u!r}, {v!r}) lands on "
-            f"({h[u]!r}, {h[v]!r}), which is not an arc"
-        )
+    for v in D1.vertices:
+        if v not in h:
+            raise ValueError(f"map is not total: no image for vertex {v!r}")
+        if h[v] not in D2.vertices:
+            raise ValueError(f"image {h[v]!r} of {v!r} is not a codomain vertex")
+    for u, v in D1.arcs:
+        if not D2.has_arc(h[u], h[v]):
+            raise ValueError(
+                f"map is not a digraph homomorphism: arc ({u!r}, {v!r}) lands on "
+                f"({h[u]!r}, {h[v]!r}), which is not an arc"
+            )
     res1 = arrow_graph(D1, gadget.carrier, gadget.a, gadget.b)
     res2 = arrow_graph(D2, gadget.carrier, gadget.a, gadget.b)
     mapping: dict[Vertex, Vertex] = {u: h[u] for u in D1.vertices}

@@ -28,7 +28,6 @@ from .gadgets import (
     verify_gadget_exhaustive,
 )
 from .homsearch import (
-    SearchBudget,
     classify_endomorphisms,
     enumerate_digraphs,
     enumerate_homs,
@@ -184,8 +183,7 @@ def cmd_homs(args) -> int:
     B = _load_homs_side(args.target)
     if isinstance(A, SliceObject) != isinstance(B, SliceObject):
         raise ValueError("source and target must both be graphs or both slice objects")
-    engine_mode = "enumerate" if args.mode == "list" else args.mode
-    budget = SearchBudget(max_solutions=args.max_solutions, mode=engine_mode)
+    limit = 1 if args.mode == "exists" else args.max_solutions
     if isinstance(A, SliceObject):
         if args.base:
             base = _load_graph(args.base)
@@ -193,9 +191,9 @@ def cmd_homs(args) -> int:
                 raise ValueError("slice objects do not live over the given base")
         if A.base != B.base:
             raise ValueError("slice objects live over different bases")
-        homs: Iterator[Morphism] = (sm.map for sm in enumerate_slice_homs(A, B, budget))
+        homs: Iterator[Morphism] = (sm.map for sm in enumerate_slice_homs(A, B, limit))
     else:
-        homs = enumerate_homs(A, B, budget=budget)
+        homs = enumerate_homs(A, B, limit=limit)
     if args.mode == "exists":
         exists = next(homs, None) is not None
         _emit({"mode": "exists", "exists": exists})

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 from . import arrow
 from .core import Digraph, Graph, Morphism, SliceObject, Vertex, build_cycle, document_id
 from .homsearch import (
-    DIGRAPH_ENUMERATION_CAP,
+    check_digraph_size,
     enumerate_digraphs,
     enumerate_homs,
     enumerate_slice_homs,
@@ -240,7 +240,6 @@ def verify_gadget_exhaustive(
     gadget: Gadget,
     max_n: int,
     *,
-    cap: int = DIGRAPH_ENUMERATION_CAP,
     jobs: int = 1,
     progress=None,
 ) -> GadgetReport:
@@ -249,11 +248,10 @@ def verify_gadget_exhaustive(
     Stops at the first counterexample; ``digraphs_checked`` counts the
     digraphs examined up to and including it.
     """
-    if max_n > cap:
-        raise ValueError(f"digraph enumeration is capped at {cap} vertices (requested {max_n})")
+    check_digraph_size(max_n)
     checked = 0
     total_homs = 0
-    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True, cap=cap))
+    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True))
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             import concurrent.futures  # only parallel sweeps pay for its import

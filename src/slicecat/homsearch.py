@@ -31,29 +31,6 @@ from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 DIGRAPH_ENUMERATION_CAP = 4
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Bounds for an enumeration run.
-
-    ``max_solutions = None`` with mode ``enumerate`` streams every solution.
-    ``exists`` stops after the first solution regardless of ``max_solutions``.
-    """
-
-    max_solutions: Optional[int] = None
-    mode: str = "enumerate"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("exists", "count", "enumerate"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.max_solutions is not None and self.max_solutions < 1:
-            raise ValueError("max_solutions must be positive")
-
-    def limit(self) -> Optional[int]:
-        if self.mode == "exists":
-            return 1
-        return self.max_solutions
-
-
 # one constraint group of a variable x: (support, partners).  When x takes
 # value i, every variable in partners must take a value in support[i].
 Constraints = list[list[tuple[Sequence[int], list[int]]]]
@@ -125,6 +102,11 @@ def _solve(domains: list[int], constraints: Constraints, limit: Optional[int]) -
             return
 
 
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and limit < 1:  # the engine would read it as no limit
+        raise ValueError(f"limit must be at least 1, got {limit}")
+
+
 def _mapping(variables: Sequence[Vertex], values: Sequence[Vertex], leaf: list[int]) -> dict[Vertex, Vertex]:
     """The vertex map that one raw solution stands for."""
     return {v: values[d.bit_length() - 1] for v, d in zip(variables, leaf)}
@@ -144,8 +126,10 @@ def hom_leaves(
 
     For slice objects structure-map fibers act as colors, which is exactly
     the commuting-triangle condition.  ``injective`` adds not-equal
-    constraints between all pattern vertices.
+    constraints between all pattern vertices.  ``limit`` (at least 1) stops
+    the stream after that many solutions.
     """
+    _check_limit(limit)
     colors = None
     if isinstance(A, SliceObject):
         if A.base != B.base:
@@ -183,10 +167,10 @@ def enumerate_homs(
     A: Graph,
     B: Graph,
     pins: Optional[Mapping[Vertex, Vertex]] = None,
-    budget: Optional[SearchBudget] = None,
+    limit: Optional[int] = None,
 ) -> Iterator[Morphism]:
-    """Stream every homomorphism A -> B extending ``pins``."""
-    variables, leaves = hom_leaves(A, B, pins=pins, limit=budget.limit() if budget else None)
+    """Stream every homomorphism A -> B extending ``pins``, at most ``limit``."""
+    variables, leaves = hom_leaves(A, B, pins=pins, limit=limit)
     for leaf in leaves:
         yield Morphism(A, B, _mapping(variables, B.vertices, leaf))
 
@@ -195,17 +179,9 @@ def hom_count(A: Graph, B: Graph, pins: Optional[Mapping[Vertex, Vertex]] = None
     return sum(1 for _ in enumerate_homs(A, B, pins))
 
 
-def hom_exists(A: Graph, B: Graph, pins: Optional[Mapping[Vertex, Vertex]] = None) -> bool:
-    return next(iter(enumerate_homs(A, B, pins, SearchBudget(mode="exists"))), None) is not None
-
-
-def enumerate_slice_homs(
-    X: SliceObject,
-    Y: SliceObject,
-    budget: Optional[SearchBudget] = None,
-) -> Iterator[SliceMorphism]:
-    """Stream the slice morphisms X -> Y (see ``hom_leaves`` for the colors)."""
-    variables, leaves = hom_leaves(X, Y, limit=budget.limit() if budget else None)
+def enumerate_slice_homs(X: SliceObject, Y: SliceObject, limit: Optional[int] = None) -> Iterator[SliceMorphism]:
+    """Stream the slice morphisms X -> Y, at most ``limit`` (see ``hom_leaves`` for the colors)."""
+    variables, leaves = hom_leaves(X, Y, limit=limit)
     for leaf in leaves:
         yield SliceMorphism(X, Y, _mapping(variables, Y.carrier.vertices, leaf))
 
@@ -286,18 +262,20 @@ def contains_subgraph(pattern: Graph, host: Graph) -> Optional[Morphism]:
 # digraphs
 
 
-def digraph_masks(
-    n: int,
-    require_no_isolated: bool,
-    *,
-    cap: int = DIGRAPH_ENUMERATION_CAP,
-    canonical: bool = False,
-) -> Iterator[int]:
-    """The arc masks of ``enumerate_digraphs``, in its order; bit n*i + j is the arc (v_i, v_j)."""
+def check_digraph_size(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= DIGRAPH_ENUMERATION_CAP.  A sweep up
+    to a size below 1 would pass vacuously; beyond the cap it is infeasible."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got {n}")
-    if n > cap:
-        raise ValueError(f"digraph enumeration is capped at {cap} vertices (requested {n})")
+    if n > DIGRAPH_ENUMERATION_CAP:
+        raise ValueError(
+            f"digraph enumeration is capped at {DIGRAPH_ENUMERATION_CAP} vertices (requested {n})"
+        )
+
+
+def digraph_masks(n: int, require_no_isolated: bool, *, canonical: bool = False) -> Iterator[int]:
+    """The arc masks of ``enumerate_digraphs``, in its order; bit n*i + j is the arc (v_i, v_j)."""
+    check_digraph_size(n)
     touching = [sum(1 << (n * i + j) | 1 << (n * j + i) for j in range(n)) for i in range(n)]
     perms = list(permutations(range(n))) if canonical else []
     for mask in range(1 << (n * n)):
@@ -327,20 +305,14 @@ def digraph_from_mask(n: int, mask: int) -> Digraph:
     return Digraph(vs, [(vs[k // n], vs[k % n]) for k in range(n * n) if mask >> k & 1])
 
 
-def enumerate_digraphs(
-    n: int,
-    require_no_isolated: bool,
-    *,
-    cap: int = DIGRAPH_ENUMERATION_CAP,
-    canonical: bool = False,
-) -> Iterator[Digraph]:
+def enumerate_digraphs(n: int, require_no_isolated: bool, *, canonical: bool = False) -> Iterator[Digraph]:
     """All labeled digraphs on vertices v0..v(n-1), in ascending arc-mask order.
 
     With ``require_no_isolated`` only relations where every vertex occurs in
     some arc are produced.  ``canonical`` keeps one representative per
     isomorphism class (the least arc mask under vertex permutations).
     """
-    for mask in digraph_masks(n, require_no_isolated, cap=cap, canonical=canonical):
+    for mask in digraph_masks(n, require_no_isolated, canonical=canonical):
         yield digraph_from_mask(n, mask)
 
 
@@ -354,21 +326,6 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         yield Graph(vs, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
 
 
-def digraph_is_homomorphism(
-    mapping: Mapping[Vertex, Vertex], D1: Digraph, D2: Digraph
-) -> tuple[bool, Optional[tuple[Vertex, Vertex]]]:
-    """Arc-preservation check; returns the first violating arc on failure."""
-    for v in D1.vertices:
-        if v not in mapping:
-            raise ValueError(f"map is not total: no image for vertex {v!r}")
-        if mapping[v] not in D2.vertices:
-            raise ValueError(f"image {mapping[v]!r} of {v!r} is not a codomain vertex")
-    for u, v in D1.arcs:
-        if not D2.has_arc(mapping[u], mapping[v]):
-            return False, (u, v)
-    return True, None
-
-
 def digraph_hom_leaves(
     D1: Digraph, D2: Digraph, limit: Optional[int] = None
 ) -> tuple[list[Vertex], Iterator[list[int]]]:
@@ -378,6 +335,7 @@ def digraph_hom_leaves(
     twice), ties by id.  A loop of D1 is a unary filter: its vertex may only
     land on a looped vertex of D2.
     """
+    _check_limit(limit)
     variables = sorted(D1.vertices, key=lambda v: (-len(D1.out_neighbors(v)) - len(D1.in_neighbors(v)), v))
     index = {w: i for i, w in enumerate(D2.vertices)}
     position = {v: i for i, v in enumerate(variables)}
@@ -394,12 +352,8 @@ def digraph_hom_leaves(
     return variables, _solve(domains, constraints, limit)
 
 
-def enumerate_digraph_homs(
-    D1: Digraph,
-    D2: Digraph,
-    budget: Optional[SearchBudget] = None,
-) -> Iterator[dict[Vertex, Vertex]]:
-    """Stream all arc-preserving vertex maps D1 -> D2 as plain dicts."""
-    variables, leaves = digraph_hom_leaves(D1, D2, budget.limit() if budget else None)
+def enumerate_digraph_homs(D1: Digraph, D2: Digraph, limit: Optional[int] = None) -> Iterator[dict[Vertex, Vertex]]:
+    """Stream the arc-preserving vertex maps D1 -> D2 as plain dicts, at most ``limit``."""
+    variables, leaves = digraph_hom_leaves(D1, D2, limit)
     for leaf in leaves:
         yield _mapping(variables, D2.vertices, leaf)

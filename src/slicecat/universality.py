@@ -34,8 +34,8 @@ from .core import (
 )
 from .gadgets import Gadget
 from .homsearch import (
-    DIGRAPH_ENUMERATION_CAP,
     EndoVerdict,
+    check_digraph_size,
     classify_endomorphisms,
     contains_subgraph,
     digraph_from_mask,
@@ -84,22 +84,6 @@ class BaseClassification:
         return out
 
 
-def _component_shape(G: Graph, comp: tuple[Vertex, ...]) -> tuple[str, tuple[Vertex, ...]]:
-    """("path", end-to-end order) or ("cycle", cyclic order) for a degree-<=2 component."""
-    inside = set(comp)
-    degs = {v: sum(1 for w in G.neighbors(v) if w in inside) for v in comp}
-    if all(d == 2 for d in degs.values()) and len(comp) >= 3:
-        start = comp[0]
-        order = [start]
-        prev = None
-        while len(order) < len(comp):
-            nxt = min(w for w in G.neighbors(order[-1]) if w in inside and w != prev)
-            prev = order[-1]
-            order.append(nxt)
-        return "cycle", tuple(order)
-    return "path", path_order(G, comp)
-
-
 def classify_slice_base(G: Graph) -> BaseClassification:
     """Structural classification of a base graph.
 
@@ -115,32 +99,24 @@ def classify_slice_base(G: Graph) -> BaseClassification:
             return BaseClassification(
                 BaseVerdict.UNIVERSAL, "Y", Morphism(pattern, G, mapping)
             )
-    shapes = [_component_shape(G, comp) for comp in G.components()]
-    for kind, order in shapes:
-        if kind != "cycle":
-            continue
-        size = len(order)
-        if size == 3:
-            pattern, name = build_cycle(3), "C3"
-            chosen = order
-        elif size == 4:
-            pattern, name = build_cycle(4), "C4"
-            chosen = order
+    cycles, paths = [], []
+    for comp in G.components():
+        # no degree exceeds 2 here, so the all-2 components are the cycles;
+        # dropping comp[0] leaves a path whose ends are its two neighbours
+        if all(G.degree(v) == 2 for v in comp):
+            cycles.append((comp[0],) + path_order(G, comp[1:]))
         else:
-            pattern, name = build_path(4), "P4"
-            chosen = order[:5]
-        mapping = {f"v{i}": chosen[i] for i in range(len(chosen))}
-        return BaseClassification(BaseVerdict.UNIVERSAL, name, Morphism(pattern, G, mapping))
-    for kind, order in shapes:
-        if kind == "path" and len(order) >= 5:
-            mapping = {f"v{i}": order[i] for i in range(5)}
-            return BaseClassification(
-                BaseVerdict.UNIVERSAL, "P4", Morphism(build_path(4), G, mapping)
-            )
-    return BaseClassification(
-        BaseVerdict.NOT_UNIVERSAL,
-        decomposition=tuple(order for _, order in shapes),
-    )
+            paths.append(path_order(G, comp))
+    if cycles:
+        order: Optional[tuple[Vertex, ...]] = cycles[0]
+        name = {3: "C3", 4: "C4"}.get(len(cycles[0]), "P4")
+    else:
+        order = next((p for p in paths if len(p) >= 5), None)
+        name = "P4"
+    if order is None:
+        return BaseClassification(BaseVerdict.NOT_UNIVERSAL, decomposition=tuple(paths))
+    mapping = {f"v{i}": w for i, w in enumerate(order[:5])}
+    return BaseClassification(BaseVerdict.UNIVERSAL, name, Morphism(PATTERN_BUILDERS[name](), G, mapping))
 
 
 def classify_slice_base_by_subgraph(G: Graph) -> BaseClassification:
@@ -385,7 +361,8 @@ def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertifica
 
 def _find_section(X: SliceObject, base_ord: list[Vertex]) -> list[Vertex]:
     """A connected carrier copy on which the structure map is an isomorphism
-    with a base path of length at most 2 (lexicographically least choice)."""
+    onto ``base_ord``, a subpath of length at most 2 of the base
+    (lexicographically least choice)."""
     f = X.structure_map
     if len(base_ord) == 1:
         return [X.fiber(base_ord[0])[0]]
@@ -446,18 +423,10 @@ def compare_components(X: SliceObject, Y: SliceObject) -> SliceMorphism:
     if positions != list(range(positions[0], positions[-1] + 1)):
         raise RuntimeError("image of a connected carrier is not a contiguous subpath")
     sub = [base_ord[i] for i in positions]
-    copy = _find_section(_restrict_to_subpath(Y, sub), sub)
+    copy = _find_section(Y, sub)
     offset = positions[0]
     mapping = {v: copy[pos[X.structure_map(v)] - offset] for v in X.carrier.vertices}
     return SliceMorphism(X, Y, mapping)
-
-
-def _restrict_to_subpath(Y: SliceObject, sub: list[Vertex]) -> SliceObject:
-    """View Y through the carrier vertices whose colors lie on a subpath."""
-    keep = [v for v in Y.carrier.vertices if Y.color(v) in set(sub)]
-    carrier = Y.carrier.induced(keep)
-    base = Y.base.induced(sub)
-    return SliceObject(carrier, base, {v: Y.color(v) for v in keep})
 
 
 def _path_fold(long: int, short: int) -> list[int]:
@@ -495,14 +464,15 @@ class DichotomyResult:
 _CROSS_CHECK_LIMIT = 8
 
 
-def classify_slice_object(X: SliceObject, *, cross_check_limit: int = _CROSS_CHECK_LIMIT) -> DichotomyResult:
+def classify_slice_object(X: SliceObject) -> DichotomyResult:
     """Constructive dichotomy over a non-universal base.
 
     Retracting each carrier component over its image subpath either certifies
     the component rigid or yields a proper endomorphism; with all components
     rigid, any two components with nested images fold one into the other.  If
-    neither happens the object is rigid.  Small instances are cross-checked
-    against exhaustive endomorphism enumeration.
+    neither happens the object is rigid.  Instances of at most
+    ``_CROSS_CHECK_LIMIT`` vertices are cross-checked against exhaustive
+    endomorphism enumeration.
     """
     base_cls = classify_slice_base(X.base)
     if base_cls.verdict is BaseVerdict.UNIVERSAL:
@@ -510,86 +480,79 @@ def classify_slice_object(X: SliceObject, *, cross_check_limit: int = _CROSS_CHE
             "base is universal; the dichotomy applies only to disjoint unions of "
             "short paths (use the gadget machinery instead)"
         )
-    base_orders = {comp[0]: path_order(X.base, comp) for comp in X.base.components()}
-    base_comp_of = {v: least for least, order in base_orders.items() for v in order}
+    path_of = {b: order for order in base_cls.decomposition or () for b in order}
+    position = {b: i for order in base_cls.decomposition or () for i, b in enumerate(order)}
     f = X.structure_map
 
     result: Optional[DichotomyResult] = None
-    comps = X.carrier.components()
     infos = []
-    for comp in comps:
-        carrier = X.carrier.induced(comp)
-        least = base_comp_of[f(comp[0])]
-        order = base_orders[least]
-        pos = {b: i for i, b in enumerate(order)}
-        img = sorted({pos[f(v)] for v in comp})
+    for comp in X.carrier.components():
+        img = sorted({position[f(v)] for v in comp})
         if img != list(range(img[0], img[-1] + 1)):
             raise RuntimeError("connected component has a non-contiguous image")
-        offset = img[0]
-        canon_base = build_path(len(img) - 1)
-        relabeled = SliceObject(
-            carrier, canon_base, {v: f"v{pos[f(v)] - offset}" for v in comp}
-        )
-        outcome = retract_slice_to_path(relabeled)
+        order = path_of[f(comp[0])]
+        outcome = retract_slice_to_path(_component_slice(X, comp, order, img[0], img[-1]))
         if isinstance(outcome, RetractionPlan):
             endo = {v: v for v in X.carrier.vertices}
             endo.update(outcome.retraction.as_dict())
             witness = SliceMorphism(X, X, endo)
             result = DichotomyResult(EndoVerdict.HAS_PROPER_ENDOMORPHISM, witness)
             break
-        infos.append((comp, least, (img[0], img[-1])))
+        infos.append((comp, order, img[0], img[-1]))
 
     if result is None:
-        result = _fold_comparable_components(X, base_orders, infos)
-    if result is None:
-        result = DichotomyResult(EndoVerdict.RIGID)
-
-    if X.carrier.vertex_count <= cross_check_limit:
-        report = classify_endomorphisms(X)
-        expected = (
-            EndoVerdict.RIGID
-            if report.verdict is EndoVerdict.RIGID
-            else EndoVerdict.HAS_PROPER_ENDOMORPHISM
-        )
-        if report.verdict is EndoVerdict.AUTOMORPHISMS_ONLY or expected != result.verdict:
-            raise RuntimeError(
-                f"constructive verdict {result.verdict.value} disagrees with "
-                f"enumeration ({report.verdict.value}, {report.endo_count} endos, "
-                f"{report.auto_count} automorphisms)"
-            )
+        result = _fold_comparable_components(X, infos) or DichotomyResult(EndoVerdict.RIGID)
+    if X.carrier.vertex_count <= _CROSS_CHECK_LIMIT:
+        problem = _enumeration_disagreement(X, result.verdict)
+        if problem is not None:
+            raise RuntimeError(problem)
     return result
 
 
-def _fold_comparable_components(X, base_orders, infos) -> Optional[DichotomyResult]:
-    for i in range(len(infos)):
-        for j in range(len(infos)):
-            if i == j:
+def _component_slice(
+    X: SliceObject, comp: tuple[Vertex, ...], order: tuple[Vertex, ...], lo: int, hi: int
+) -> SliceObject:
+    """Component ``comp`` of X over ``build_path(hi - lo)``, where ``order``
+    is its base path and base position p is renamed ``v{p - lo}``."""
+    pos = {b: i for i, b in enumerate(order)}
+    f = X.structure_map
+    colors = {v: f"v{pos[f(v)] - lo}" for v in comp}
+    return SliceObject(X.carrier.induced(comp), build_path(hi - lo), colors)
+
+
+def _fold_comparable_components(X: SliceObject, infos) -> Optional[DichotomyResult]:
+    """A proper endomorphism folding one rigid component into another with a
+    containing image on the same base path, or None."""
+    for i, (comp_i, order_i, lo_i, hi_i) in enumerate(infos):
+        for j, (comp_j, order_j, lo_j, hi_j) in enumerate(infos):
+            if i == j or order_i != order_j or not (lo_j <= lo_i and hi_i <= hi_j):
                 continue
-            comp_i, base_i, (lo_i, hi_i) = infos[i]
-            comp_j, base_j, (lo_j, hi_j) = infos[j]
-            if base_i != base_j:
-                continue
-            if not (lo_j <= lo_i and hi_i <= hi_j):
-                continue
-            if i > j and (lo_i, hi_i) == (lo_j, hi_j):
-                continue  # the symmetric pair was already built
-            order = base_orders[base_i]
-            canon_base = build_path(len(order) - 1)
-            relabel = {b: f"v{p}" for p, b in enumerate(order)}
-            f = X.structure_map
-            Xi = SliceObject(
-                X.carrier.induced(comp_i), canon_base, {v: relabel[f(v)] for v in comp_i}
+            top = len(order_i) - 1
+            fold = compare_components(
+                _component_slice(X, comp_i, order_i, 0, top),
+                _component_slice(X, comp_j, order_i, 0, top),
             )
-            Xj = SliceObject(
-                X.carrier.induced(comp_j), canon_base, {v: relabel[f(v)] for v in comp_j}
-            )
-            fold = compare_components(Xi, Xj)
             endo = {v: v for v in X.carrier.vertices}
             endo.update(fold.map.as_dict())
             witness = SliceMorphism(X, X, endo)
             if witness.map.is_bijective():
                 raise RuntimeError("cross-component fold produced a bijection")
             return DichotomyResult(EndoVerdict.HAS_PROPER_ENDOMORPHISM, witness)
+    return None
+
+
+def _enumeration_disagreement(X: SliceObject, verdict: EndoVerdict) -> Optional[str]:
+    """None when exhaustive enumeration confirms the constructive ``verdict``,
+    else what is wrong: the monoid is a nontrivial group, or the verdicts differ."""
+    report = classify_endomorphisms(X)
+    counts = f"{report.endo_count} endos, {report.auto_count} automorphisms"
+    if report.verdict is EndoVerdict.AUTOMORPHISMS_ONLY:
+        return f"endomorphism monoid is a nontrivial group ({counts})"
+    if report.verdict is not verdict:
+        return (
+            f"constructive verdict {verdict.value} disagrees with "
+            f"enumeration ({report.verdict.value}, {counts})"
+        )
     return None
 
 
@@ -676,7 +639,6 @@ def full_embedding_check(
     gadget: Gadget,
     max_n: int,
     *,
-    cap: int = DIGRAPH_ENUMERATION_CAP,
     progress=None,
 ) -> EmbeddingReport:
     """Check h -> glued(h) is a bijection on every hom-set between products.
@@ -685,9 +647,8 @@ def full_embedding_check(
     ``max_n`` vertices.  Assumes the gadget itself has already been verified
     at this size (otherwise fullness can fail and will be reported).
     """
-    if max_n > cap:
-        raise ValueError(f"digraph enumeration is capped at {cap} vertices (requested {max_n})")
-    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True, cap=cap))
+    check_digraph_size(max_n)
+    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True))
     triples = [_product_triple(gadget, D) for D in digraphs]
     return _embedding_sweep(gadget, [(x, y) for x in triples for y in triples], progress)
 
@@ -698,12 +659,13 @@ def full_embedding_spot_check(
     pair_count: int,
     seed: int,
     *,
-    cap: int = DIGRAPH_ENUMERATION_CAP,
     progress=None,
 ) -> EmbeddingReport:
     """Check randomly sampled ordered pairs of n-vertex digraphs; only the
     sampled digraphs are built, from their arc masks."""
-    masks = list(digraph_masks(n, True, cap=cap))
+    if pair_count < 1:  # no pairs would pass vacuously
+        raise ValueError(f"pair_count must be at least 1, got {pair_count}")
+    masks = list(digraph_masks(n, True))
     rng = random.Random(seed)
     chosen_idx = sorted(
         {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
@@ -758,22 +720,14 @@ class DichotomyReport:
 
 
 def _check_dichotomy_instance(X: SliceObject) -> Optional[str]:
-    """None when the instance satisfies the dichotomy, else a description."""
-    report = classify_endomorphisms(X)
-    if report.verdict is EndoVerdict.AUTOMORPHISMS_ONLY:
-        return (
-            f"endomorphism monoid is a nontrivial group "
-            f"({report.endo_count} endos, {report.auto_count} automorphisms)"
-        )
+    """None when the instance satisfies the dichotomy, else a description.
+    Every instance is enumerated once: small ones inside ``classify_slice_object``."""
     try:
-        constructive = classify_slice_object(X, cross_check_limit=0)
+        constructive = classify_slice_object(X)
     except RuntimeError as exc:
         return f"constructive classification failed: {exc}"
-    if constructive.verdict != report.verdict:
-        return (
-            f"constructive verdict {constructive.verdict.value} disagrees with "
-            f"enumeration {report.verdict.value}"
-        )
+    if X.carrier.vertex_count > _CROSS_CHECK_LIMIT:
+        return _enumeration_disagreement(X, constructive.verdict)
     return None
 
 
@@ -789,6 +743,8 @@ def dichotomy_sweep(
     """Exhaust all slice objects with small connected carriers over a
     non-universal base, then optionally add randomly generated instances
     (disconnected carriers included)."""
+    if max_carrier < 1:  # a sweep over no carrier sizes would pass vacuously
+        raise ValueError(f"max_carrier must be at least 1, got {max_carrier}")
     instances = 0
     for n in range(1, max_carrier + 1):
         for carrier in enumerate_graphs(n):
@@ -821,7 +777,6 @@ def random_slice_object(
     rng: random.Random,
     *,
     max_vertices: int = 6,
-    edge_probability: float = 0.45,
 ) -> SliceObject:
     """A random slice object built colors-first.
 
@@ -836,7 +791,7 @@ def random_slice_object(
         (u, v)
         for i, u in enumerate(vs)
         for v in vs[i + 1 :]
-        if base.has_edge(colors[u], colors[v]) and rng.random() < edge_probability
+        if base.has_edge(colors[u], colors[v]) and rng.random() < 0.45
     ]
     return SliceObject(Graph(vs, edges), base, colors)
 
@@ -846,7 +801,6 @@ def random_connected_surjective_slice(
     rng: random.Random,
     *,
     max_vertices: int = 8,
-    extra_edge_probability: float = 0.35,
 ) -> SliceObject:
     """A random connected slice object whose structure map is onto.
 
@@ -877,6 +831,6 @@ def random_connected_surjective_slice(
             raise RuntimeError("no compatible anchor for a fresh vertex")
     for i, u in enumerate(vs):
         for v in vs[i + 1 :]:
-            if base.has_edge(colors[u], colors[v]) and rng.random() < extra_edge_probability:
+            if base.has_edge(colors[u], colors[v]) and rng.random() < 0.35:
                 edges.append((u, v))
     return SliceObject(Graph(vs, edges), base, colors)

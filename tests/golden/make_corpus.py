@@ -56,6 +56,12 @@ def _documents() -> dict[str, dict]:
          ("x4", "x5"), ("x5", "x6"), ("x6", "x7"), ("x7", "x4"), ("x1", "x6")],
     )
     folded = disjoint_union([p3, p3])
+    p1, p2 = build_path(1), build_path(2)
+    # components ordered by least id, each a path whose walk starts at neither its least id nor v0
+    scattered = Graph(
+        ["q", "k", "c", "z", "a", "m", "b", "x1", "y"],
+        [("k", "c"), ("c", "z"), ("z", "a"), ("m", "b"), ("x1", "y"), ("y", "q")],
+    )
     slices = {
         "c3_gadget": c3g.slice,
         "c4_gadget": c4g.slice,
@@ -72,6 +78,22 @@ def _documents() -> dict[str, dict]:
         "p3_folded": SliceObject(
             folded, p3, {f"{i}:v{j}": f"v{j}" for i in range(2) for j in range(4)}
         ),
+        "p1_identity": _identity_slice(p1),
+        "p1_fold": SliceObject(p2, p1, {"v0": "v0", "v1": "v1", "v2": "v0"}),
+        "p2_identity": _identity_slice(p2),
+        "p2_pendant": SliceObject(
+            Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("b", "d")]),
+            p2,
+            {"a": "v0", "b": "v1", "c": "v2", "d": "v2"},
+        ),
+        "p3_pendant": SliceObject(
+            Graph(["a0", "a1", "a2", "a3", "x"], [("a0", "a1"), ("a1", "a2"), ("a2", "a3"), ("x", "a1")]),
+            p3,
+            {"a0": "v0", "a1": "v1", "a2": "v2", "a3": "v3", "x": "v0"},
+        ),
+        "p3_zigzag": SliceObject(
+            build_path(5), p3, {f"v{i}": f"v{c}" for i, c in enumerate([0, 1, 2, 1, 2, 3])}
+        ),
     }
     graphs = {
         "p1": build_path(1),
@@ -87,6 +109,9 @@ def _documents() -> dict[str, dict]:
         "odd_ids": odd,
         "fan": fan,
         "two_triangles": disjoint_union([build_cycle(3), build_cycle(3)]),
+        "scattered": scattered,
+        "c6_scrambled": Graph(list("dafbec"), [(x, y) for x, y in zip("dafbec", "afbecd")]),
+        "p3_p1": disjoint_union([p3, p1]),
     }
     docs = {name: g.to_dict() for name, g in graphs.items()}
     docs.update({name: x.to_dict() for name, x in slices.items()})
@@ -112,6 +137,13 @@ HOMS_PAIRS = [
     ("p3_folded", "p3_folded"),
 ]
 
+# C3, C4, P4 and Y witnesses, the P4 inside longer cycles, and a decomposition
+CLASSIFY_GRAPHS = ["c3", "c4", "p5", "star3", "c6", "c6_scrambled", "scattered"]
+# a retraction plan and a rigid-path certificate over each of P1, P2 and P3
+RETRACT_SLICES = [
+    "p1_fold", "p1_identity", "p2_pendant", "p2_identity", "p3_pendant", "p3_identity", "p3_zigzag"
+]
+
 
 def _cases(docs: dict[str, dict]) -> dict[str, list]:
     """Case name -> argv, with input files as ``inputs/<name>.json``."""
@@ -127,6 +159,25 @@ def _cases(docs: dict[str, dict]) -> dict[str, list]:
     for g in BUILTIN_GADGET_NAMES:
         cases[f"verify_gadget_{g}"] = ["verify-gadget", "--gadget", g, "--max-size", "2"]
         cases[f"embed_check_{g}"] = ["embed-check", "--gadget", g, "--max-size", "2"]
+    for name in CLASSIFY_GRAPHS:
+        cases[f"classify_{name}"] = ["classify", f"inputs/{name}.json"]
+    for name in RETRACT_SLICES:
+        cases[f"retract_{name}"] = ["retract", f"inputs/{name}.json"]
+    cases["dichotomy_p3"] = ["dichotomy", "inputs/p3.json", "--max-carrier", "3", "--samples", "50"]
+    cases["dichotomy_p3_p1"] = ["dichotomy", "inputs/p3_p1.json", "--max-carrier", "3", "--samples", "50"]
+    cases["homs_count_p2__c4"] = ["homs", "inputs/p2.json", "inputs/c4.json", "--mode", "count"]
+    cases["homs_count_c3_gadget__c3_two_cycle"] = [
+        "homs", "inputs/c3_gadget.json", "inputs/c3_two_cycle.json", "--mode", "count"
+    ]
+    cases["homs_exists_c5__c3"] = ["homs", "inputs/c5.json", "inputs/c3.json", "--mode", "exists"]
+    cases["homs_exists_c3__c4"] = ["homs", "inputs/c3.json", "inputs/c4.json", "--mode", "exists"]
+    cases["homs_list_p2__c4_max3"] = [
+        "homs", "inputs/p2.json", "inputs/c4.json", "--mode", "list", "--max-solutions", "3"
+    ]
+    cases["homs_count_p3__c5_max3"] = [
+        "homs", "inputs/p3.json", "inputs/c5.json", "--max-solutions", "3"
+    ]
+    cases["enumerate_digraphs_2_canonical"] = ["enumerate-digraphs", "--size", "2", "--canonical"]
     return cases
 
 

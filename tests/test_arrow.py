@@ -211,6 +211,12 @@ class TestArrowMorphism:
         with pytest.raises(ValueError, match="not a digraph homomorphism"):
             arrow_morphism(SINGLE_ARC, SINGLE_ARC, bad, C3_GADGET)
 
+    def test_malformed_maps_are_value_errors(self):
+        with pytest.raises(ValueError, match="not total"):
+            arrow_morphism(SINGLE_ARC, SINGLE_ARC, {"u": "u"}, C3_GADGET)
+        with pytest.raises(ValueError, match="not a codomain vertex"):
+            arrow_morphism(SINGLE_ARC, SINGLE_ARC, {"u": "u", "v": "zz"}, C3_GADGET)
+
     def test_functoriality_on_all_two_vertex_digraphs(self):
         digraphs = [d for n in (1, 2) for d in enumerate_digraphs(n, True)]
         for d1 in digraphs:

@@ -128,6 +128,14 @@ class TestVerifyGadget:
         with pytest.raises(ValueError, match="capped"):
             verify_gadget_exhaustive(builtin_gadget("C3"), 9)
 
+    def test_sweep_over_no_sizes_is_an_error(self):
+        # a sweep that checks no digraph would pass, and so would every mutant
+        for max_n in (0, -2):
+            with pytest.raises(ValueError, match="at least one vertex"):
+                verify_gadget_exhaustive(builtin_gadget("C3"), max_n)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            verify_mutated_gadget(builtin_gadget("C4"), "c", "0", max_n=0)
+
     def test_parallel_sweep_matches_serial(self):
         serial = verify_gadget_exhaustive(builtin_gadget("C3"), 2)
         parallel = verify_gadget_exhaustive(builtin_gadget("C3"), 2, jobs=2)

@@ -1,9 +1,12 @@
 """The CLI's JSON output stays byte-identical on a pinned corpus.
 
-The corpus under ``tests/golden/`` covers ``homs --mode list`` (whose
-solution order is part of the output), ``endos`` on objects of at most 12
-vertices, and ``verify-gadget``/``embed-check --max-size 2`` for the four
-built-in gadgets.  ``tests/golden/make_corpus.py`` regenerates it.
+The corpus under ``tests/golden/`` covers ``homs`` in all three modes and
+with ``--max-solutions`` (the solution order of ``--mode list`` is part of
+the output), ``endos`` on objects of at most 12 vertices,
+``verify-gadget``/``embed-check --max-size 2`` for the four built-in gadgets,
+``classify`` witnesses and decompositions, ``retract`` plans and certificates
+over P1, P2 and P3, two ``dichotomy`` sweeps and ``enumerate-digraphs
+--canonical``.  ``tests/golden/make_corpus.py`` regenerates it.
 """
 
 import json

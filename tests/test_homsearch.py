@@ -5,15 +5,16 @@ import pytest
 from slicecat.core import Digraph, Graph, SliceObject, build_cycle, build_path
 from slicecat.homsearch import (
     EndoVerdict,
-    SearchBudget,
     classify_endomorphisms,
     contains_subgraph,
+    digraph_hom_leaves,
     enumerate_digraph_homs,
     enumerate_digraphs,
     enumerate_graphs,
     enumerate_homs,
     enumerate_slice_homs,
     hom_count,
+    hom_leaves,
     slice_hom_count,
 )
 
@@ -62,12 +63,21 @@ class TestEnumerateHoms:
             list(enumerate_homs(build_path(1), build_path(1), pins={"zz": "v0"}))
 
     def test_budget_limits_stream(self):
-        out = list(enumerate_homs(build_path(1), build_cycle(3), budget=SearchBudget(max_solutions=4)))
+        out = list(enumerate_homs(build_path(1), build_cycle(3), limit=4))
         assert len(out) == 4
 
     def test_exists_mode_stops_at_one(self):
-        out = list(enumerate_homs(build_path(1), build_cycle(3), budget=SearchBudget(mode="exists")))
+        out = list(enumerate_homs(build_path(1), build_cycle(3), limit=1))
         assert len(out) == 1
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_an_error(self, limit):
+        # the engine stops when its count reaches the limit, so a limit it
+        # can never reach would silently stream every solution
+        with pytest.raises(ValueError, match="limit"):
+            hom_leaves(build_path(1), build_cycle(3), limit=limit)
+        with pytest.raises(ValueError, match="limit"):
+            list(enumerate_homs(build_path(1), build_cycle(3), limit=limit))
 
     def test_deterministic_order(self):
         first = [m.mapping for m in enumerate_homs(build_path(2), build_cycle(4))]
@@ -307,6 +317,17 @@ class TestDigraphHoms:
         loop = Digraph(["u"], [("u", "u")])
         arc = Digraph(["x", "y"], [("x", "y")])
         assert list(enumerate_digraph_homs(loop, arc)) == []
+
+    def test_limit_stops_the_stream(self):
+        d1 = Digraph(["u", "v"], [("u", "v")])
+        d2 = Digraph(["x", "y"], [("x", "y"), ("y", "x")])
+        assert len(list(enumerate_digraph_homs(d1, d2, limit=1))) == 1
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_an_error(self, limit):
+        d = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
+        with pytest.raises(ValueError, match="limit"):
+            digraph_hom_leaves(d, d, limit)
 
     def test_against_naive(self):
         rng = random.Random(61)

@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from slicecat import universality
 from slicecat.core import (
     Digraph,
     Graph,
@@ -15,6 +17,7 @@ from slicecat.core import (
 from slicecat.arrow import arrow_slice
 from slicecat.gadgets import builtin_gadget
 from slicecat.homsearch import (
+    EndoReport,
     EndoVerdict,
     classify_endomorphisms,
     enumerate_digraph_homs,
@@ -281,10 +284,35 @@ class TestClassifySliceObject:
         rng = random.Random(83)
         for _ in range(150):
             x = random_slice_object(P3, rng, max_vertices=5)
-            result = classify_slice_object(x, cross_check_limit=0)
+            result = classify_slice_object(x)
             report = classify_endomorphisms(x)
             assert report.verdict is not EndoVerdict.AUTOMORPHISMS_ONLY
             assert result.verdict == report.verdict
+
+    @pytest.mark.parametrize("lie", [EndoVerdict.HAS_PROPER_ENDOMORPHISM, EndoVerdict.AUTOMORPHISMS_ONLY])
+    @pytest.mark.parametrize("small", [True, False])
+    def test_cross_check_catches_a_wrong_enumeration(self, monkeypatch, lie, small):
+        # the enumeration reports a verdict the constructive side cannot
+        # reach on a rigid instance; with the limit at 0 every instance lies
+        # above it and only the sweep's own cross-check can catch it
+        def wrong(X):
+            return EndoReport(lie, None, 2, 2 if lie is EndoVerdict.AUTOMORPHISMS_ONLY else 1)
+
+        monkeypatch.setattr(universality, "classify_endomorphisms", wrong)
+        if small:
+            # a rigid zigzag path with exactly as many vertices as the limit
+            zigzag = [0, 1, 2, 1, 2, 1, 2, 3]
+            x = SliceObject(build_path(7), P3, {f"v{i}": f"v{c}" for i, c in enumerate(zigzag)})
+            assert x.carrier.vertex_count == universality._CROSS_CHECK_LIMIT
+            with pytest.raises(RuntimeError, match="enumeration|nontrivial group"):
+                classify_slice_object(x)
+        else:
+            monkeypatch.setattr(universality, "_CROSS_CHECK_LIMIT", 0)
+        report = dichotomy_sweep(P3, 1)
+        first = SliceObject(Graph(["v0"]), P3, {"v0": "v0"})
+        assert not report.verdict and report.instances == 1
+        assert report.violation.slice_doc == first.to_dict()
+        assert re.search("enumeration|nontrivial group", report.violation.detail)
 
     def test_multi_component_base(self):
         base = disjoint_union([build_path(3), build_path(2)])
@@ -298,6 +326,11 @@ class TestClassifySliceObject:
 
 
 class TestDichotomySweep:
+    @pytest.mark.parametrize("max_carrier", [0, -3])
+    def test_sweep_over_no_sizes_is_an_error(self, max_carrier):
+        with pytest.raises(ValueError, match="max_carrier"):
+            dichotomy_sweep(P3, max_carrier, samples=5)
+
     def test_exhaustive_small_plus_samples(self):
         report = dichotomy_sweep(P3, 3, samples=60, seed=5)
         assert report.verdict
@@ -324,6 +357,14 @@ class TestFullEmbedding:
         from slicecat.homsearch import enumerate_slice_homs
 
         assert list(enumerate_slice_homs(arrow_slice(loop, g), arrow_slice(arc, g))) == []
+
+    def test_sweep_over_no_sizes_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            full_embedding_check(builtin_gadget("C3"), 0)
+
+    def test_spot_check_of_no_pairs_is_an_error(self):
+        with pytest.raises(ValueError, match="pair_count"):
+            full_embedding_spot_check(builtin_gadget("C3"), 2, 0, 1)
 
     def test_two_vertex_sweep(self):
         report = full_embedding_check(builtin_gadget("C3"), 2)
