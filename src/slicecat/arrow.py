@@ -7,14 +7,23 @@ a to u, b to v, and every interior vertex w to the tagged vertex "(u,v)::w".
 The product's edges are exactly the copy-map images of H's edges.
 
 When the gadget carries a structure map f with f(a) = f(b), the product
-inherits one: D-vertices go to f(a) and interior vertices to f(w).  Both the
-inherited map and every copy map are re-validated on construction, so the
-commuting identities hold by checked construction rather than by trust.
+inherits one: D-vertices go to f(a) and interior vertices to f(w).
+
+``ArrowResult`` builds the product in one pass over the arcs and validates
+only what it builds from outside input: the distinguished vertices, every
+product id against all earlier ones, and the product ``Graph`` itself.  The
+copy maps it stores are not validated there.  A copy map is validated as a
+``Morphism`` when ``phi`` returns it, and as a ``SliceMorphism`` when
+``slice_phi`` does; ``product_structure_map`` validates the inherited map as a
+``Morphism``, and ``arrow_morphism`` validates its result as a
+``SliceMorphism``.  The verifiers read the stored copy maps unvalidated and
+validate only the counterexamples they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
@@ -25,9 +34,14 @@ if TYPE_CHECKING:  # circular only at type-check time
 Arc = tuple[Vertex, Vertex]
 
 
+def _copy_prefix(u: Vertex, v: Vertex) -> str:
+    """What every interior id of the copy glued to arc (u, v) starts with."""
+    return f"({u},{v})::"
+
+
 def interior_id(u: Vertex, v: Vertex, w: Vertex) -> Vertex:
     """Stable product id of gadget vertex w in the copy glued to arc (u, v)."""
-    return f"({u},{v})::{w}"
+    return _copy_prefix(u, v) + w
 
 
 @dataclass(frozen=True, init=False)
@@ -47,50 +61,62 @@ class ArrowResult:
             if not gadget_graph.has_vertex(x):
                 raise ValueError(f"distinguished vertex {x!r} is not in the gadget graph")
         interior = [w for w in gadget_graph.vertices if w not in (a, b)]
+        gadget_edges = gadget_graph.edges
         # the id format is not injective (a comma or "::" inside an id can
         # shift the split), so every id is checked against all earlier ones
         used = set(digraph.vertices)
-        index: dict[tuple[Arc, Vertex], Vertex] = {}
         vertices = list(digraph.vertices)
+        copies: dict[Arc, dict[Vertex, Vertex]] = {}
+        edges = []
         for arc in digraph.arcs:
             u, v = arc
+            prefix = _copy_prefix(u, v)
+            copy = {}
             for w in interior:
-                pid = interior_id(u, v, w)
+                pid = prefix + w  # interior_id(u, v, w)
                 if pid in used:
                     raise ValueError(f"interior id {pid!r} collides with another product vertex id")
                 used.add(pid)
-                index[(arc, w)] = pid
-                vertices.append(pid)
+                copy[w] = pid
+            vertices.extend(copy.values())
+            copy[a] = u
+            copy[b] = v
+            copies[arc] = copy
+            edges.extend([(copy[s], copy[t]) for s, t in gadget_edges])
+        # only a and b can share an image, on a loop arc; this is checked after
+        # every id, so an id collision anywhere is reported before a loop
+        if gadget_graph.has_edge(a, b) and digraph.has_loop():
+            arc = next(arc for arc in digraph.arcs if arc[0] == arc[1])
+            s, t = sorted((a, b))
+            raise ValueError(
+                f"loop arc {arc!r} with gadget edge ({s!r}, {t!r}) between the "
+                "distinguished vertices would create a loop; the product leaves "
+                "simple graphs"
+            )
         object.__setattr__(self, "digraph", digraph)
         object.__setattr__(self, "gadget_graph", gadget_graph)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_interior_index", index)
-        edges = set()
-        for arc in digraph.arcs:
-            copy = self.copy_map(arc)
-            for s, t in gadget_graph.edges:
-                ps, pt = copy[s], copy[t]
-                if ps == pt:
-                    raise ValueError(
-                        f"loop arc {arc!r} with gadget edge ({s!r}, {t!r}) between the "
-                        "distinguished vertices would create a loop; the product leaves "
-                        "simple graphs"
-                    )
-                edges.add((ps, pt))
+        object.__setattr__(self, "_copies", copies)
         object.__setattr__(self, "product", Graph(vertices, edges))
 
+    @property
+    def copies(self) -> Mapping[Arc, Mapping[Vertex, Vertex]]:
+        """Every arc's copy map, in arc order.  The maps are the stored ones,
+        shared by every reader: never change them (``copy_map`` gives a copy)."""
+        return MappingProxyType(self._copies)  # type: ignore[attr-defined]
+
     def interior(self, arc: Arc, w: Vertex) -> Vertex:
-        return self._interior_index[(tuple(arc), w)]  # type: ignore[attr-defined]
+        """The product id of interior gadget vertex ``w`` in the copy of ``arc``."""
+        if w in (self.a, self.b):
+            raise KeyError(w)
+        return self._copies[tuple(arc)][w]  # type: ignore[attr-defined]
 
     def copy_map(self, arc: Arc) -> dict[Vertex, Vertex]:
         """The copy map of one digraph arc (u, v) as a plain dict: a to u, b to
         v, and every interior vertex w to ``interior((u, v), w)``."""
         u, v = arc
-        index = self._interior_index  # type: ignore[attr-defined]
-        copy = {w: index[((u, v), w)] for w in self.gadget_graph.vertices if w not in (self.a, self.b)}
-        copy.update({self.a: u, self.b: v})
-        return copy
+        return dict(self._copies[(u, v)])  # type: ignore[attr-defined]
 
 
 def arrow_graph(D: Digraph, H: Graph, a: Vertex, b: Vertex) -> ArrowResult:
@@ -114,10 +140,11 @@ def product_structure_map(res: ArrowResult, gadget: "Gadget") -> Morphism:
     """The inherited structure map: base vertices to f(a), interiors to f(w)."""
     if res.gadget_graph != gadget.carrier or (res.a, res.b) != (gadget.a, gadget.b):
         raise ValueError("arrow result was built from a different gadget")
-    f = gadget.slice.structure_map
-    mapping: dict[Vertex, Vertex] = {u: f(gadget.a) for u in res.digraph.vertices}
-    for (arc, w), pid in res._interior_index.items():  # type: ignore[attr-defined]
-        mapping[pid] = f(w)
+    f = gadget.slice.structure_map.as_dict()
+    mapping = dict.fromkeys(res.digraph.vertices, f[gadget.a])
+    for copy in res.copies.values():
+        for w, pid in copy.items():  # a and b rewrite their arc's ends with f(a) = f(b)
+            mapping[pid] = f[w]
     return Morphism(res.product, gadget.base, mapping)
 
 
@@ -162,8 +189,10 @@ def arrow_morphism(
     res1 = arrow_graph(D1, gadget.carrier, gadget.a, gadget.b)
     res2 = arrow_graph(D2, gadget.carrier, gadget.a, gadget.b)
     mapping: dict[Vertex, Vertex] = {u: h[u] for u in D1.vertices}
-    for ((u, v), w), pid in res1._interior_index.items():  # type: ignore[attr-defined]
-        mapping[pid] = res2.interior((h[u], h[v]), w)
+    for (u, v), copy in res1.copies.items():
+        target = res2.copies[(h[u], h[v])]
+        for w, pid in copy.items():  # a and b rewrite u and v with h(u) and h(v)
+            mapping[pid] = target[w]
     return SliceMorphism(product_slice(res1, gadget), product_slice(res2, gadget), mapping)
 
 

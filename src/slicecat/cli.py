@@ -23,6 +23,7 @@ from .gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
     builtin_gadget,
+    check_job_count,
     check_strong_replacement,
     verify_gadget,
     verify_gadget_exhaustive,
@@ -260,6 +261,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
+def _job_count(text: str) -> int:
+    try:
+        check_job_count(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicecat",
@@ -293,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--max-size", type=_positive_int, help="sweep all isolated-point-free digraphs up to this size")
     group.add_argument("--digraph", help="check one digraph file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1, help="worker processes, 1 to the CPU count")
     p.set_defaults(fn=cmd_verify_gadget)
 
     p = sub.add_parser("strong-replacement", help="check self-maps into products stay inside one copy")
@@ -325,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dichotomy", help="sweep slice objects over a non-universal base")
     p.add_argument("base")
     p.add_argument("--max-carrier", type=_positive_int, required=True)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=_non_negative_int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_dichotomy)
 

@@ -82,12 +82,6 @@ def _format_edgelist(vertices: Sequence[Vertex], pairs: Sequence[Sequence[Vertex
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _canonical_edge(u: Vertex, v: Vertex) -> Edge:
-    if u == v:
-        raise ValueError(f"loops are not allowed in an undirected graph: ({u!r}, {u!r})")
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True, init=False)
 class Graph:
     """A finite simple undirected graph.
@@ -101,18 +95,25 @@ class Graph:
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]] = ()):
         vs = _ids(vertices)
-        vset = frozenset(vs)
-        es = sorted({_canonical_edge(str(u), str(v)) for u, v in edges})
+        canonical: set[Edge] = set()
+        for u, v in edges:
+            u, v = str(u), str(v)
+            if u == v:
+                raise ValueError(f"loops are not allowed in an undirected graph: ({u!r}, {u!r})")
+            canonical.add((u, v) if u < v else (v, u))
+        es = sorted(canonical)
+        # in sorted edge order each vertex meets its lesser neighbours (as the
+        # second end) before its greater ones, each group ascending, so the
+        # neighbour lists come out sorted
+        adj: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
         for u, v in es:
-            if u not in vset or v not in vset:
+            if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the vertex set")
+            adj[u].append(v)
+            adj[v].append(u)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", tuple(es))
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in vs}
-        for u, v in es:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
+        object.__setattr__(self, "_adj", {v: tuple(ns) for v, ns in adj.items()})
         object.__setattr__(self, "_edge_set", frozenset(es))
 
     @property
@@ -240,7 +241,7 @@ class Digraph:
         return not self.out_neighbors(v) and not self.in_neighbors(v)
 
     def isolated_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if self.is_isolated(v))
+        return tuple([v for v in self.vertices if self.is_isolated(v)])
 
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.arcs)
@@ -371,7 +372,7 @@ class SliceObject:
 
     def fiber(self, base_vertex: Vertex) -> tuple[Vertex, ...]:
         """All carrier vertices mapped onto ``base_vertex``."""
-        return tuple(v for v in self.carrier.vertices if self.color(v) == base_vertex)
+        return tuple([v for v in self.carrier.vertices if self.color(v) == base_vertex])
 
     def image(self) -> tuple[Vertex, ...]:
         return self.structure_map.image()

@@ -16,6 +16,7 @@ path of length 4, and length 6 over the 3-leaf star.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterator, Optional, Sequence
@@ -223,7 +224,7 @@ def verify_gadget(gadget: Gadget, D: Digraph) -> GadgetReport:
     # product's vertices, in the engine's variable order
     variables, leaves = hom_leaves(gadget.slice, product)
     bit = {w: 1 << i for i, w in enumerate(res.product.vertices)}
-    copies = sorted([bit[copy[x]] for x in variables] for copy in map(res.copy_map, D.arcs))
+    copies = sorted([bit[copy[x]] for x in variables] for copy in res.copies.values())
     found = sorted(leaves)
     if found == copies:
         return GadgetReport(1, D.vertex_count, True, hom_count=len(found))
@@ -236,6 +237,15 @@ def verify_gadget(gadget: Gadget, D: Digraph) -> GadgetReport:
     return GadgetReport(1, D.vertex_count, False, ce, hom_count=len(found))
 
 
+def check_job_count(jobs: int) -> None:
+    """Raise ValueError unless 1 <= jobs <= the machine's CPU count.  A count
+    below 1 names no process; above the CPU count the pool would start that
+    many processes at once."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
+
+
 def verify_gadget_exhaustive(
     gadget: Gadget,
     max_n: int,
@@ -246,9 +256,11 @@ def verify_gadget_exhaustive(
     """Sweep every labeled digraph without isolated points on 1..max_n vertices.
 
     Stops at the first counterexample; ``digraphs_checked`` counts the
-    digraphs examined up to and including it.
+    digraphs examined up to and including it.  ``jobs`` worker processes
+    (1 runs in this process) share the sweep; see ``check_job_count``.
     """
     check_digraph_size(max_n)
+    check_job_count(jobs)
     checked = 0
     total_homs = 0
     digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True))

@@ -36,8 +36,18 @@ DIGRAPH_ENUMERATION_CAP = 4
 Constraints = list[list[tuple[Sequence[int], list[int]]]]
 
 
-def _mask(index: Mapping[Vertex, int], vertices: Iterable[Vertex]) -> int:
-    return sum(1 << index[v] for v in vertices)
+def _adjacency_masks(
+    index: Mapping[Vertex, int], pairs: Iterable[tuple[Vertex, Vertex]]
+) -> tuple[list[int], list[int]]:
+    """Per host vertex, in ``index`` order, the bitsets of its out- and
+    in-neighbours along ``pairs``, built in one pass over them."""
+    out = [0] * len(index)
+    inn = [0] * len(index)
+    for u, v in pairs:
+        i, j = index[u], index[v]
+        out[i] |= 1 << j
+        inn[j] |= 1 << i
+    return out, inn
 
 
 def _propagate(doms: list[int], changed: Iterable[int], constraints: Constraints) -> Optional[list[int]]:
@@ -152,7 +162,8 @@ def hom_leaves(
         domain[k] &= 1 << index[v]
     variables = sorted(A.vertices, key=lambda v: (-A.degree(v), v))
     position = {v: i for i, v in enumerate(variables)}
-    adjacency = [_mask(index, B.neighbors(w)) for w in B.vertices]
+    # an edge is listed once, so a neighbour is an out- or an in-neighbour along the list
+    adjacency = [o | i for o, i in zip(*_adjacency_masks(index, B.edges))]
     constraints: Constraints = [
         [(adjacency, [position[w] for w in A.neighbors(v)])] for v in variables
     ]
@@ -339,7 +350,7 @@ def digraph_hom_leaves(
     variables = sorted(D1.vertices, key=lambda v: (-len(D1.out_neighbors(v)) - len(D1.in_neighbors(v)), v))
     index = {w: i for i, w in enumerate(D2.vertices)}
     position = {v: i for i, v in enumerate(variables)}
-    out, inn = ([_mask(index, nbrs(w)) for w in D2.vertices] for nbrs in (D2.out_neighbors, D2.in_neighbors))
+    out, inn = _adjacency_masks(index, D2.arcs)
     constraints: Constraints = [
         [
             (out, [position[w] for w in D1.out_neighbors(v) if w != v]),
@@ -347,7 +358,7 @@ def digraph_hom_leaves(
         ]
         for v in variables
     ]
-    looped = _mask(index, (w for w in D2.vertices if D2.has_arc(w, w)))
+    looped = sum(1 << i for i, m in enumerate(out) if m >> i & 1)
     domains = [looped if D1.has_arc(v, v) else (1 << len(index)) - 1 for v in variables]
     return variables, _solve(domains, constraints, limit)
 

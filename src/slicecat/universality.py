@@ -14,6 +14,7 @@ folding.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -606,10 +607,10 @@ def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Opti
     (D1, res1, F1), (D2, res2, F2) = first, second
     interior = [w for w in gadget.carrier.vertices if w not in (gadget.a, gadget.b)]
     bit = {w: 1 << i for i, w in enumerate(F2.carrier.vertices)}
-    glued = {(bit[x], bit[y]): [bit[res2.interior((x, y), w)] for w in interior] for x, y in D2.arcs}
+    glued = {(bit[x], bit[y]): [bit[copy[w]] for w in interior] for (x, y), copy in res2.copies.items()}
     variables, leaves = hom_leaves(F1, F2)
     at = {v: i for i, v in enumerate(variables)}
-    copies = [(at[u], at[v], [at[res1.interior((u, v), w)] for w in interior]) for u, v in D1.arcs]
+    copies = [(at[u], at[v], [at[copy[w]] for w in interior]) for (u, v), copy in res1.copies.items()]
     slice_homs = 0
     stray = None
     for leaf in leaves:
@@ -653,6 +654,12 @@ def full_embedding_check(
     return _embedding_sweep(gadget, [(x, y) for x in triples for y in triples], progress)
 
 
+@functools.cache
+def _isolation_free_masks(n: int) -> tuple[int, ...]:
+    """``digraph_masks(n, True)`` as a table: a constant of n, built once per process."""
+    return tuple(digraph_masks(n, True))
+
+
 def full_embedding_spot_check(
     gadget: Gadget,
     n: int,
@@ -665,7 +672,7 @@ def full_embedding_spot_check(
     sampled digraphs are built, from their arc masks."""
     if pair_count < 1:  # no pairs would pass vacuously
         raise ValueError(f"pair_count must be at least 1, got {pair_count}")
-    masks = list(digraph_masks(n, True))
+    masks = _isolation_free_masks(n)
     rng = random.Random(seed)
     chosen_idx = sorted(
         {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
@@ -745,6 +752,8 @@ def dichotomy_sweep(
     (disconnected carriers included)."""
     if max_carrier < 1:  # a sweep over no carrier sizes would pass vacuously
         raise ValueError(f"max_carrier must be at least 1, got {max_carrier}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     instances = 0
     for n in range(1, max_carrier + 1):
         for carrier in enumerate_graphs(n):

@@ -111,6 +111,103 @@ class TestArrowGraph:
         assert img1 & img2 == {"u", "v"}
 
 
+def two_pass_arrow(D, H, a, b):
+    """Reference product: every interior id first, then the copy maps and the
+    edges in a second pass over the arcs.  Returns the product, the copy map
+    of every arc and the id of every (arc, interior vertex)."""
+    interior = [w for w in H.vertices if w not in (a, b)]
+    used = set(D.vertices)
+    index = {}
+    vertices = list(D.vertices)
+    for arc in D.arcs:
+        for w in interior:
+            pid = f"({arc[0]},{arc[1]})::{w}"  # the documented id format
+            if pid in used:
+                raise ValueError(f"interior id {pid!r} collides with another product vertex id")
+            used.add(pid)
+            index[(arc, w)] = pid
+            vertices.append(pid)
+    copies = {}
+    edges = set()
+    for arc in D.arcs:
+        copy = {w: index[(arc, w)] for w in interior}
+        copy.update({a: arc[0], b: arc[1]})
+        copies[arc] = copy
+        for s, t in H.edges:
+            if copy[s] == copy[t]:
+                raise ValueError(
+                    f"loop arc {arc!r} with gadget edge ({s!r}, {t!r}) between the "
+                    "distinguished vertices would create a loop; the product leaves "
+                    "simple graphs"
+                )
+            edges.add((copy[s], copy[t]))
+    return Graph(vertices, edges), copies, index
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# a carrier whose distinguished vertices are adjacent, so loop arcs fail
+ADJACENT_ENDS = Graph(["a", "c", "d"], [("a", "c"), ("a", "d"), ("c", "d")])
+
+
+class TestOnePassProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(ADVERSARIAL_IDS, st.sampled_from(["u", "v", "w"])), min_size=1, max_size=4, unique=True),
+        st.sampled_from(BUILTIN_GADGET_NAMES + ("adjacent",)),
+        st.data(),
+    )
+    def test_matches_the_two_pass_reference(self, names, gadget_name, data):
+        arcs = data.draw(st.lists(st.sampled_from([(u, v) for u in names for v in names]), max_size=5, unique=True))
+        D = Digraph(names, arcs)
+        gadget = None if gadget_name == "adjacent" else builtin_gadget(gadget_name)
+        H, a, b = (ADJACENT_ENDS, "a", "d") if gadget is None else (gadget.carrier, gadget.a, gadget.b)
+        got = outcome(arrow_graph, D, H, a, b)
+        want = outcome(two_pass_arrow, D, H, a, b)
+        if isinstance(want, tuple) and want[0] is ValueError:
+            assert got == want
+            return
+        product, copies, index = want
+        assert got.product.vertices == product.vertices
+        assert got.product.edges == product.edges
+        for arc in D.arcs:
+            assert got.copy_map(arc) == copies[arc]
+            assert got.copies[arc] == copies[arc]
+        assert list(got.copies) == list(D.arcs)
+        for (arc, w), pid in index.items():
+            assert got.interior(arc, w) == pid
+        if gadget is not None:
+            f = gadget.slice.structure_map
+            expected = {u: f(a) for u in D.vertices}
+            expected.update({pid: f(w) for (arc, w), pid in index.items()})
+            assert product_structure_map(got, gadget).as_dict() == expected
+
+    def test_a_collision_is_reported_before_an_earlier_loop(self):
+        # the loop arc ("A", "A") comes first, the colliding arcs later
+        clash = Digraph(["A", "a,b", "c", "a", "b,c"], [("A", "A"), ("a,b", "c"), ("a", "b,c")])
+        got = outcome(arrow_graph, clash, ADJACENT_ENDS, "a", "d")
+        assert got == outcome(two_pass_arrow, clash, ADJACENT_ENDS, "a", "d")
+        assert "collides" in got[1]
+
+    def test_interior_rejects_the_distinguished_vertices(self):
+        res = arrow_graph(SINGLE_ARC, C3_GADGET.carrier, "a", "d")
+        for w in ("a", "d"):
+            with pytest.raises(KeyError):
+                res.interior(("u", "v"), w)
+
+    def test_copy_map_is_a_fresh_dict(self):
+        res = arrow_graph(SINGLE_ARC, C3_GADGET.carrier, "a", "d")
+        res.copy_map(("u", "v"))["a"] = "zz"
+        assert res.copy_map(("u", "v"))["a"] == "u"
+        with pytest.raises(TypeError):
+            res.copies[("u", "v")] = {}  # type: ignore[index]
+
+
 class TestPhi:
     def test_single_arc_case_analysis(self):
         res = arrow_graph(SINGLE_ARC, C3_GADGET.carrier, "a", "d")

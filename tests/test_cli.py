@@ -369,6 +369,22 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-gadget", "--gadget", "c3", "--max-size", "2", "--jobs", "0"],
+            ["verify-gadget", "--gadget", "c3", "--max-size", "2", "--jobs", "-4"],
+            ["verify-gadget", "--gadget", "c3", "--max-size", "2", "--jobs", str(10**9)],
+            ["verify-gadget", "--gadget", "c3", "--digraph", "d.json", "--jobs", "0"],
+            ["dichotomy", "base.json", "--max-carrier", "2", "--samples", "-1"],
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, capsys, monkeypatch, argv):
+        # rejected while parsing: no input is read and no worker is started
+        monkeypatch.setattr(cli, "verify_gadget_exhaustive", None)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_count_mode_matches_list_mode(self, capsys, tmp_path, c3_file):
         p2 = write(tmp_path / "p2.json", build_path(2).to_dict())
         _, listed = run(capsys, ["homs", p2, c3_file, "--mode", "list"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from slicecat.core import Digraph, Graph, Morphism, SliceObject, build_path, is_homomorphism
 from slicecat.homsearch import (
+    _adjacency_masks,
     classify_endomorphisms,
     contains_subgraph,
     enumerate_digraph_homs,
@@ -143,3 +144,21 @@ def test_graph_endo_counts_match_oracle(g):
 def test_slice_endo_counts_match_oracle(x):
     report = classify_endomorphisms(x)
     _check_endo_report(report, x.carrier, x.structure_map.as_dict(), *naive_endo_counts(x))
+
+
+def _vertex_mask(index, vertices):
+    return sum(1 << index[v] for v in vertices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), digraphs())
+def test_edge_list_masks_equal_per_vertex_masks(g, d):
+    # the searches build adjacency masks from one pass over the edge (arc)
+    # list; each must equal the mask of the vertex's own neighbour list
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adjacency = [o | i for o, i in zip(*_adjacency_masks(index, g.edges))]
+    assert adjacency == [_vertex_mask(index, g.neighbors(v)) for v in g.vertices]
+    index = {v: i for i, v in enumerate(d.vertices)}
+    out, inn = _adjacency_masks(index, d.arcs)
+    assert out == [_vertex_mask(index, d.out_neighbors(v)) for v in d.vertices]
+    assert inn == [_vertex_mask(index, d.in_neighbors(v)) for v in d.vertices]

@@ -331,6 +331,10 @@ class TestDichotomySweep:
         with pytest.raises(ValueError, match="max_carrier"):
             dichotomy_sweep(P3, max_carrier, samples=5)
 
+    def test_negative_sample_count_is_an_error(self):
+        with pytest.raises(ValueError, match="samples"):
+            dichotomy_sweep(P3, 2, samples=-1)
+
     def test_exhaustive_small_plus_samples(self):
         report = dichotomy_sweep(P3, 3, samples=60, seed=5)
         assert report.verdict
