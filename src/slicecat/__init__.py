@@ -24,6 +24,7 @@ from .homsearch import (
     EndoVerdict,
     classify_endomorphisms,
     contains_subgraph,
+    digraph_hom_count,
     enumerate_digraph_homs,
     enumerate_digraphs,
     enumerate_graphs,

@@ -29,10 +29,13 @@ from .gadgets import (
     verify_gadget_exhaustive,
 )
 from .homsearch import (
+    check_digraph_size,
     classify_endomorphisms,
     enumerate_digraphs,
     enumerate_homs,
     enumerate_slice_homs,
+    hom_count,
+    slice_hom_count,
 )
 from .universality import (
     BaseVerdict,
@@ -161,6 +164,7 @@ def cmd_strong_replacement(args) -> int:
         payload["digraphs_checked"] = 1
         _emit(payload)
         return 0 if report.holds else 1
+    check_digraph_size(args.max_size)  # before the smaller sizes are swept, not after
     for n in range(1, args.max_size + 1):
         for D in enumerate_digraphs(n, False):
             if args.regime == "irreflexive" and D.has_loop():
@@ -184,7 +188,6 @@ def cmd_homs(args) -> int:
     B = _load_homs_side(args.target)
     if isinstance(A, SliceObject) != isinstance(B, SliceObject):
         raise ValueError("source and target must both be graphs or both slice objects")
-    limit = 1 if args.mode == "exists" else args.max_solutions
     if isinstance(A, SliceObject):
         if args.base:
             base = _load_graph(args.base)
@@ -192,6 +195,14 @@ def cmd_homs(args) -> int:
                 raise ValueError("slice objects do not live over the given base")
         if A.base != B.base:
             raise ValueError("slice objects live over different bases")
+    limit = 1 if args.mode == "exists" else args.max_solutions
+    if args.mode == "count":
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
+        count = slice_hom_count(A, B) if isinstance(A, SliceObject) else hom_count(A, B)
+        _emit({"mode": "count", "count": count if limit is None else min(count, limit)})
+        return 0
+    if isinstance(A, SliceObject):
         homs: Iterator[Morphism] = (sm.map for sm in enumerate_slice_homs(A, B, limit))
     else:
         homs = enumerate_homs(A, B, limit=limit)
@@ -199,11 +210,8 @@ def cmd_homs(args) -> int:
         exists = next(homs, None) is not None
         _emit({"mode": "exists", "exists": exists})
         return 0 if exists else 1
-    if args.mode == "count":
-        _emit({"mode": "count", "count": sum(1 for _ in homs)})
-    else:
-        maps = [m.as_dict() for m in homs]
-        _emit({"mode": "list", "count": len(maps), "homs": maps})
+    maps = [m.as_dict() for m in homs]
+    _emit({"mode": "list", "count": len(maps), "homs": maps})
     return 0
 
 

@@ -12,6 +12,15 @@ ascending order.  Propagation only cuts branches without solutions, so
 solutions stream in lexicographic order of their images along that variable
 order, as a plain backtracker would emit them.
 
+Counting has its own entry point on the same domains, constraints and
+propagation.  ``_count`` multiplies the counts of the connected components of
+the variables that still have a choice (Bayardo & Pehoushek, AAAI 2000; Sang
+et al., SAT 2004), with a cache of component counts that lives for one call.
+``hom_count``, ``slice_hom_count`` and ``digraph_hom_count`` return counts
+without building a morphism per solution.  ``classify_endomorphisms`` counts
+every subtree below an assignment that repeats a fixed value, where no
+bijection is left, and walks the rest.
+
 Validation happens once, where results leave the library.  ``hom_leaves``
 and ``digraph_hom_leaves`` give the raw stream; the public ``enumerate_*``
 functions wrap it and yield validated morphisms (dicts for digraphs).  The
@@ -24,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 
@@ -34,6 +43,9 @@ DIGRAPH_ENUMERATION_CAP = 4
 # one constraint group of a variable x: (support, partners).  When x takes
 # value i, every variable in partners must take a value in support[i].
 Constraints = list[list[tuple[Sequence[int], list[int]]]]
+# a test on a propagated node and the depth of the variable just assigned
+# there: True keeps the search from descending below the node
+Cut = Optional[Callable[[list[int], int], bool]]
 
 
 def _adjacency_masks(
@@ -75,19 +87,35 @@ def _propagate(doms: list[int], changed: Iterable[int], constraints: Constraints
     return doms
 
 
-def _solve(domains: list[int], constraints: Constraints, limit: Optional[int]) -> Iterator[list[int]]:
+def _root(domains: list[int], constraints: Constraints) -> Optional[list[int]]:
+    """The domains after AC-3 from every variable; None when one is empty."""
+    return _propagate(list(domains), range(len(domains)), constraints) if all(domains) else None
+
+
+def _solve(domains: list[int], constraints: Constraints, limit: Optional[int], cut: Cut = None) -> Iterator[list[int]]:
     """Yield every assignment within the domain bitsets that satisfies the
     constraints (each listed from both ends), assigning variables in list
     order and values in ascending order.  A solution is yielded as its list of
     singleton domains, which may be one of the search's frames: never mutate it.
+
+    ``cut``, when given, is called on every node that an assignment and its
+    propagation make above the leaves (not on the root, and not where the
+    value was forced already); the search does not descend below a node it
+    returns True for.
     """
     if not domains:
         yield []
         return
-    root = _propagate(list(domains), range(len(domains)), constraints) if all(domains) else None
+    root = _root(domains, constraints)
+    if root is not None:
+        yield from _dfs(root, constraints, limit, cut)
+
+
+def _dfs(node: list[int], constraints: Constraints, limit: Optional[int], cut: Cut = None) -> Iterator[list[int]]:
+    """The depth-first search of ``_solve`` below an arc-consistent ``node``."""
     emitted = 0
     # one frame per depth: the domains on entry and the values left to try
-    stack = [(root, root[0])] if root else []
+    stack = [(node, node[0])]
     while stack:
         doms, left = stack[-1]
         if not left:
@@ -101,15 +129,68 @@ def _solve(domains: list[int], constraints: Constraints, limit: Optional[int]) -
             child = doms.copy()
             child[depth] = low
             child = _propagate(child, (depth,), constraints)
-            if child is None:
+            if child is None or cut and depth + 1 < len(node) and cut(child, depth):
                 continue
-        if depth + 1 < len(domains):
+        if depth + 1 < len(node):
             stack.append((child, child[depth + 1]))
             continue
         yield child
         emitted += 1
         if emitted == limit:
             return
+
+
+def _count(doms: list[int], constraints: Constraints, cache: dict, variables: Iterable[int]) -> int:
+    """The number of solutions within the arc-consistent ``doms`` on ``variables``.
+
+    In an arc-consistent state a singleton variable's constraints already hold
+    for every value its partners have left, so only the variables with a
+    choice matter, and they fall apart into the connected components of the
+    constraint graph among them (Bayardo & Pehoushek, "Counting models using
+    connected components", AAAI 2000).  Component counts multiply.  A
+    one-variable component counts its domain's bits; a larger one branches on
+    its first variable, propagates and counts the rest, and is cached by its
+    variables and domains for the lifetime of ``cache`` (one caller's call).
+    Each nested component is one level of Python recursion.
+    """
+    pending = {x for x in variables if doms[x] & (doms[x] - 1)}
+    total = 1
+    while pending:
+        component = [pending.pop()]
+        for x in component:
+            for _, partners in constraints[x]:
+                for y in partners:
+                    if y in pending:
+                        pending.remove(y)
+                        component.append(y)
+        if len(component) == 1:
+            total *= doms[component[0]].bit_count()
+            continue
+        component.sort()
+        key = (tuple(component), tuple([doms[x] for x in component]))
+        count = cache.get(key)
+        if count is None:
+            count = 0
+            x, rest = component[0], component[1:]
+            left = doms[x]
+            while left:
+                low = left & -left
+                left ^= low
+                child = doms.copy()
+                child[x] = low
+                if _propagate(child, (x,), constraints) is not None:
+                    count += _count(child, constraints, cache, rest)
+            cache[key] = count
+        if not count:
+            return 0
+        total *= count
+    return total
+
+
+def _count_solutions(domains: list[int], constraints: Constraints) -> int:
+    """How many assignments ``_solve`` would yield, counted by ``_count``."""
+    root = _root(domains, constraints)
+    return 0 if root is None else _count(root, constraints, {}, range(len(root)))
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -140,6 +221,14 @@ def hom_leaves(
     the stream after that many solutions.
     """
     _check_limit(limit)
+    variables, domains, constraints = _hom_search(A, B, pins, injective)
+    return variables, _solve(domains, constraints, limit)
+
+
+def _hom_search(
+    A: Graph | SliceObject, B: Graph | SliceObject, pins: Optional[Mapping[Vertex, Vertex]], injective: bool
+) -> tuple[list[Vertex], list[int], Constraints]:
+    """The variable order, starting domains and constraints of ``hom_leaves``."""
     colors = None
     if isinstance(A, SliceObject):
         if A.base != B.base:
@@ -171,7 +260,7 @@ def hom_leaves(
         not_equal = [full ^ 1 << i for i in range(len(index))]
         for x, group in enumerate(constraints):
             group.append((not_equal, [y for y in range(len(variables)) if y != x]))
-    return variables, _solve([domain[v] for v in variables], constraints, limit)
+    return variables, [domain[v] for v in variables], constraints
 
 
 def enumerate_homs(
@@ -187,7 +276,8 @@ def enumerate_homs(
 
 
 def hom_count(A: Graph, B: Graph, pins: Optional[Mapping[Vertex, Vertex]] = None) -> int:
-    return sum(1 for _ in enumerate_homs(A, B, pins))
+    """The number of homomorphisms A -> B extending ``pins``, counted without enumerating them."""
+    return _count_solutions(*_hom_search(A, B, pins, False)[1:])
 
 
 def enumerate_slice_homs(X: SliceObject, Y: SliceObject, limit: Optional[int] = None) -> Iterator[SliceMorphism]:
@@ -198,7 +288,8 @@ def enumerate_slice_homs(X: SliceObject, Y: SliceObject, limit: Optional[int] = 
 
 
 def slice_hom_count(X: SliceObject, Y: SliceObject) -> int:
-    return sum(1 for _ in enumerate_slice_homs(X, Y))
+    """The number of slice morphisms X -> Y, counted without enumerating them."""
+    return _count_solutions(*_hom_search(X, Y, None, False)[1:])
 
 
 class EndoVerdict(enum.Enum):
@@ -232,22 +323,49 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     or a plain graph (ordinary graph endomorphisms).  For finite objects an
     endomorphism is proper exactly when its vertex map is non-bijective.
     Counts come from raw solutions; only the witness is built and validated.
+
+    One depth-first walk in static order counts where it would otherwise
+    descend into maps that cannot be bijections.  When the value just
+    assigned is already another variable's only value, every solution below
+    is non-bijective: the walk adds ``_count`` of the node and does not
+    descend.  The leaves it reaches are told apart by their sum; they are
+    automorphisms unless propagation forced two variables onto one value.
+    The first non-bijective leaf, or the first solution under the first
+    counted node with a non-zero count, whichever the walk meets first, is
+    the first non-bijective endomorphism in static order: the witness.
     """
     carrier = X if isinstance(X, Graph) else X.carrier
-    variables, leaves = hom_leaves(X, X)
-    every_vertex = (1 << carrier.vertex_count) - 1
+    variables, domains, constraints = _hom_search(X, X, None, False)
+    cache: dict = {}
     endo_count = 0
+    first: Optional[list[int]] = None
+
+    def non_bijective(doms: list[int], depth: int) -> bool:
+        nonlocal endo_count, first
+        if doms.count(doms[depth]) == 1:  # no other variable is fixed to this value
+            return False
+        count = _count(doms, constraints, cache, range(len(doms)))
+        if count and first is None:
+            first = next(_dfs(doms, constraints, 1))
+        endo_count += count
+        return True
+
+    every_vertex = (1 << carrier.vertex_count) - 1
     auto_count = 0
-    witness: Optional[Morphism] = None
-    for leaf in leaves:
-        endo_count += 1
+    for leaf in _solve(domains, constraints, None, non_bijective):
         # n distinct singletons sum to all n bits; a repeated one carries and
         # leaves fewer bits set, so the sum tells bijections apart
         if sum(leaf) == every_vertex:
             auto_count += 1
-        elif witness is None:
-            m = _mapping(variables, carrier.vertices, leaf)
-            witness = Morphism(X, X, m) if isinstance(X, Graph) else SliceMorphism(X, X, m).map
+        else:
+            endo_count += 1
+            if first is None:
+                first = leaf
+    endo_count += auto_count
+    witness: Optional[Morphism] = None
+    if first is not None:
+        m = _mapping(variables, carrier.vertices, first)
+        witness = Morphism(X, X, m) if isinstance(X, Graph) else SliceMorphism(X, X, m).map
     if endo_count == 1:
         verdict = EndoVerdict.RIGID
     elif endo_count > auto_count:
@@ -347,6 +465,12 @@ def digraph_hom_leaves(
     land on a looped vertex of D2.
     """
     _check_limit(limit)
+    variables, domains, constraints = _digraph_search(D1, D2)
+    return variables, _solve(domains, constraints, limit)
+
+
+def _digraph_search(D1: Digraph, D2: Digraph) -> tuple[list[Vertex], list[int], Constraints]:
+    """The variable order, starting domains and constraints of ``digraph_hom_leaves``."""
     variables = sorted(D1.vertices, key=lambda v: (-len(D1.out_neighbors(v)) - len(D1.in_neighbors(v)), v))
     index = {w: i for i, w in enumerate(D2.vertices)}
     position = {v: i for i, v in enumerate(variables)}
@@ -360,7 +484,12 @@ def digraph_hom_leaves(
     ]
     looped = sum(1 << i for i, m in enumerate(out) if m >> i & 1)
     domains = [looped if D1.has_arc(v, v) else (1 << len(index)) - 1 for v in variables]
-    return variables, _solve(domains, constraints, limit)
+    return variables, domains, constraints
+
+
+def digraph_hom_count(D1: Digraph, D2: Digraph) -> int:
+    """The number of arc-preserving vertex maps D1 -> D2, counted without enumerating them."""
+    return _count_solutions(*_digraph_search(D1, D2)[1:])
 
 
 def enumerate_digraph_homs(D1: Digraph, D2: Digraph, limit: Optional[int] = None) -> Iterator[dict[Vertex, Vertex]]:

@@ -40,7 +40,7 @@ from .homsearch import (
     classify_endomorphisms,
     contains_subgraph,
     digraph_from_mask,
-    digraph_hom_leaves,
+    digraph_hom_count,
     digraph_masks,
     enumerate_digraphs,
     enumerate_graphs,
@@ -619,7 +619,7 @@ def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Opti
             glued.get((leaf[i], leaf[j])) == [leaf[k] for k in ks] for i, j, ks in copies
         ):
             stray = leaf
-    digraph_homs = sum(1 for _ in digraph_hom_leaves(D1, D2)[1])
+    digraph_homs = digraph_hom_count(D1, D2)
     if digraph_homs != slice_homs:
         detail = f"{digraph_homs} digraph homs vs {slice_homs} slice homs"
         return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "count-mismatch", detail)

@@ -179,6 +179,17 @@ class TestStrongReplacement:
         payload = json.loads(out)
         assert code == 0 and payload["holds"]
 
+    def test_over_cap_exits_two_before_sweeping(self, capsys, tmp_path, monkeypatch):
+        checked = []
+        monkeypatch.setattr(cli, "check_strong_replacement", lambda *args, **kwargs: checked.append(args))
+        f = write(tmp_path / "k2.json", build_path(1).to_dict())
+        code, out = run(
+            capsys,
+            ["strong-replacement", "--graph", f, "--a", "v0", "--b", "v1", "--max-size", "5"],
+        )
+        assert code == 2 and "capped" in json.loads(out)["error"]
+        assert checked == []
+
 
 class TestHoms:
     def test_plain_count(self, capsys, tmp_path):

@@ -2,28 +2,36 @@
 
 Each public enumerator must yield exactly the oracle's solution set, in the
 sequence a plain depth-first search with the static variable order and
-ascending values would emit: sorted by the images along that order.
-``classify_endomorphisms`` counts from the engine's raw solutions and must
-agree with the oracle's counts.
+ascending values would emit: sorted by the images along that order.  Each
+count (``hom_count``, ``slice_hom_count``, ``digraph_hom_count``) must equal
+the length of that stream.  ``classify_endomorphisms`` must agree with the
+oracle's counts, and its witness must be the oracle's first non-bijective
+endomorphism in that sequence.
 """
 
+from math import comb, factorial
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicecat.core import Digraph, Graph, Morphism, SliceObject, build_path, is_homomorphism
+from slicecat.core import Digraph, Graph, Morphism, SliceObject, build_cycle, build_path
 from slicecat.homsearch import (
+    EndoVerdict,
     _adjacency_masks,
     classify_endomorphisms,
     contains_subgraph,
+    digraph_hom_count,
     enumerate_digraph_homs,
     enumerate_homs,
     enumerate_slice_homs,
+    hom_count,
+    slice_hom_count,
 )
 
 from conftest import (
     digraph_variable_order,
     graph_variable_order,
     naive_digraph_homs,
-    naive_endo_counts,
     naive_homs,
     naive_slice_homs,
     static_order_sequence,
@@ -31,7 +39,7 @@ from conftest import (
 
 BASES = [build_path(1), build_path(3), Graph(list("012"), [("0", "1"), ("1", "2"), ("0", "2")])]
 # ids chosen so that lexicographic order differs from creation order
-NAMES = ["v3", "a", "Z", "v10", "b b", "v1"]
+NAMES = ["v3", "a", "Z", "v10", "b b", "v1", "c"]
 
 
 @st.composite
@@ -75,6 +83,15 @@ def digraphs(draw, max_vertices=4):
 def test_graph_homs_match_oracle_in_order(a, b):
     got = [m.mapping for m in enumerate_homs(a, b)]
     assert got == static_order_sequence(naive_homs(a, b), graph_variable_order(a))
+    assert hom_count(a, b) == len(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=7), graphs(max_vertices=3))
+def test_sparse_pattern_counts_match_oracle(a, b):
+    # larger patterns fall apart into more components once a few vertices
+    # are fixed, so the component products and the cache are exercised
+    assert hom_count(a, b) == len(naive_homs(a, b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,6 +104,7 @@ def test_pinned_graph_homs_match_oracle(a, b, data):
     got = [m.mapping for m in enumerate_homs(a, b, pins={v: w})]
     expected = {key for key in naive_homs(a, b) if dict(key)[v] == w}
     assert got == static_order_sequence(expected, graph_variable_order(a))
+    assert hom_count(a, b, pins={v: w}) == len(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,6 +113,7 @@ def test_slice_homs_match_oracle_in_order(pair):
     x, y = pair
     got = [sm.map.mapping for sm in enumerate_slice_homs(x, y)]
     assert got == static_order_sequence(naive_slice_homs(x, y), graph_variable_order(x.carrier))
+    assert slice_hom_count(x, y) == len(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,6 +121,7 @@ def test_slice_homs_match_oracle_in_order(pair):
 def test_digraph_homs_match_oracle_in_order(d1, d2):
     got = [tuple(sorted(m.items())) for m in enumerate_digraph_homs(d1, d2)]
     assert got == static_order_sequence(naive_digraph_homs(d1, d2), digraph_variable_order(d1))
+    assert digraph_hom_count(d1, d2) == len(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,32 +138,82 @@ def test_subgraph_containment_finds_first_injective_hom(pattern, host):
         assert found is not None and found.mapping == first
 
 
-def _check_endo_report(report, carrier, color, endos, autos):
-    assert (report.endo_count, report.auto_count) == (endos, autos)
-    if endos == autos:
+def _check_endo_report(report, carrier, homs):
+    """The oracle's counts, and as witness its first non-bijective endomorphism
+    in static order (so the witness is a colour-preserving proper endomorphism)."""
+    ordered = static_order_sequence(homs, graph_variable_order(carrier))
+    proper = [key for key in ordered if len({w for _, w in key}) < carrier.vertex_count]
+    assert (report.endo_count, report.auto_count) == (len(homs), len(homs) - len(proper))
+    if not proper:
         assert report.witness is None
         return
     w = report.witness
     assert isinstance(w, Morphism) and w.domain == w.codomain == carrier
-    assert is_homomorphism(w.as_dict(), carrier, carrier) == (True, None)
-    assert not w.is_bijective()
-    if color is not None:
-        assert all(color[w(v)] == color[v] for v in carrier.vertices)
+    assert w.mapping == proper[0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(graphs())
 def test_graph_endo_counts_match_oracle(g):
-    homs = naive_homs(g, g)
-    autos = sum(1 for key in homs if len({w for _, w in key}) == g.vertex_count)
-    _check_endo_report(classify_endomorphisms(g), g, None, len(homs), autos)
+    _check_endo_report(classify_endomorphisms(g), g, naive_homs(g, g))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(BASES).flatmap(lambda base: slice_objects(base)))
+@given(st.sampled_from(BASES).flatmap(lambda base: slice_objects(base, max_vertices=6)))
 def test_slice_endo_counts_match_oracle(x):
+    _check_endo_report(classify_endomorphisms(x), x.carrier, naive_slice_homs(x, x))
+
+
+def test_equal_domains_of_different_components_are_cached_apart():
+    # a path and a triangle of three vertices each keep full domains in K3,
+    # but have 12 and 6 maps there: a cache keyed by domains alone would
+    # hand one component the other's count
+    pattern = Graph(list("abcdef"), [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"), ("d", "f")])
+    assert hom_count(pattern, build_cycle(3)) == 12 * 6
+
+
+def _path_walks(vertices: int, steps: int) -> int:
+    """Walks with ``steps`` steps on the path with ``vertices`` vertices, by the
+    reflection principle: unrestricted walks from i to j minus their
+    reflections across the absent vertices -1 and ``vertices``."""
+
+    def free(d: int) -> int:  # unrestricted walks displaced by d
+        return comb(steps, (steps + d) // 2) if abs(d) <= steps and (steps + d) % 2 == 0 else 0
+
+    period = 2 * (vertices + 1)
+    shifts = range(-steps // period - 1, steps // period + 2)
+    return sum(
+        free(j - i + m * period) - free(-2 - j - i + m * period)
+        for i in range(vertices)
+        for j in range(vertices)
+        for m in shifts
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_path_endomorphisms_are_its_walks(n):
+    # an endomorphism of P_n is a walk of n steps along its n + 1 vertices
+    report = classify_endomorphisms(build_path(n))
+    assert (report.endo_count, report.auto_count) == (_path_walks(n + 1, n), 2)
+    if n == 1:
+        assert report.verdict is EndoVerdict.AUTOMORPHISMS_ONLY and report.witness is None
+    else:
+        assert report.verdict is EndoVerdict.HAS_PROPER_ENDOMORPHISM
+        assert not report.witness.is_bijective()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_isolated_one_colour_vertices(n):
+    # every vertex is its own component: n^n endomorphisms, n! automorphisms,
+    # and the first map in static order sends every vertex to the least one
+    vs = [f"x{i}" for i in range(n)]
+    x = SliceObject(Graph(vs, []), build_path(0), {v: "v0" for v in vs})
     report = classify_endomorphisms(x)
-    _check_endo_report(report, x.carrier, x.structure_map.as_dict(), *naive_endo_counts(x))
+    assert (report.endo_count, report.auto_count) == (n**n, factorial(n))
+    if n == 1:
+        assert report.verdict is EndoVerdict.RIGID and report.witness is None
+    else:
+        assert report.witness.as_dict() == {v: "x0" for v in vs}
 
 
 def _vertex_mask(index, vertices):
