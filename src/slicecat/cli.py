@@ -23,7 +23,6 @@ from .gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
     builtin_gadget,
-    check_job_count,
     check_strong_replacement,
     verify_gadget,
     verify_gadget_exhaustive,
@@ -31,6 +30,9 @@ from .gadgets import (
 from .homsearch import (
     check_digraph_size,
     classify_endomorphisms,
+    digraph_classes,
+    digraph_from_mask,
+    digraph_masks,
     enumerate_digraphs,
     enumerate_homs,
     enumerate_slice_homs,
@@ -148,9 +150,7 @@ def cmd_verify_gadget(args) -> int:
     if args.digraph:
         report = verify_gadget(gadget, _load_digraph(args.digraph))
     else:
-        report = verify_gadget_exhaustive(
-            gadget, args.max_size, jobs=args.jobs, progress=_progress("verify-gadget")
-        )
+        report = verify_gadget_exhaustive(gadget, args.max_size, progress=_progress("verify-gadget"))
     _emit(report.to_dict())
     return 0 if report.verdict else 1
 
@@ -165,13 +165,17 @@ def cmd_strong_replacement(args) -> int:
         _emit(payload)
         return 0 if report.holds else 1
     check_digraph_size(args.max_size)  # before the smaller sizes are swept, not after
+    no_isolated = args.regime == "no-isolated"
     for n in range(1, args.max_size + 1):
-        for D in enumerate_digraphs(n, False):
-            if args.regime == "irreflexive" and D.has_loop():
-                continue
-            if args.regime == "no-isolated" and D.isolated_vertices():
+        loops = sum(1 << (n + 1) * i for i in range(n))
+        least = {mask for mask, _ in digraph_classes(n, no_isolated)}
+        for mask in digraph_masks(n, no_isolated):
+            if not no_isolated and mask & loops:
                 continue
             checked += 1
+            if mask not in least:
+                continue  # relabeling keeps the verdict, so its class passed at its least mask
+            D = digraph_from_mask(n, mask)
             report = check_strong_replacement(H, args.a, args.b, D, regime=args.regime)
             if not report.holds:
                 payload = report.to_dict()
@@ -275,14 +279,6 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _job_count(text: str) -> int:
-    try:
-        check_job_count(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicecat",
@@ -316,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--max-size", type=_positive_int, help="sweep all isolated-point-free digraphs up to this size")
     group.add_argument("--digraph", help="check one digraph file")
-    p.add_argument("--jobs", type=_job_count, default=1, help="worker processes, 1 to the CPU count")
     p.set_defaults(fn=cmd_verify_gadget)
 
     p = sub.add_parser("strong-replacement", help="check self-maps into products stay inside one copy")

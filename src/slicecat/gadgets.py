@@ -6,7 +6,8 @@ makes a gadget useful is that, for every digraph D without isolated points,
 the only slice morphisms from (H, f) into the glued product over D are the
 per-arc copy maps.  That statement quantifies over all digraphs; the
 verifiers here check it exhaustively up to a vertex cap and report the cap,
-they never claim the unbounded statement.
+they never claim the unbounded statement.  They run in one process and
+search once per isomorphism class, but count labeled digraphs.
 
 Four classic gadgets are built in, one per minimal universal base: a path of
 length 3 over the triangle, length 4 over the 4-cycle, length 12 over the
@@ -15,17 +16,16 @@ path of length 4, and length 6 over the 3-leaf star.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 from . import arrow
 from .core import Digraph, Graph, Morphism, SliceObject, Vertex, build_cycle, document_id
 from .homsearch import (
     check_digraph_size,
-    enumerate_digraphs,
+    digraph_classes,
+    digraph_from_mask,
+    digraph_masks,
     enumerate_homs,
     enumerate_slice_homs,
     hom_leaves,
@@ -237,48 +237,28 @@ def verify_gadget(gadget: Gadget, D: Digraph) -> GadgetReport:
     return GadgetReport(1, D.vertex_count, False, ce, hom_count=len(found))
 
 
-def check_job_count(jobs: int) -> None:
-    """Raise ValueError unless 1 <= jobs <= the machine's CPU count.  A count
-    below 1 names no process; above the CPU count the pool would start that
-    many processes at once."""
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
-
-
-def verify_gadget_exhaustive(
-    gadget: Gadget,
-    max_n: int,
-    *,
-    jobs: int = 1,
-    progress=None,
-) -> GadgetReport:
+def verify_gadget_exhaustive(gadget: Gadget, max_n: int, *, progress=None) -> GadgetReport:
     """Sweep every labeled digraph without isolated points on 1..max_n vertices.
 
-    Stops at the first counterexample; ``digraphs_checked`` counts the
-    digraphs examined up to and including it.  ``jobs`` worker processes
-    (1 runs in this process) share the sweep; see ``check_job_count``.
+    Each isomorphism class is checked once, at its least mask, the first of
+    its digraphs the sweep reaches; its hom count is weighted by its orbit
+    size.  Stops at the first counterexample; ``digraphs_checked`` counts
+    the digraphs examined up to and including it.
     """
     check_digraph_size(max_n)
-    check_job_count(jobs)
     checked = 0
     total_homs = 0
-    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True))
-    with contextlib.ExitStack() as stack:
-        if jobs > 1:
-            import concurrent.futures  # only parallel sweeps pay for its import
-
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            reports: Iterator[GadgetReport] = pool.map(verify_gadget, repeat(gadget), digraphs, chunksize=16)
-        else:
-            reports = map(verify_gadget, repeat(gadget), digraphs)
-        for report in reports:
+    for n in range(1, max_n + 1):
+        orbits = dict(digraph_classes(n, True))
+        for mask in digraph_masks(n, True):
             checked += 1
-            total_homs += report.hom_count or 0
+            if mask in orbits:
+                report = verify_gadget(gadget, digraph_from_mask(n, mask))
+                if not report.verdict:
+                    return replace(report, digraphs_checked=checked, max_size=max_n)
+                total_homs += len(orbits[mask]) * (report.hom_count or 0)
             if progress and checked % 100 == 0:
                 progress(checked)
-            if not report.verdict:
-                return replace(report, digraphs_checked=checked, max_size=max_n)
     return GadgetReport(checked, max_n, True, hom_count=total_homs)
 
 

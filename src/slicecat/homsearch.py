@@ -26,6 +26,11 @@ and ``digraph_hom_leaves`` give the raw stream; the public ``enumerate_*``
 functions wrap it and yield validated morphisms (dicts for digraphs).  The
 internal verifiers count and compare raw solutions and validate only the
 witnesses and counterexamples they return.
+
+The bounded sweeps search each isomorphism class of digraphs once, at its
+least arc mask (``digraph_classes``; isomorph rejection after McKay, J.
+Algorithms 1998), since relabeling keeps loops, isolated vertices, verdicts
+and hom counts.
 """
 
 from __future__ import annotations
@@ -402,30 +407,35 @@ def check_digraph_size(n: int) -> None:
         )
 
 
-def digraph_masks(n: int, require_no_isolated: bool, *, canonical: bool = False) -> Iterator[int]:
+def digraph_masks(n: int, require_no_isolated: bool) -> Iterator[int]:
     """The arc masks of ``enumerate_digraphs``, in its order; bit n*i + j is the arc (v_i, v_j)."""
     check_digraph_size(n)
     touching = [sum(1 << (n * i + j) | 1 << (n * j + i) for j in range(n)) for i in range(n)]
-    perms = list(permutations(range(n))) if canonical else []
     for mask in range(1 << (n * n)):
-        if require_no_isolated and not all(mask & t for t in touching):
-            continue
-        if canonical:
-            least = mask
-            for perm in perms:
-                relabeled = 0
-                m = mask
-                while m:
-                    bit = m & (-m)
-                    i, j = divmod(bit.bit_length() - 1, n)
-                    relabeled |= 1 << (n * perm[i] + perm[j])
-                    m ^= bit
-                if relabeled < least:
-                    least = relabeled
-                    break
-            if least != mask:
-                continue
-        yield mask
+        if not require_no_isolated or all(mask & t for t in touching):
+            yield mask
+
+
+def digraph_classes(n: int, require_no_isolated: bool) -> list[tuple[int, frozenset[int]]]:
+    """The isomorphism classes of the digraphs of ``digraph_masks``, ascending
+    by least mask: per class its least arc mask and its orbit, the masks of
+    the n!/|Aut| labeled digraphs isomorphic to it.
+
+    The masks are walked in ascending order.  A mask not seen yet is the
+    least of its class; relabeling it once per vertex permutation gives its
+    orbit, which is then marked as seen.
+    """
+    check_digraph_size(n)
+    perms = list(permutations(range(n)))
+    seen: set[int] = set()
+    classes = []
+    for mask in digraph_masks(n, require_no_isolated):
+        if mask not in seen:
+            arcs = [divmod(k, n) for k in range(n * n) if mask >> k & 1]
+            orbit = frozenset(sum(1 << (n * p[i] + p[j]) for i, j in arcs) for p in perms)
+            seen |= orbit
+            classes.append((mask, orbit))
+    return classes
 
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:
@@ -439,9 +449,12 @@ def enumerate_digraphs(n: int, require_no_isolated: bool, *, canonical: bool = F
 
     With ``require_no_isolated`` only relations where every vertex occurs in
     some arc are produced.  ``canonical`` keeps one representative per
-    isomorphism class (the least arc mask under vertex permutations).
+    isomorphism class, its least arc mask (see ``digraph_classes``).
     """
-    for mask in digraph_masks(n, require_no_isolated, canonical=canonical):
+    masks = digraph_masks(n, require_no_isolated)
+    if canonical:
+        masks = (m for m, _ in digraph_classes(n, require_no_isolated))
+    for mask in masks:
         yield digraph_from_mask(n, mask)
 
 

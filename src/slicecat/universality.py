@@ -5,9 +5,10 @@ full embedding of all loop-free-pointed digraph categories exactly when G
 contains a triangle, a 4-cycle, a path with four edges, or a 3-leaf star as a
 subgraph; equivalently, when G is not a subgraph of a disjoint union of paths
 of length three.  For a universal base the module checks the embedding
-machinery (gadget gluing) at desk scale; for a non-universal base it builds
-the constructive dichotomy witness: every slice object is rigid or carries a
-proper endomorphism, exhibited through path retractions and cross-component
+machinery (gadget gluing) at desk scale, one pair of digraphs per pair of
+isomorphism classes; for a non-universal base it builds the constructive
+dichotomy witness: every slice object is rigid or carries a proper
+endomorphism, exhibited through path retractions and cross-component
 folding.
 """
 
@@ -39,10 +40,10 @@ from .homsearch import (
     check_digraph_size,
     classify_endomorphisms,
     contains_subgraph,
+    digraph_classes,
     digraph_from_mask,
     digraph_hom_count,
     digraph_masks,
-    enumerate_digraphs,
     enumerate_graphs,
     enumerate_homs,
     hom_leaves,
@@ -647,11 +648,17 @@ def full_embedding_check(
     Sweeps all ordered pairs of isolated-point-free digraphs with up to
     ``max_n`` vertices.  Assumes the gadget itself has already been verified
     at this size (otherwise fullness can fail and will be reported).
+    Relabeling D1 and D2 separately keeps the verdict and both hom counts,
+    so each pair of isomorphism classes is checked once, at its least masks.
     """
     check_digraph_size(max_n)
-    digraphs = (D for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True))
-    triples = [_product_triple(gadget, D) for D in digraphs]
-    return _embedding_sweep(gadget, [(x, y) for x in triples for y in triples], progress)
+    # every labeled digraph, as (size, mask), to the least mask of its class
+    least = {
+        (n, m): (n, mask) for n in range(1, max_n + 1) for mask, orbit in digraph_classes(n, True) for m in orbit
+    }
+    labeled = sorted(least)
+    triples = {x: _product_triple(gadget, digraph_from_mask(*x)) for x in labeled if least[x] == x}
+    return _embedding_sweep(gadget, triples, ((least[x], least[y]) for x in labeled for y in labeled), progress)
 
 
 @functools.cache
@@ -679,16 +686,19 @@ def full_embedding_spot_check(
     )
     needed = sorted({i for p in chosen_idx for i in p})
     triples = {i: _product_triple(gadget, digraph_from_mask(n, masks[i])) for i in needed}
-    pairs = [(triples[i], triples[j]) for i, j in chosen_idx]
-    return _embedding_sweep(gadget, pairs, progress)
+    return _embedding_sweep(gadget, triples, chosen_idx, progress)
 
 
-def _embedding_sweep(gadget: Gadget, pairs, progress) -> EmbeddingReport:
+def _embedding_sweep(gadget: Gadget, triples: dict, pairs, progress) -> EmbeddingReport:
+    """Sweep ``pairs`` of keys of ``triples`` in order, checking each distinct pair once."""
     checked = 0
     total_d = 0
     total_s = 0
-    for first, second in pairs:
-        nd, ns, violation = _check_embedding_pair(gadget, first, second)
+    results: dict = {}
+    for pair in pairs:
+        if pair not in results:
+            results[pair] = _check_embedding_pair(gadget, triples[pair[0]], triples[pair[1]])
+        nd, ns, violation = results[pair]
         checked += 1
         total_d += nd
         total_s += ns

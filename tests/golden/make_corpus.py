@@ -28,7 +28,7 @@ from slicecat.core import (
     build_star,
     disjoint_union,
 )
-from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, Gadget, builtin_gadget
 
 HERE = Path(__file__).resolve().parent
 ENDO_VERTEX_LIMIT = 12
@@ -118,6 +118,15 @@ def _documents() -> dict[str, dict]:
     return docs
 
 
+def _gadget_documents() -> dict[str, dict]:
+    """Named gadget files, kept apart from ``_documents`` so no ``endos`` case
+    is made for them: C4 with c sent to 0, a structure-map rewrite that still
+    builds a gadget and fails both bounded verifiers."""
+    c4 = builtin_gadget("C4")
+    mutated = dict(c4.slice.structure_map.as_dict(), c="0")
+    return {"c4_mutant_c0": Gadget(SliceObject(c4.carrier, c4.base, mutated), c4.a, c4.b).to_dict()}
+
+
 HOMS_PAIRS = [
     ("p2", "c4"),
     ("c4", "p1"),
@@ -159,6 +168,23 @@ def _cases(docs: dict[str, dict]) -> dict[str, list]:
     for g in BUILTIN_GADGET_NAMES:
         cases[f"verify_gadget_{g}"] = ["verify-gadget", "--gadget", g, "--max-size", "2"]
         cases[f"embed_check_{g}"] = ["embed-check", "--gadget", g, "--max-size", "2"]
+        cases[f"verify_gadget_{g}_3"] = ["verify-gadget", "--gadget", g, "--max-size", "3"]
+    cases["verify_gadget_c4_mutant_c0"] = [
+        "verify-gadget", "--gadget", "inputs/c4_mutant_c0.json", "--max-size", "2"
+    ]
+    cases["embed_check_c4_mutant_c0"] = [
+        "embed-check", "--gadget", "inputs/c4_mutant_c0.json", "--max-size", "2"
+    ]
+    # the length-2 path glued by its ends crosses copies: the sweeps fail at
+    # labeled digraph 5 (irreflexive) and 3 (no-isolated); the edge passes
+    for regime in ("irreflexive", "no-isolated"):
+        cases[f"strong_replacement_p2_{regime}"] = [
+            "strong-replacement", "--graph", "inputs/p2.json", "--a", "v0", "--b", "v2",
+            "--max-size", "3", "--regime", regime,
+        ]
+    cases["strong_replacement_p1_irreflexive"] = [
+        "strong-replacement", "--graph", "inputs/p1.json", "--a", "v0", "--b", "v1", "--max-size", "3"
+    ]
     for name in CLASSIFY_GRAPHS:
         cases[f"classify_{name}"] = ["classify", f"inputs/{name}.json"]
     for name in RETRACT_SLICES:
@@ -178,6 +204,10 @@ def _cases(docs: dict[str, dict]) -> dict[str, list]:
         "homs", "inputs/p3.json", "inputs/c5.json", "--max-solutions", "3"
     ]
     cases["enumerate_digraphs_2_canonical"] = ["enumerate-digraphs", "--size", "2", "--canonical"]
+    cases["enumerate_digraphs_3_canonical"] = ["enumerate-digraphs", "--size", "3", "--canonical"]
+    cases["enumerate_digraphs_3_canonical_all"] = [
+        "enumerate-digraphs", "--size", "3", "--canonical", "--all"
+    ]
     return cases
 
 
@@ -194,7 +224,7 @@ def write_corpus(root: Path = HERE) -> int:
     docs = _documents()
     (root / "inputs").mkdir(exist_ok=True)
     (root / "expected").mkdir(exist_ok=True)
-    for name, doc in docs.items():
+    for name, doc in {**docs, **_gadget_documents()}.items():
         (root / "inputs" / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     cases = _cases(docs)
     manifest = {}

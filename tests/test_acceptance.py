@@ -21,6 +21,7 @@ from slicecat.gadgets import (
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
+    digraph_masks,
     enumerate_digraph_homs,
     enumerate_digraphs,
     enumerate_graphs,
@@ -72,6 +73,31 @@ def test_criterion_2_full_embedding():
         f"{report.digraph_homs} homs per side, {spot.pairs_checked} sampled "
         f"3-vertex pairs with {spot.digraph_homs} homs per side)"
     )
+
+
+def test_criterion_1_gadget_verification_at_four_vertices():
+    """The triangle gadget passes the exhaustive sweep up to 4 vertices."""
+    report = verify_gadget_exhaustive(builtin_gadget("C3"), 4)
+    # a passing gadget has one slice hom per arc, so its total is the arc
+    # count summed over the labeled digraphs, independent of the class sweep
+    arcs = sum(mask.bit_count() for n in range(1, 5) for mask in digraph_masks(n, True))
+    assert report.verdict, report.to_dict()
+    assert report.digraphs_checked == 1 + 13 + 469 + 63_577 == 64_060
+    assert report.hom_count == arcs == 517_502
+    print(f"ACCEPTANCE 1b gadget-verification at 4: PASS (64060 digraphs, {arcs} homs)")
+
+
+def test_criterion_2_full_embedding_at_three_vertices():
+    """Hom-set bijection for all 483^2 ordered pairs up to size 3 (figures of a labeled sweep)."""
+    report = full_embedding_check(builtin_gadget("C3"), 3)
+    assert report.to_dict() == {
+        "pairs_checked": 483 * 483,
+        "digraph_homs": 1_030_472,
+        "slice_homs": 1_030_472,
+        "verdict": "pass",
+        "violation": None,
+    }
+    print("ACCEPTANCE 2b full-embedding at 3: PASS (233289 exhaustive pairs, 1030472 homs per side)")
 
 
 def test_criterion_3_dichotomy():

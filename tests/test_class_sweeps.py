@@ -1,0 +1,276 @@
+"""Sweeps over isomorphism classes against the labeled sweeps they replace.
+
+The reference sweeps below walk every labeled digraph in ascending arc-mask
+order, one check per digraph, as the sweeps did before they checked one
+least mask per class.  Reduced and labeled sweeps must agree on every report
+field: verdict, counterexample, ``digraphs_checked``, ``pairs_checked`` and
+the hom totals.
+"""
+
+import contextlib
+import io
+import json
+from itertools import permutations
+from math import factorial
+
+import pytest
+
+from slicecat import gadgets, universality
+from slicecat.cli import main
+from slicecat.core import Digraph, SliceObject, build_path
+from slicecat.gadgets import (
+    BUILTIN_GADGET_NAMES,
+    Gadget,
+    GadgetCounterexample,
+    GadgetReport,
+    builtin_gadget,
+    check_strong_replacement,
+    structure_map_mutations,
+    verify_gadget_exhaustive,
+)
+from slicecat.homsearch import digraph_classes, digraph_masks, enumerate_digraphs
+from slicecat.universality import EmbeddingReport, EmbeddingViolation, full_embedding_check
+
+
+def _gadget_building_mutants() -> dict:
+    out = {}
+    for name in BUILTIN_GADGET_NAMES:
+        gadget = builtin_gadget(name)
+        for vertex, target in structure_map_mutations(gadget):
+            mutated = dict(gadget.slice.structure_map.as_dict(), **{vertex: target})
+            try:
+                out[f"{name}:{vertex}->{target}"] = Gadget(
+                    SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b
+                )
+            except ValueError:
+                continue
+    return out
+
+
+BUILTINS = {name: builtin_gadget(name) for name in BUILTIN_GADGET_NAMES}
+MUTANTS = _gadget_building_mutants()
+GADGETS = {**BUILTINS, **MUTANTS}
+
+
+def _mask(D: Digraph) -> int:
+    """The arc mask of a digraph on v0..v(n-1), as ``digraph_masks`` numbers it."""
+    n = D.vertex_count
+    return sum(1 << (n * int(u[1:]) + int(v[1:])) for u, v in D.arcs)
+
+
+# ---------------------------------------------------------------------------
+# labeled reference sweeps
+
+
+def labeled_verify(gadget, max_n) -> GadgetReport:
+    checked = 0
+    total_homs = 0
+    for n in range(1, max_n + 1):
+        for D in enumerate_digraphs(n, True):
+            report = gadgets.verify_gadget(gadget, D)
+            checked += 1
+            total_homs += report.hom_count or 0
+            if not report.verdict:
+                return GadgetReport(checked, max_n, False, report.counterexample, report.hom_count)
+    return GadgetReport(checked, max_n, True, hom_count=total_homs)
+
+
+def labeled_embed(gadget, max_n) -> EmbeddingReport:
+    triples = [
+        universality._product_triple(gadget, D) for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True)
+    ]
+    checked = total_d = total_s = 0
+    for first in triples:
+        for second in triples:
+            nd, ns, violation = universality._check_embedding_pair(gadget, first, second)
+            checked += 1
+            total_d += nd
+            total_s += ns
+            if violation is not None:
+                return EmbeddingReport(checked, total_d, total_s, False, violation)
+    return EmbeddingReport(checked, total_d, total_s, True)
+
+
+def labeled_strong(H, a, b, max_n, regime) -> dict:
+    checked = 0
+    for n in range(1, max_n + 1):
+        for D in enumerate_digraphs(n, False):
+            if regime == "irreflexive" and D.has_loop():
+                continue
+            if regime == "no-isolated" and D.isolated_vertices():
+                continue
+            checked += 1
+            report = check_strong_replacement(H, a, b, D, regime=regime)
+            if not report.holds:
+                return dict(report.to_dict(), digraphs_checked=checked, digraph=D.to_dict())
+    return {"holds": True, "digraphs_checked": checked, "witness": None}
+
+
+def cli_strong(tmp_path, H, a, b, max_n, regime) -> dict:
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(H.to_dict()), encoding="utf-8")
+    out = io.StringIO()
+    argv = ["strong-replacement", "--graph", str(path), "--a", a, "--b", b,
+            "--max-size", str(max_n), "--regime", regime]
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    payload = json.loads(out.getvalue())
+    assert code == (0 if payload["holds"] else 1)
+    return payload
+
+
+# ---------------------------------------------------------------------------
+# reduced sweeps equal labeled sweeps
+
+
+def test_the_mutants_are_the_twelve_gadget_building_rewrites():
+    assert len(MUTANTS) == 12
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_verify_matches_labeled_sweep(name):
+    gadget = GADGETS[name]
+    for max_n in (1, 2, 3):
+        assert verify_gadget_exhaustive(gadget, max_n).to_dict() == labeled_verify(gadget, max_n).to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_embed_matches_labeled_sweep(name):
+    gadget = GADGETS[name]
+    for max_n in (1, 2):
+        assert full_embedding_check(gadget, max_n).to_dict() == labeled_embed(gadget, max_n).to_dict()
+
+
+@pytest.mark.parametrize("regime", ["irreflexive", "no-isolated"])
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_strong_replacement_matches_labeled_sweep(tmp_path, name, regime):
+    # a rewrite changes only the structure map, so the mutants share these carriers
+    gadget = BUILTINS[name]
+    H, a, b = gadget.carrier, gadget.a, gadget.b
+    assert cli_strong(tmp_path, H, a, b, 3, regime) == labeled_strong(H, a, b, 3, regime)
+
+
+def test_passing_strong_replacement_matches_labeled_sweep(tmp_path):
+    # an edge glued by its ends stays in one copy; it cannot be glued along a loop
+    H = build_path(1)
+    expected = labeled_strong(H, "v0", "v1", 3, "irreflexive")
+    assert expected == {"holds": True, "digraphs_checked": 1 + 4 + 64, "witness": None}
+    assert cli_strong(tmp_path, H, "v0", "v1", 3, "irreflexive") == expected
+
+
+# ---------------------------------------------------------------------------
+# failures inside a class: the labeled prefix is recounted
+
+
+def _late_class(n: int, min_index: int) -> int:
+    """A least mask of an isolation-free class on n vertices, not the size's
+    first mask, that an earlier class has a member above: a sweep that
+    added up whole orbits before it would overcount."""
+    classes = digraph_classes(n, True)
+    for k, (mask, _) in enumerate(classes):
+        if k >= min_index and any(max(orbit) > mask for _, orbit in classes[:k]):
+            return mask
+    raise AssertionError("no such class")
+
+
+def test_verify_fails_inside_a_size_like_the_labeled_sweep(monkeypatch):
+    target = _late_class(3, 60)
+    orbit = next(o for m, o in digraph_classes(3, True) if m == target)
+    real = gadgets.verify_gadget
+
+    def liar(gadget, D):
+        report = real(gadget, D)
+        if D.vertex_count == 3 and _mask(D) in orbit:
+            ce = GadgetCounterexample(digraph=D, kind="extra-hom", mapping={"a": "a"})
+            return GadgetReport(1, 3, False, ce, hom_count=report.hom_count)
+        return report
+
+    monkeypatch.setattr(gadgets, "verify_gadget", liar)
+    seen = []
+    reduced = verify_gadget_exhaustive(builtin_gadget("C3"), 3, progress=seen.append)
+    labeled = labeled_verify(builtin_gadget("C3"), 3)
+    assert reduced.to_dict() == labeled.to_dict()
+    assert not reduced.verdict and _mask(reduced.counterexample.digraph) == target
+    # 1 + 13 digraphs on fewer vertices, then the labeled masks up to the target
+    assert reduced.digraphs_checked == 14 + sum(1 for m in digraph_masks(3, True) if m <= target)
+    assert seen and max(seen) <= reduced.digraphs_checked
+
+
+def test_embed_fails_inside_a_size_like_the_labeled_sweep(monkeypatch):
+    classes = dict(digraph_classes(2, True))
+    first, second = _late_class(2, 2), _late_class(2, 1)
+    real = universality._check_embedding_pair
+
+    def liar(gadget, x, y):
+        nd, ns, violation = real(gadget, x, y)
+        D1, D2 = x[0], y[0]
+        if D1.vertex_count == D2.vertex_count == 2 and _mask(D1) in classes[first] and _mask(D2) in classes[second]:
+            return nd, ns, EmbeddingViolation(D1, D2, "missing-image", "planted")
+        return nd, ns, violation
+
+    monkeypatch.setattr(universality, "_check_embedding_pair", liar)
+    seen = []
+    for name in ("C3", "P4"):
+        reduced = full_embedding_check(builtin_gadget(name), 2, progress=seen.append)
+        labeled = labeled_embed(builtin_gadget(name), 2)
+        assert reduced.to_dict() == labeled.to_dict()
+        assert not reduced.verdict
+        assert (_mask(reduced.violation.D1), _mask(reduced.violation.D2)) == (first, second)
+        assert 14 < reduced.pairs_checked < 14 * 14
+        assert seen and max(seen) <= reduced.pairs_checked
+
+
+def test_progress_reports_labeled_units():
+    seen = []
+    verify_gadget_exhaustive(builtin_gadget("C3"), 3, progress=seen.append)
+    assert seen == [100, 200, 300, 400]  # of 483 labeled digraphs in 1 + 8 + 94 classes
+    seen = []
+    full_embedding_check(builtin_gadget("C3"), 2, progress=seen.append)
+    assert seen == [50, 100, 150]  # of 196 labeled pairs
+
+
+# ---------------------------------------------------------------------------
+# digraph_classes
+
+
+def _brute_force_least_masks(n: int, require_no_isolated: bool) -> list[int]:
+    """The least mask of every class, by relabeling every mask under every permutation."""
+    perms = list(permutations(range(n)))
+    out = []
+    for mask in digraph_masks(n, require_no_isolated):
+        arcs = [divmod(k, n) for k in range(n * n) if mask >> k & 1]
+        if all(sum(1 << (n * p[i] + p[j]) for i, j in arcs) >= mask for p in perms):
+            out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("n, labeled", [(1, 1), (2, 13), (3, 469), (4, 63_577)])
+def test_orbits_partition_the_labeled_digraphs(n, labeled):
+    classes = digraph_classes(n, True)
+    assert sum(len(orbit) for _, orbit in classes) == labeled
+    assert set().union(*(orbit for _, orbit in classes)) == set(digraph_masks(n, True))
+    assert all(mask == min(orbit) for mask, orbit in classes)
+    assert [mask for mask, _ in classes] == sorted(mask for mask, _ in classes)
+
+
+@pytest.mark.parametrize("require_no_isolated", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_size_is_n_factorial_over_automorphisms(n, require_no_isolated):
+    perms = list(permutations(range(n)))
+    for mask, orbit in digraph_classes(n, require_no_isolated):
+        arcs = {divmod(k, n) for k in range(n * n) if mask >> k & 1}
+        automorphisms = sum(1 for p in perms if {(p[i], p[j]) for i, j in arcs} == arcs)
+        assert len(orbit) == factorial(n) // automorphisms
+
+
+@pytest.mark.parametrize("require_no_isolated", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_least_masks_match_the_brute_force_filter(n, require_no_isolated):
+    least = [mask for mask, _ in digraph_classes(n, require_no_isolated)]
+    assert least == _brute_force_least_masks(n, require_no_isolated)
+
+
+def test_classes_respect_the_cap():
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            digraph_classes(n, True)

@@ -383,16 +383,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify-gadget", "--gadget", "c3", "--max-size", "2", "--jobs", "0"],
-            ["verify-gadget", "--gadget", "c3", "--max-size", "2", "--jobs", "-4"],
-            ["verify-gadget", "--gadget", "c3", "--max-size", "2", "--jobs", str(10**9)],
-            ["verify-gadget", "--gadget", "c3", "--digraph", "d.json", "--jobs", "0"],
+            ["verify-gadget", "--gadget", "c3", "--max-size", "0"],
+            ["strong-replacement", "--graph", "g.json", "--a", "a.json", "--b", "b.json", "--max-size", "0"],
+            ["dichotomy", "base.json", "--max-carrier", "0"],
+            ["embed-check", "--gadget", "c3", "--max-size", "-4"],
             ["dichotomy", "base.json", "--max-carrier", "2", "--samples", "-1"],
         ],
     )
-    def test_out_of_range_counts_are_usage_errors(self, capsys, monkeypatch, argv):
-        # rejected while parsing: no input is read and no worker is started
-        monkeypatch.setattr(cli, "verify_gadget_exhaustive", None)
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
+        # rejected while parsing: no input is read
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
 

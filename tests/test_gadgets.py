@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from slicecat.core import Digraph, Graph, SliceObject, build_path, is_homomorphism
@@ -137,23 +135,6 @@ class TestVerifyGadget:
                 verify_gadget_exhaustive(builtin_gadget("C3"), max_n)
         with pytest.raises(ValueError, match="at least one vertex"):
             verify_mutated_gadget(builtin_gadget("C4"), "c", "0", max_n=0)
-
-    def test_job_count_outside_the_cpus_is_an_error(self, monkeypatch):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cpus = os.cpu_count() or 1
-        for jobs in (0, -1, cpus + 1, 10**9):
-            with pytest.raises(ValueError, match="jobs"):
-                verify_gadget_exhaustive(builtin_gadget("C3"), 2, jobs=jobs)
-
-    def test_parallel_sweep_matches_serial(self):
-        serial = verify_gadget_exhaustive(builtin_gadget("C3"), 2)
-        parallel = verify_gadget_exhaustive(builtin_gadget("C3"), 2, jobs=2)
-        assert serial.to_dict() == parallel.to_dict()
 
 
 class TestMutations:
