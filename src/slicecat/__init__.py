@@ -25,6 +25,7 @@ from .homsearch import (
     classify_endomorphisms,
     contains_subgraph,
     digraph_hom_count,
+    endomorphism_verdict,
     enumerate_digraph_homs,
     enumerate_digraphs,
     enumerate_graphs,

@@ -19,7 +19,8 @@ et al., SAT 2004), with a cache of component counts that lives for one call.
 ``hom_count``, ``slice_hom_count`` and ``digraph_hom_count`` return counts
 without building a morphism per solution.  ``classify_endomorphisms`` counts
 every subtree below an assignment that repeats a fixed value, where no
-bijection is left, and walks the rest.
+bijection is left, and walks the rest.  ``endomorphism_verdict`` gives the
+same verdict without counts, from at most n + 1 existence searches.
 
 Validation happens once, where results leave the library.  ``hom_leaves``
 and ``digraph_hom_leaves`` give the raw stream; the public ``enumerate_*``
@@ -156,40 +157,59 @@ def _count(doms: list[int], constraints: Constraints, cache: dict, variables: It
     one-variable component counts its domain's bits; a larger one branches on
     its first variable, propagates and counts the rest, and is cached by its
     variables and domains for the lifetime of ``cache`` (one caller's call).
-    Each nested component is one level of Python recursion.
+
+    Nested components are frames on an explicit stack, not Python calls, so
+    their depth (up to one per variable, as on a long path) is not bounded by
+    the recursion limit.
     """
+    # per component being summed: the product it interrupted (domains,
+    # pending variables, running total), then its cache key, branching
+    # variable, the rest, the values left and the sum so far
+    frames: list[list] = []
     pending = {x for x in variables if doms[x] & (doms[x] - 1)}
     total = 1
-    while pending:
-        component = [pending.pop()]
-        for x in component:
-            for _, partners in constraints[x]:
-                for y in partners:
-                    if y in pending:
-                        pending.remove(y)
-                        component.append(y)
-        if len(component) == 1:
-            total *= doms[component[0]].bit_count()
-            continue
-        component.sort()
-        key = (tuple(component), tuple([doms[x] for x in component]))
-        count = cache.get(key)
-        if count is None:
-            count = 0
-            x, rest = component[0], component[1:]
-            left = doms[x]
-            while left:
-                low = left & -left
-                left ^= low
-                child = doms.copy()
-                child[x] = low
-                if _propagate(child, (x,), constraints) is not None:
-                    count += _count(child, constraints, cache, rest)
-            cache[key] = count
-        if not count:
-            return 0
-        total *= count
-    return total
+    while True:
+        while pending and total:
+            component = [pending.pop()]
+            for x in component:
+                for _, partners in constraints[x]:
+                    for y in partners:
+                        if y in pending:
+                            pending.remove(y)
+                            component.append(y)
+            if len(component) == 1:
+                total *= doms[component[0]].bit_count()
+                continue
+            component.sort()
+            key = (tuple(component), tuple([doms[x] for x in component]))
+            count = cache.get(key)
+            if count is None:
+                frames.append([doms, pending, total, key, component[0], component[1:], doms[component[0]], 0])
+                break
+            total *= count
+        else:
+            # the product is complete: the answer, or one term of the innermost sum
+            if not frames:
+                return total
+            frames[-1][7] += total
+        frame = frames[-1]
+        parent, x, left = frame[0], frame[4], frame[6]
+        child = None
+        while left and child is None:
+            low = left & -left
+            left ^= low
+            child = parent.copy()
+            child[x] = low
+            child = _propagate(child, (x,), constraints)
+        frame[6] = left
+        if child is None:
+            # the sum is complete: cache it and resume the product it interrupted
+            frames.pop()
+            cache[frame[3]] = count = frame[7]
+            doms, pending, total = parent, frame[1], frame[2] * count
+        else:
+            doms, total = child, 1
+            pending = {y for y in frame[5] if child[y] & (child[y] - 1)}
 
 
 def _count_solutions(domains: list[int], constraints: Constraints) -> int:
@@ -378,6 +398,34 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     else:
         verdict = EndoVerdict.AUTOMORPHISMS_ONLY
     return EndoReport(verdict=verdict, witness=witness, endo_count=endo_count, auto_count=auto_count)
+
+
+def endomorphism_verdict(X: SliceObject | Graph) -> EndoVerdict:
+    """The verdict of ``classify_endomorphisms``, decided by existence searches
+    instead of counts.
+
+    This is the core test of Hell & Nešetřil ("The core of a graph", Discrete
+    Math. 1992): a finite X has a proper endomorphism iff one misses some
+    vertex, that is iff X maps into itself with that vertex taken out of
+    every domain (colors stay, so in the slice X minus a vertex keeps its
+    fibers).  One search per vertex, each stopped at its first solution,
+    settles that.  If none succeeds every endomorphism is an automorphism,
+    and a search stopped at two solutions tells the identity alone (rigid)
+    from a nontrivial group.
+    """
+    _, domains, constraints = _hom_search(X, X, None, False)
+    root = _root(domains, constraints)  # never None: the identity is a solution
+    for i in range(len(root)):
+        bit = 1 << i
+        doms = [d & ~bit for d in root]
+        # the root is arc-consistent, so only the variables that lost the value need revising
+        lost = [x for x, d in enumerate(root) if d & bit]
+        if all(doms) and _propagate(doms, lost, constraints) is not None:
+            if next(_dfs(doms, constraints, 1), None) is not None:
+                return EndoVerdict.HAS_PROPER_ENDOMORPHISM
+    if len(list(_solve(root, constraints, 2))) == 1:
+        return EndoVerdict.RIGID
+    return EndoVerdict.AUTOMORPHISMS_ONLY
 
 
 def contains_subgraph(pattern: Graph, host: Graph) -> Optional[Morphism]:

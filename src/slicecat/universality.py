@@ -44,6 +44,7 @@ from .homsearch import (
     digraph_from_mask,
     digraph_hom_count,
     digraph_masks,
+    endomorphism_verdict,
     enumerate_graphs,
     enumerate_homs,
     hom_leaves,
@@ -463,7 +464,7 @@ class DichotomyResult:
         }
 
 
-_CROSS_CHECK_LIMIT = 8
+_CROSS_CHECK_LIMIT = 12
 
 
 def classify_slice_object(X: SliceObject) -> DichotomyResult:
@@ -473,17 +474,27 @@ def classify_slice_object(X: SliceObject) -> DichotomyResult:
     the component rigid or yields a proper endomorphism; with all components
     rigid, any two components with nested images fold one into the other.  If
     neither happens the object is rigid.  Instances of at most
-    ``_CROSS_CHECK_LIMIT`` vertices are cross-checked against exhaustive
-    endomorphism enumeration.
+    ``_CROSS_CHECK_LIMIT`` vertices are cross-checked against the core test
+    (``endomorphism_verdict``).
     """
-    base_cls = classify_slice_base(X.base)
+    return _classify_over_paths(X, _path_decomposition(X.base))
+
+
+def _path_decomposition(base: Graph) -> tuple[tuple[Vertex, ...], ...]:
+    """The base's components as paths in order; ValueError for a universal base."""
+    base_cls = classify_slice_base(base)
     if base_cls.verdict is BaseVerdict.UNIVERSAL:
         raise ValueError(
             "base is universal; the dichotomy applies only to disjoint unions of "
             "short paths (use the gadget machinery instead)"
         )
-    path_of = {b: order for order in base_cls.decomposition or () for b in order}
-    position = {b: i for order in base_cls.decomposition or () for i, b in enumerate(order)}
+    return base_cls.decomposition or ()
+
+
+def _classify_over_paths(X: SliceObject, decomposition: tuple[tuple[Vertex, ...], ...]) -> DichotomyResult:
+    """``classify_slice_object`` with the base's ``decomposition`` given."""
+    path_of = {b: order for order in decomposition for b in order}
+    position = {b: i for order in decomposition for i, b in enumerate(order)}
     f = X.structure_map
 
     result: Optional[DichotomyResult] = None
@@ -544,8 +555,12 @@ def _fold_comparable_components(X: SliceObject, infos) -> Optional[DichotomyResu
 
 
 def _enumeration_disagreement(X: SliceObject, verdict: EndoVerdict) -> Optional[str]:
-    """None when exhaustive enumeration confirms the constructive ``verdict``,
-    else what is wrong: the monoid is a nontrivial group, or the verdicts differ."""
+    """None when the core test confirms the constructive ``verdict``, else what
+    is wrong, worded from the full endomorphism counts: the monoid is a
+    nontrivial group, or two of the three verdicts differ."""
+    found = endomorphism_verdict(X)
+    if found is verdict:
+        return None
     report = classify_endomorphisms(X)
     counts = f"{report.endo_count} endos, {report.auto_count} automorphisms"
     if report.verdict is EndoVerdict.AUTOMORPHISMS_ONLY:
@@ -555,7 +570,7 @@ def _enumeration_disagreement(X: SliceObject, verdict: EndoVerdict) -> Optional[
             f"constructive verdict {verdict.value} disagrees with "
             f"enumeration ({report.verdict.value}, {counts})"
         )
-    return None
+    return f"core test verdict {found.value} disagrees with enumeration ({report.verdict.value}, {counts})"
 
 
 # ---------------------------------------------------------------------------
@@ -736,11 +751,11 @@ class DichotomyReport:
         }
 
 
-def _check_dichotomy_instance(X: SliceObject) -> Optional[str]:
+def _check_dichotomy_instance(X: SliceObject, decomposition: tuple[tuple[Vertex, ...], ...]) -> Optional[str]:
     """None when the instance satisfies the dichotomy, else a description.
-    Every instance is enumerated once: small ones inside ``classify_slice_object``."""
+    Every instance is cross-checked once: small ones inside the classifier."""
     try:
-        constructive = classify_slice_object(X)
+        constructive = _classify_over_paths(X, decomposition)
     except RuntimeError as exc:
         return f"constructive classification failed: {exc}"
     if X.carrier.vertex_count > _CROSS_CHECK_LIMIT:
@@ -759,11 +774,15 @@ def dichotomy_sweep(
 ) -> DichotomyReport:
     """Exhaust all slice objects with small connected carriers over a
     non-universal base, then optionally add randomly generated instances
-    (disconnected carriers included)."""
+    (disconnected carriers included).  The base is classified once, before
+    the first instance; a universal or empty base is a ValueError."""
     if max_carrier < 1:  # a sweep over no carrier sizes would pass vacuously
         raise ValueError(f"max_carrier must be at least 1, got {max_carrier}")
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
+    if not base.vertices:  # no carrier with a vertex maps to it
+        raise ValueError("base has no vertices, so the sweep would pass vacuously")
+    decomposition = _path_decomposition(base)
     instances = 0
     for n in range(1, max_carrier + 1):
         for carrier in enumerate_graphs(n):
@@ -774,7 +793,7 @@ def dichotomy_sweep(
                 instances += 1
                 if progress and instances % 200 == 0:
                     progress(instances)
-                problem = _check_dichotomy_instance(X)
+                problem = _check_dichotomy_instance(X, decomposition)
                 if problem is not None:
                     return DichotomyReport(
                         instances, False, DichotomyViolation(X.to_dict(), problem)
@@ -785,7 +804,7 @@ def dichotomy_sweep(
         instances += 1
         if progress and instances % 200 == 0:
             progress(instances)
-        problem = _check_dichotomy_instance(X)
+        problem = _check_dichotomy_instance(X, decomposition)
         if problem is not None:
             return DichotomyReport(instances, False, DichotomyViolation(X.to_dict(), problem))
     return DichotomyReport(instances, True)

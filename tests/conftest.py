@@ -77,10 +77,13 @@ def static_order_sequence(solutions, order: list[str]) -> list[tuple[tuple[str, 
     return sorted(solutions, key=lambda key: [dict(key)[v] for v in order])
 
 
-def naive_endo_counts(X: SliceObject) -> tuple[int, int]:
-    """(endomorphisms, automorphisms) by exhaustive enumeration."""
-    homs = naive_slice_homs(X, X)
-    n = X.carrier.vertex_count
+def naive_endo_counts(X: SliceObject | Graph) -> tuple[int, int]:
+    """(endomorphisms, automorphisms) of a slice object or a plain graph by
+    exhaustive enumeration."""
+    if isinstance(X, Graph):
+        homs, n = naive_homs(X, X), X.vertex_count
+    else:
+        homs, n = naive_slice_homs(X, X), X.carrier.vertex_count
     autos = sum(1 for key in homs if len({w for _, w in key}) == n)
     return len(homs), autos
 

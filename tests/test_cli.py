@@ -271,6 +271,13 @@ class TestEndosRetractDichotomy:
         payload = json.loads(out)
         assert code == 0 and payload["verdict"] == "pass"
 
+    @pytest.mark.parametrize("samples", ["0", "5"])
+    def test_dichotomy_over_an_empty_base_exits_two(self, capsys, tmp_path, samples):
+        base = write(tmp_path / "empty.json", {"vertices": [], "edges": []})
+        code, out = run(capsys, ["dichotomy", base, "--max-carrier", "3", "--samples", samples])
+        assert code == 2
+        assert json.loads(out) == {"error": "base has no vertices, so the sweep would pass vacuously"}
+
 
 class TestEmbedAndEnumerate:
     def test_embed_check(self, capsys):

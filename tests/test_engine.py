@@ -6,7 +6,8 @@ ascending values would emit: sorted by the images along that order.  Each
 count (``hom_count``, ``slice_hom_count``, ``digraph_hom_count``) must equal
 the length of that stream.  ``classify_endomorphisms`` must agree with the
 oracle's counts, and its witness must be the oracle's first non-bijective
-endomorphism in that sequence.
+endomorphism in that sequence.  ``endomorphism_verdict`` must give the
+verdict of the oracle's counts.
 """
 
 from math import comb, factorial
@@ -14,13 +15,14 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicecat.core import Digraph, Graph, Morphism, SliceObject, build_cycle, build_path
+from slicecat.core import Digraph, Graph, Morphism, SliceObject, build_cycle, build_path, disjoint_union
 from slicecat.homsearch import (
     EndoVerdict,
     _adjacency_masks,
     classify_endomorphisms,
     contains_subgraph,
     digraph_hom_count,
+    endomorphism_verdict,
     enumerate_digraph_homs,
     enumerate_homs,
     enumerate_slice_homs,
@@ -32,6 +34,7 @@ from conftest import (
     digraph_variable_order,
     graph_variable_order,
     naive_digraph_homs,
+    naive_endo_counts,
     naive_homs,
     naive_slice_homs,
     static_order_sequence,
@@ -164,12 +167,40 @@ def test_slice_endo_counts_match_oracle(x):
     _check_endo_report(classify_endomorphisms(x), x.carrier, naive_slice_homs(x, x))
 
 
+def _oracle_verdict(x) -> EndoVerdict:
+    endo, auto = naive_endo_counts(x)
+    if endo == 1:
+        return EndoVerdict.RIGID
+    return EndoVerdict.HAS_PROPER_ENDOMORPHISM if endo > auto else EndoVerdict.AUTOMORPHISMS_ONLY
+
+
+PATH_BASES = [build_path(3), disjoint_union([build_path(3), build_path(3)])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(), st.sampled_from(PATH_BASES).flatmap(slice_objects)))
+def test_endomorphism_verdict_matches_oracle(x):
+    assert endomorphism_verdict(x) is _oracle_verdict(x)
+
+
+@pytest.mark.parametrize("x", [Graph([])] + [SliceObject(Graph([]), base, {}) for base in PATH_BASES])
+def test_empty_carrier_is_rigid(x):
+    assert endomorphism_verdict(x) is _oracle_verdict(x) is EndoVerdict.RIGID
+
+
 def test_equal_domains_of_different_components_are_cached_apart():
     # a path and a triangle of three vertices each keep full domains in K3,
     # but have 12 and 6 maps there: a cache keyed by domains alone would
     # hand one component the other's count
     pattern = Graph(list("abcdef"), [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"), ("d", "f")])
     assert hom_count(pattern, build_cycle(3)) == 12 * 6
+
+
+def test_counting_a_long_chain_of_nested_components():
+    # ids that sort in path order make every branch leave the rest of the
+    # path as one nested component, 1,500 deep
+    vs = [f"v{i:04d}" for i in range(1501)]
+    assert hom_count(Graph(vs, list(zip(vs, vs[1:]))), build_cycle(3)) == 3 * 2**1500
 
 
 def _path_walks(vertices: int, steps: int) -> int:

@@ -17,7 +17,6 @@ from slicecat.core import (
 from slicecat.arrow import arrow_slice
 from slicecat.gadgets import builtin_gadget
 from slicecat.homsearch import (
-    EndoReport,
     EndoVerdict,
     classify_endomorphisms,
     enumerate_digraph_homs,
@@ -292,19 +291,16 @@ class TestClassifySliceObject:
     @pytest.mark.parametrize("lie", [EndoVerdict.HAS_PROPER_ENDOMORPHISM, EndoVerdict.AUTOMORPHISMS_ONLY])
     @pytest.mark.parametrize("small", [True, False])
     def test_cross_check_catches_a_wrong_enumeration(self, monkeypatch, lie, small):
-        # the enumeration reports a verdict the constructive side cannot
-        # reach on a rigid instance; with the limit at 0 every instance lies
-        # above it and only the sweep's own cross-check can catch it
-        def wrong(X):
-            return EndoReport(lie, None, 2, 2 if lie is EndoVerdict.AUTOMORPHISMS_ONLY else 1)
-
-        monkeypatch.setattr(universality, "classify_endomorphisms", wrong)
+        # the core test reports a verdict the constructive side cannot reach
+        # on a rigid instance; with the limit at 0 every instance lies above
+        # it and only the sweep's own cross-check can catch it
+        monkeypatch.setattr(universality, "endomorphism_verdict", lambda X: lie)
         if small:
             # a rigid zigzag path with exactly as many vertices as the limit
-            zigzag = [0, 1, 2, 1, 2, 1, 2, 3]
-            x = SliceObject(build_path(7), P3, {f"v{i}": f"v{c}" for i, c in enumerate(zigzag)})
+            zigzag = [0] + [1, 2] * 5 + [3]
+            x = SliceObject(build_path(11), P3, {f"v{i}": f"v{c}" for i, c in enumerate(zigzag)})
             assert x.carrier.vertex_count == universality._CROSS_CHECK_LIMIT
-            with pytest.raises(RuntimeError, match="enumeration|nontrivial group"):
+            with pytest.raises(RuntimeError, match=f"core test verdict {lie.value} disagrees with enumeration"):
                 classify_slice_object(x)
         else:
             monkeypatch.setattr(universality, "_CROSS_CHECK_LIMIT", 0)
@@ -312,7 +308,19 @@ class TestClassifySliceObject:
         first = SliceObject(Graph(["v0"]), P3, {"v0": "v0"})
         assert not report.verdict and report.instances == 1
         assert report.violation.slice_doc == first.to_dict()
-        assert re.search("enumeration|nontrivial group", report.violation.detail)
+        assert re.search(f"core test verdict {lie.value} disagrees with enumeration", report.violation.detail)
+
+    def test_cross_check_counts_nothing_when_the_verdicts_agree(self, monkeypatch):
+        # the full counts only word a failure; the core test alone confirms,
+        # also on a one-colour fiber of 12 vertices (12^12 endomorphisms)
+        def counting(X):
+            raise AssertionError("the endomorphism monoid was counted")
+
+        monkeypatch.setattr(universality, "classify_endomorphisms", counting)
+        vs = [f"x{i:02d}" for i in range(universality._CROSS_CHECK_LIMIT)]
+        x = SliceObject(Graph(vs), build_path(0), {v: "v0" for v in vs})
+        assert classify_slice_object(x).verdict is EndoVerdict.HAS_PROPER_ENDOMORPHISM
+        assert dichotomy_sweep(P3, 4, samples=40, seed=2).verdict
 
     def test_multi_component_base(self):
         base = disjoint_union([build_path(3), build_path(2)])
@@ -334,6 +342,34 @@ class TestDichotomySweep:
     def test_negative_sample_count_is_an_error(self):
         with pytest.raises(ValueError, match="samples"):
             dichotomy_sweep(P3, 2, samples=-1)
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    def test_empty_base_is_an_error(self, samples):
+        # no carrier with a vertex maps to it: the sweep would pass over 0 instances
+        with pytest.raises(ValueError, match="no vertices"):
+            dichotomy_sweep(Graph([]), 3, samples=samples)
+
+    @pytest.mark.parametrize("base", [P3, disjoint_union([build_path(1), build_path(3)])])
+    def test_base_is_classified_once_per_sweep(self, monkeypatch, base):
+        calls = []
+        classify = universality.classify_slice_base
+
+        def counting(G):
+            calls.append(G)
+            return classify(G)
+
+        monkeypatch.setattr(universality, "classify_slice_base", counting)
+        report = dichotomy_sweep(base, 3, samples=30, seed=4)
+        assert report.verdict and report.instances > 30
+        assert calls == [base]
+
+    def test_universal_base_is_refused_before_any_instance(self, monkeypatch):
+        def no_instances(n):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(universality, "enumerate_graphs", no_instances)
+        with pytest.raises(ValueError, match="base is universal; the dichotomy applies only"):
+            dichotomy_sweep(build_cycle(3), 2, samples=5)
 
     def test_exhaustive_small_plus_samples(self):
         report = dichotomy_sweep(P3, 3, samples=60, seed=5)
