@@ -54,6 +54,7 @@ from .gadgets import (
     build_gk,
     builtin_gadget,
     check_strong_replacement,
+    check_strong_replacement_exhaustive,
     structure_map_mutations,
     verify_gadget,
     verify_gadget_exhaustive,

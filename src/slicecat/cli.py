@@ -24,15 +24,12 @@ from .gadgets import (
     Gadget,
     builtin_gadget,
     check_strong_replacement,
+    check_strong_replacement_exhaustive,
     verify_gadget,
     verify_gadget_exhaustive,
 )
 from .homsearch import (
-    check_digraph_size,
     classify_endomorphisms,
-    digraph_classes,
-    digraph_from_mask,
-    digraph_masks,
     enumerate_digraphs,
     enumerate_homs,
     enumerate_slice_homs,
@@ -157,34 +154,16 @@ def cmd_verify_gadget(args) -> int:
 
 def cmd_strong_replacement(args) -> int:
     H = _load_graph(args.graph)
-    checked = 0
     if args.digraph:
         report = check_strong_replacement(H, args.a, args.b, _load_digraph(args.digraph), regime=args.regime)
-        payload = report.to_dict()
-        payload["digraphs_checked"] = 1
-        _emit(payload)
+        _emit(dict(report.to_dict(), digraphs_checked=1))
         return 0 if report.holds else 1
-    check_digraph_size(args.max_size)  # before the smaller sizes are swept, not after
-    no_isolated = args.regime == "no-isolated"
-    for n in range(1, args.max_size + 1):
-        loops = sum(1 << (n + 1) * i for i in range(n))
-        least = {mask for mask, _ in digraph_classes(n, no_isolated)}
-        for mask in digraph_masks(n, no_isolated):
-            if not no_isolated and mask & loops:
-                continue
-            checked += 1
-            if mask not in least:
-                continue  # relabeling keeps the verdict, so its class passed at its least mask
-            D = digraph_from_mask(n, mask)
-            report = check_strong_replacement(H, args.a, args.b, D, regime=args.regime)
-            if not report.holds:
-                payload = report.to_dict()
-                payload["digraphs_checked"] = checked
-                payload["digraph"] = D.to_dict()
-                _emit(payload)
-                return 1
-    _emit({"holds": True, "digraphs_checked": checked, "witness": None})
-    return 0
+    checked, report, D = check_strong_replacement_exhaustive(H, args.a, args.b, args.max_size, regime=args.regime)
+    if D is None:
+        _emit({"holds": True, "digraphs_checked": checked, "witness": None})
+        return 0
+    _emit(dict(report.to_dict(), digraphs_checked=checked, digraph=D.to_dict()))
+    return 1
 
 
 def cmd_homs(args) -> int:

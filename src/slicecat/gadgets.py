@@ -21,15 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import arrow
 from .core import Digraph, Graph, Morphism, SliceObject, Vertex, build_cycle, document_id
-from .homsearch import (
-    check_digraph_size,
-    digraph_classes,
-    digraph_from_mask,
-    digraph_masks,
-    enumerate_homs,
-    enumerate_slice_homs,
-    hom_leaves,
-)
+from .homsearch import digraph_from_mask, enumerate_slice_homs, hom_leaves, labeled_digraph_classes
 
 BUILTIN_GADGET_NAMES = ("C3", "C4", "P4", "Y")
 
@@ -245,20 +237,17 @@ def verify_gadget_exhaustive(gadget: Gadget, max_n: int, *, progress=None) -> Ga
     size.  Stops at the first counterexample; ``digraphs_checked`` counts
     the digraphs examined up to and including it.
     """
-    check_digraph_size(max_n)
     checked = 0
     total_homs = 0
-    for n in range(1, max_n + 1):
-        orbits = dict(digraph_classes(n, True))
-        for mask in digraph_masks(n, True):
-            checked += 1
-            if mask in orbits:
-                report = verify_gadget(gadget, digraph_from_mask(n, mask))
-                if not report.verdict:
-                    return replace(report, digraphs_checked=checked, max_size=max_n)
-                total_homs += len(orbits[mask]) * (report.hom_count or 0)
-            if progress and checked % 100 == 0:
-                progress(checked)
+    for n, mask, least, size in labeled_digraph_classes(max_n, True):
+        checked += 1
+        if mask == least:
+            report = verify_gadget(gadget, digraph_from_mask(n, mask))
+            if not report.verdict:
+                return replace(report, digraphs_checked=checked, max_size=max_n)
+            total_homs += size * (report.hom_count or 0)
+        if progress and checked % 100 == 0:
+            progress(checked)
     return GadgetReport(checked, max_n, True, hom_count=total_homs)
 
 
@@ -329,6 +318,7 @@ def check_strong_replacement(
     The default regime rejects digraphs with loops; pass
     ``regime="no-isolated"`` to allow loops but reject isolated vertices
     instead (the alternative quantifier used by the embedding results).
+    The solutions are read raw; only a crossing witness is validated.
     """
     if regime == "irreflexive":
         if D.has_loop():
@@ -340,11 +330,52 @@ def check_strong_replacement(
     else:
         raise ValueError(f"unknown regime {regime!r}")
     res = arrow.arrow_graph(D, H, a, b)
-    copies = [frozenset(arrow.phi(res, arc).image()) for arc in D.arcs]
+    product = res.product.vertices
+    # images and copies as bitsets over the product's vertices: distinct
+    # single bits sum to their union
+    bit = {w: 1 << i for i, w in enumerate(product)}
+    copies = [sum({bit[w] for w in copy.values()}) for copy in res.copies.values()]
+    variables, leaves = hom_leaves(H, res.product)
     checked = 0
-    for hom in enumerate_homs(H, res.product):
+    for leaf in leaves:
         checked += 1
-        image = set(hom.image())
-        if not any(image <= copy for copy in copies):
-            return ReplacementReport(False, checked, witness=hom)
+        image = sum(set(leaf))
+        if not any(image | copy == copy for copy in copies):
+            witness = Morphism(H, res.product, {v: product[d.bit_length() - 1] for v, d in zip(variables, leaf)})
+            return ReplacementReport(False, checked, witness=witness)
     return ReplacementReport(True, checked)
+
+
+def check_strong_replacement_exhaustive(
+    H: Graph, a: Vertex, b: Vertex, max_n: int, *, regime: str = "irreflexive"
+) -> tuple[int, ReplacementReport, Optional[Digraph]]:
+    """Sweep ``check_strong_replacement`` over every labeled digraph of the
+    regime on 1..max_n vertices: loop-free ones, or ones without isolated
+    vertices.
+
+    Each isomorphism class is checked once, at its least mask.  Returns the
+    number of labeled digraphs checked, up to and including the first
+    failing one, the report and the failing digraph (None on a pass, where
+    ``homs_checked`` counts over every labeled digraph).  Under
+    ``no-isolated`` adjacent distinguished vertices are refused up front:
+    a loop digraph's product would need a loop.
+    """
+    no_isolated = regime == "no-isolated"
+    if no_isolated and H.has_edge(a, b):
+        raise ValueError(
+            f"distinguished vertices {a!r} and {b!r} are adjacent, so under regime {regime!r} "
+            "the product of a loop digraph would have a loop"
+        )
+    checked = 0
+    total_homs = 0
+    for n, mask, least, size in labeled_digraph_classes(max_n, no_isolated):
+        if not no_isolated and mask & sum(1 << (n + 1) * i for i in range(n)):
+            continue
+        checked += 1
+        if mask == least:
+            D = digraph_from_mask(n, mask)
+            report = check_strong_replacement(H, a, b, D, regime=regime)
+            if not report.holds:
+                return checked, report, D
+            total_homs += size * report.homs_checked
+    return checked, ReplacementReport(True, total_homs), None

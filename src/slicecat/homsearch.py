@@ -28,10 +28,12 @@ functions wrap it and yield validated morphisms (dicts for digraphs).  The
 internal verifiers count and compare raw solutions and validate only the
 witnesses and counterexamples they return.
 
-The bounded sweeps search each isomorphism class of digraphs once, at its
-least arc mask (``digraph_classes``; isomorph rejection after McKay, J.
-Algorithms 1998), since relabeling keeps loops, isolated vertices, verdicts
-and hom counts.
+The bounded digraph sweeps search each isomorphism class once, at its least
+arc mask (``digraph_classes``; isomorph rejection after McKay, J. Algorithms
+1998), since relabeling keeps loops, isolated vertices, verdicts and hom
+counts.  They share one walk, ``labeled_digraph_classes``: every labeled
+digraph in sweep order, with the least mask and size of its class, so their
+counters and counterexamples keep a labeled meaning.
 """
 
 from __future__ import annotations
@@ -484,6 +486,18 @@ def digraph_classes(n: int, require_no_isolated: bool) -> list[tuple[int, frozen
             seen |= orbit
             classes.append((mask, orbit))
     return classes
+
+
+def labeled_digraph_classes(max_n: int, require_no_isolated: bool) -> Iterator[tuple[int, int, int, int]]:
+    """Every labeled digraph of ``digraph_masks`` on 1..max_n vertices, in
+    that order (the sweep order): per digraph its size n, its arc mask, the
+    least mask of its class and the class size.  The cap is checked before
+    anything is yielded."""
+    check_digraph_size(max_n)
+    for n in range(1, max_n + 1):
+        classes = {m: (mask, len(orbit)) for mask, orbit in digraph_classes(n, require_no_isolated) for m in orbit}
+        for mask in digraph_masks(n, require_no_isolated):
+            yield (n, mask, *classes[mask])
 
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:

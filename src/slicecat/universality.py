@@ -37,10 +37,8 @@ from .core import (
 from .gadgets import Gadget
 from .homsearch import (
     EndoVerdict,
-    check_digraph_size,
     classify_endomorphisms,
     contains_subgraph,
-    digraph_classes,
     digraph_from_mask,
     digraph_hom_count,
     digraph_masks,
@@ -48,6 +46,7 @@ from .homsearch import (
     enumerate_graphs,
     enumerate_homs,
     hom_leaves,
+    labeled_digraph_classes,
 )
 
 PATTERN_BUILDERS = {
@@ -666,14 +665,14 @@ def full_embedding_check(
     Relabeling D1 and D2 separately keeps the verdict and both hom counts,
     so each pair of isomorphism classes is checked once, at its least masks.
     """
-    check_digraph_size(max_n)
-    # every labeled digraph, as (size, mask), to the least mask of its class
-    least = {
-        (n, m): (n, mask) for n in range(1, max_n + 1) for mask, orbit in digraph_classes(n, True) for m in orbit
-    }
-    labeled = sorted(least)
-    triples = {x: _product_triple(gadget, digraph_from_mask(*x)) for x in labeled if least[x] == x}
-    return _embedding_sweep(gadget, triples, ((least[x], least[y]) for x in labeled for y in labeled), progress)
+    # every labeled digraph, in sweep order, as the (size, least mask) of its class
+    labeled = []
+    triples = {}
+    for n, mask, least, _ in labeled_digraph_classes(max_n, True):
+        labeled.append((n, least))
+        if mask == least:
+            triples[n, mask] = _product_triple(gadget, digraph_from_mask(n, mask))
+    return _embedding_sweep(gadget, triples, ((x, y) for x in labeled for y in labeled), progress)
 
 
 @functools.cache
@@ -687,8 +686,6 @@ def full_embedding_spot_check(
     n: int,
     pair_count: int,
     seed: int,
-    *,
-    progress=None,
 ) -> EmbeddingReport:
     """Check randomly sampled ordered pairs of n-vertex digraphs; only the
     sampled digraphs are built, from their arc masks."""
@@ -701,7 +698,7 @@ def full_embedding_spot_check(
     )
     needed = sorted({i for p in chosen_idx for i in p})
     triples = {i: _product_triple(gadget, digraph_from_mask(n, masks[i])) for i in needed}
-    return _embedding_sweep(gadget, triples, chosen_idx, progress)
+    return _embedding_sweep(gadget, triples, chosen_idx, None)
 
 
 def _embedding_sweep(gadget: Gadget, triples: dict, pairs, progress) -> EmbeddingReport:
@@ -768,7 +765,6 @@ def dichotomy_sweep(
     max_carrier: int,
     *,
     samples: int = 0,
-    sample_max_vertices: int = 6,
     seed: int = 0,
     progress=None,
 ) -> DichotomyReport:
@@ -800,7 +796,7 @@ def dichotomy_sweep(
                     )
     rng = random.Random(seed)
     for _ in range(samples):
-        X = random_slice_object(base, rng, max_vertices=sample_max_vertices)
+        X = random_slice_object(base, rng)
         instances += 1
         if progress and instances % 200 == 0:
             progress(instances)

@@ -185,6 +185,12 @@ def _cases(docs: dict[str, dict]) -> dict[str, list]:
     cases["strong_replacement_p1_irreflexive"] = [
         "strong-replacement", "--graph", "inputs/p1.json", "--a", "v0", "--b", "v1", "--max-size", "3"
     ]
+    # the edge's ends are adjacent, so a loop digraph's product would need a
+    # loop: the no-isolated sweep refuses it before checking any digraph
+    cases["strong_replacement_p1_no-isolated"] = [
+        "strong-replacement", "--graph", "inputs/p1.json", "--a", "v0", "--b", "v1", "--max-size", "3",
+        "--regime", "no-isolated",
+    ]
     for name in CLASSIFY_GRAPHS:
         cases[f"classify_{name}"] = ["classify", f"inputs/{name}.json"]
     for name in RETRACT_SLICES:

@@ -102,9 +102,7 @@ def test_criterion_2_full_embedding_at_three_vertices():
 
 def test_criterion_3_dichotomy():
     """Rigid or proper endomorphism, never a nontrivial automorphism group."""
-    report = dichotomy_sweep(
-        build_path(3), 4, samples=500, sample_max_vertices=6, seed=SEED
-    )
+    report = dichotomy_sweep(build_path(3), 4, samples=500, seed=SEED)
     assert report.verdict, report.to_dict()
     assert report.instances >= 346 + 500
     print(

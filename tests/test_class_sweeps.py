@@ -23,12 +23,14 @@ from slicecat.gadgets import (
     Gadget,
     GadgetCounterexample,
     GadgetReport,
+    ReplacementReport,
     builtin_gadget,
     check_strong_replacement,
+    check_strong_replacement_exhaustive,
     structure_map_mutations,
     verify_gadget_exhaustive,
 )
-from slicecat.homsearch import digraph_classes, digraph_masks, enumerate_digraphs
+from slicecat.homsearch import digraph_classes, digraph_masks, enumerate_digraphs, labeled_digraph_classes
 from slicecat.universality import EmbeddingReport, EmbeddingViolation, full_embedding_check
 
 
@@ -106,6 +108,15 @@ def labeled_strong(H, a, b, max_n, regime) -> dict:
     return {"holds": True, "digraphs_checked": checked, "witness": None}
 
 
+def library_strong(H, a, b, max_n, regime) -> dict:
+    """The library sweep's result in the CLI's payload form."""
+    checked, report, D = check_strong_replacement_exhaustive(H, a, b, max_n, regime=regime)
+    if D is None:
+        assert report.holds and report.witness is None
+        return {"holds": True, "digraphs_checked": checked, "witness": None}
+    return dict(report.to_dict(), digraphs_checked=checked, digraph=D.to_dict())
+
+
 def cli_strong(tmp_path, H, a, b, max_n, regime) -> dict:
     path = tmp_path / "h.json"
     path.write_text(json.dumps(H.to_dict()), encoding="utf-8")
@@ -148,6 +159,7 @@ def test_strong_replacement_matches_labeled_sweep(tmp_path, name, regime):
     gadget = BUILTINS[name]
     H, a, b = gadget.carrier, gadget.a, gadget.b
     assert cli_strong(tmp_path, H, a, b, 3, regime) == labeled_strong(H, a, b, 3, regime)
+    assert library_strong(H, a, b, 3, regime) == labeled_strong(H, a, b, 3, regime)
 
 
 def test_passing_strong_replacement_matches_labeled_sweep(tmp_path):
@@ -156,6 +168,15 @@ def test_passing_strong_replacement_matches_labeled_sweep(tmp_path):
     expected = labeled_strong(H, "v0", "v1", 3, "irreflexive")
     assert expected == {"holds": True, "digraphs_checked": 1 + 4 + 64, "witness": None}
     assert cli_strong(tmp_path, H, "v0", "v1", 3, "irreflexive") == expected
+    assert library_strong(H, "v0", "v1", 3, "irreflexive") == expected
+    # a pass counts the homomorphisms of every labeled digraph
+    _, report, _ = check_strong_replacement_exhaustive(H, "v0", "v1", 3)
+    assert report.homs_checked == sum(
+        check_strong_replacement(H, "v0", "v1", D).homs_checked
+        for n in (1, 2, 3)
+        for D in enumerate_digraphs(n, False)
+        if not D.has_loop()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +241,29 @@ def test_embed_fails_inside_a_size_like_the_labeled_sweep(monkeypatch):
         assert seen and max(seen) <= reduced.pairs_checked
 
 
+def test_strong_replacement_fails_inside_a_size_like_the_labeled_sweep(monkeypatch):
+    # the edge passes the irreflexive sweep; plant a failure in a late loop-free class
+    loops = 1 | 1 << 4 | 1 << 8
+    classes = [(mask, orbit) for mask, orbit in digraph_classes(3, False) if not mask & loops]
+    target, orbit = next(
+        (mask, orbit) for k, (mask, orbit) in enumerate(classes)
+        if k >= 8 and any(max(o) > mask for _, o in classes[:k])
+    )
+    real = gadgets.check_strong_replacement
+
+    def liar(H, a, b, D, *, regime):
+        report = real(H, a, b, D, regime=regime)
+        if D.vertex_count == 3 and _mask(D) in orbit:
+            return ReplacementReport(False, report.homs_checked)
+        return report
+
+    monkeypatch.setattr(gadgets, "check_strong_replacement", liar)
+    checked, report, D = check_strong_replacement_exhaustive(build_path(1), "v0", "v1", 3)
+    assert not report.holds and _mask(D) == target
+    # 1 + 4 loop-free digraphs on fewer vertices, then the labeled ones up to the target
+    assert checked == 5 + sum(1 for m in digraph_masks(3, False) if m <= target and not m & loops)
+
+
 def test_progress_reports_labeled_units():
     seen = []
     verify_gadget_exhaustive(builtin_gadget("C3"), 3, progress=seen.append)
@@ -274,3 +318,26 @@ def test_classes_respect_the_cap():
     for n in (0, 5):
         with pytest.raises(ValueError):
             digraph_classes(n, True)
+        with pytest.raises(ValueError):
+            next(labeled_digraph_classes(n, True))
+
+
+@pytest.mark.parametrize("n, classes", [(1, 2), (2, 10), (3, 104), (4, 3_044)])
+def test_class_counts_are_oeis_a000595(n, classes):
+    assert len(digraph_classes(n, False)) == classes
+
+
+# ---------------------------------------------------------------------------
+# labeled_digraph_classes
+
+
+@pytest.mark.parametrize("require_no_isolated", [True, False])
+def test_labeled_walk_matches_the_brute_force(require_no_isolated):
+    walk = list(labeled_digraph_classes(3, require_no_isolated))
+    assert [(n, mask) for n, mask, _, _ in walk] == [
+        (n, mask) for n in (1, 2, 3) for mask in digraph_masks(n, require_no_isolated)
+    ]
+    for n, mask, least, size in walk:
+        arcs = [divmod(k, n) for k in range(n * n) if mask >> k & 1]
+        relabelings = {sum(1 << (n * p[i] + p[j]) for i, j in arcs) for p in permutations(range(n))}
+        assert (least, size) == (min(relabelings), len(relabelings))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicecat import cli
+from slicecat import cli, gadgets
 from slicecat.cli import main
 from slicecat.core import build_cycle, build_path
 from slicecat.gadgets import builtin_gadget
@@ -181,7 +181,7 @@ class TestStrongReplacement:
 
     def test_over_cap_exits_two_before_sweeping(self, capsys, tmp_path, monkeypatch):
         checked = []
-        monkeypatch.setattr(cli, "check_strong_replacement", lambda *args, **kwargs: checked.append(args))
+        monkeypatch.setattr(gadgets, "check_strong_replacement", lambda *args, **kwargs: checked.append(args))
         f = write(tmp_path / "k2.json", build_path(1).to_dict())
         code, out = run(
             capsys,

@@ -1,18 +1,29 @@
 import pytest
 
+from slicecat import gadgets
+from slicecat.arrow import arrow_graph, phi
 from slicecat.core import Digraph, Graph, SliceObject, build_path, is_homomorphism
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
+    ReplacementReport,
     builtin_gadget,
     build_gk,
     check_strong_replacement,
+    check_strong_replacement_exhaustive,
     structure_map_mutations,
     verify_gadget,
     verify_gadget_exhaustive,
     verify_mutated_gadget,
 )
-from slicecat.homsearch import classify_endomorphisms, EndoVerdict, enumerate_digraphs
+from slicecat.homsearch import (
+    EndoVerdict,
+    classify_endomorphisms,
+    digraph_classes,
+    digraph_from_mask,
+    enumerate_digraphs,
+    enumerate_homs,
+)
 from slicecat.universality import full_embedding_check
 
 SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
@@ -197,7 +208,48 @@ class TestMutations:
             assert not embedding.verdict and embedding.violation.kind == "count-mismatch", key
 
 
+def validated_strong_replacement(H, a, b, D) -> ReplacementReport:
+    """``check_strong_replacement`` on a digraph its regime admits, as it read
+    with validated morphisms: one ``phi`` per arc for a copy's image and one
+    ``Morphism`` per solution."""
+    res = arrow_graph(D, H, a, b)
+    copies = [frozenset(phi(res, arc).image()) for arc in D.arcs]
+    checked = 0
+    for hom in enumerate_homs(H, res.product):
+        checked += 1
+        image = set(hom.image())
+        if not any(image <= copy for copy in copies):
+            return ReplacementReport(False, checked, witness=hom)
+    return ReplacementReport(True, checked)
+
+
+GK2 = build_gk(2)
+STRONG_CARRIERS = {
+    "gk2": (GK2.graph, GK2.a, GK2.b),
+    **{name: (g.carrier, g.a, g.b) for name, g in zip(BUILTIN_GADGET_NAMES, map(builtin_gadget, BUILTIN_GADGET_NAMES))},
+}
+
+
 class TestStrongReplacement:
+    @pytest.mark.parametrize("regime", ["irreflexive", "no-isolated"])
+    @pytest.mark.parametrize("name", sorted(STRONG_CARRIERS))
+    def test_raw_check_matches_validated_reference(self, name, regime):
+        H, a, b = STRONG_CARRIERS[name]
+        no_isolated = regime == "no-isolated"
+        for n in (1, 2, 3):
+            for mask, _ in digraph_classes(n, no_isolated):
+                D = digraph_from_mask(n, mask)
+                if no_isolated or not D.has_loop():
+                    expected = validated_strong_replacement(H, a, b, D).to_dict()
+                    assert check_strong_replacement(H, a, b, D, regime=regime).to_dict() == expected
+
+    def test_no_isolated_sweep_refuses_adjacent_distinguished_vertices(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(gadgets, "check_strong_replacement", lambda *args, **kwargs: checked.append(args))
+        with pytest.raises(ValueError, match=r"'v0' and 'v1' are adjacent.*'no-isolated'"):
+            check_strong_replacement_exhaustive(build_path(1), "v0", "v1", 3, regime="no-isolated")
+        assert checked == []
+
     def test_edge_gadget_stays_in_copies(self):
         # every image of a single edge is a product edge, which lies inside
         # one copy by construction (brute-forced; 4 homs, none crossing)

@@ -6,9 +6,10 @@ the output), ``endos`` on objects of at most 12 vertices,
 ``verify-gadget``/``embed-check --max-size 2`` for the four built-in gadgets
 and for a gadget-building mutant of C4, ``verify-gadget --max-size 3`` for
 the built-ins, passing and failing ``strong-replacement --max-size 3``
-sweeps in both regimes, ``classify`` witnesses and decompositions,
-``retract`` plans and certificates over P1, P2 and P3, two ``dichotomy``
-sweeps and ``enumerate-digraphs --canonical`` at sizes 2 and 3.
+sweeps in both regimes and one that the no-isolated regime refuses,
+``classify`` witnesses and decompositions, ``retract`` plans and
+certificates over P1, P2 and P3, two ``dichotomy`` sweeps and
+``enumerate-digraphs --canonical`` at sizes 2 and 3.
 ``tests/golden/make_corpus.py`` regenerates it.
 """
 
