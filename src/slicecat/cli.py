@@ -68,18 +68,12 @@ def _wants_json(path: str, text: str) -> bool:
     return path.endswith(".json") or text.lstrip().startswith("{")
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str, cls: type[Graph] | type[Digraph] = Graph) -> Graph | Digraph:
+    """A ``cls`` read from a JSON document or an edge list."""
     text = _read_text(path)
     if _wants_json(path, text):
-        return Graph.from_dict(json.loads(text))
-    return Graph.from_edgelist(text)
-
-
-def _load_digraph(path: str) -> Digraph:
-    text = _read_text(path)
-    if _wants_json(path, text):
-        return Digraph.from_dict(json.loads(text))
-    return Digraph.from_edgelist(text)
+        return cls.from_dict(json.loads(text))
+    return cls.from_edgelist(text)
 
 
 def _load_slice(path: str) -> SliceObject:
@@ -118,7 +112,7 @@ def cmd_cone_classify(args) -> int:
 def cmd_arrow(args) -> int:
     from . import arrow
 
-    D = _load_digraph(args.digraph)
+    D = _load_graph(args.digraph, Digraph)
     gadget = _load_gadget(args.gadget)
     isolated = D.isolated_vertices()
     if isolated:
@@ -134,7 +128,7 @@ def cmd_arrow(args) -> int:
 def cmd_phi(args) -> int:
     from . import arrow
 
-    D = _load_digraph(args.digraph)
+    D = _load_graph(args.digraph, Digraph)
     gadget = _load_gadget(args.gadget)
     res = arrow.arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
     morphism = arrow.phi(res, (args.arc[0], args.arc[1]))
@@ -145,7 +139,7 @@ def cmd_phi(args) -> int:
 def cmd_verify_gadget(args) -> int:
     gadget = _load_gadget(args.gadget)
     if args.digraph:
-        report = verify_gadget(gadget, _load_digraph(args.digraph))
+        report = verify_gadget(gadget, _load_graph(args.digraph, Digraph))
     else:
         report = verify_gadget_exhaustive(gadget, args.max_size, progress=_progress("verify-gadget"))
     _emit(report.to_dict())
@@ -155,7 +149,7 @@ def cmd_verify_gadget(args) -> int:
 def cmd_strong_replacement(args) -> int:
     H = _load_graph(args.graph)
     if args.digraph:
-        report = check_strong_replacement(H, args.a, args.b, _load_digraph(args.digraph), regime=args.regime)
+        report = check_strong_replacement(H, args.a, args.b, _load_graph(args.digraph, Digraph), regime=args.regime)
         _emit(dict(report.to_dict(), digraphs_checked=1))
         return 0 if report.holds else 1
     checked, report, D = check_strong_replacement_exhaustive(H, args.a, args.b, args.max_size, regime=args.regime)
@@ -171,13 +165,6 @@ def cmd_homs(args) -> int:
     B = _load_homs_side(args.target)
     if isinstance(A, SliceObject) != isinstance(B, SliceObject):
         raise ValueError("source and target must both be graphs or both slice objects")
-    if isinstance(A, SliceObject):
-        if args.base:
-            base = _load_graph(args.base)
-            if base != A.base:
-                raise ValueError("slice objects do not live over the given base")
-        if A.base != B.base:
-            raise ValueError("slice objects live over different bases")
     limit = 1 if args.mode == "exists" else args.max_solutions
     if args.mode == "count":
         if limit is not None and limit < 1:
@@ -306,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homs", help="enumerate homomorphisms (plain graphs or slice objects)")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--base", help="optional base file cross-checked against slice inputs")
     p.add_argument("--mode", choices=["exists", "count", "list"], default="count")
     p.add_argument("--max-solutions", type=int, default=None)
     p.set_defaults(fn=cmd_homs)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from . import arrow
-from .core import Digraph, Graph, Morphism, SliceObject, Vertex, build_cycle, document_id
-from .homsearch import digraph_from_mask, enumerate_slice_homs, hom_leaves, labeled_digraph_classes
+from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, document_id
+from .homsearch import digraph_from_mask, hom_leaves, labeled_digraph_classes
 
 BUILTIN_GADGET_NAMES = ("C3", "C4", "P4", "Y")
 
@@ -220,12 +220,25 @@ def verify_gadget(gadget: Gadget, D: Digraph) -> GadgetReport:
     found = sorted(leaves)
     if found == copies:
         return GadgetReport(1, D.vertex_count, True, hom_count=len(found))
-    # on failure the counterexample is drawn from validated morphisms
-    expected = {arrow.phi(res, arc).mapping for arc in D.arcs}
-    maps = {sm.map.mapping for sm in enumerate_slice_homs(gadget.slice, product)}
+    # on failure both lists are decoded to key-sorted (vertex, image) pairs,
+    # and only the reported map is validated
+    vertices = res.product.vertices
+
+    def decoded(raw: list[list[int]]) -> set[tuple[tuple[Vertex, Vertex], ...]]:
+        return {tuple(sorted(zip(variables, [vertices[d.bit_length() - 1] for d in leaf]))) for leaf in raw}
+
+    maps, expected = decoded(found), decoded(copies)
     extra = maps - expected
-    kind, mapping = ("extra-hom", min(extra)) if extra else ("missing-copy-map", min(expected - maps))
-    ce = GadgetCounterexample(digraph=D, kind=kind, mapping=dict(mapping))
+    if extra:
+        mapping = dict(min(extra))
+        SliceMorphism(gadget.slice, product, mapping)
+        kind = "extra-hom"
+    else:
+        mapping = dict(min(expected - maps))
+        # a copy map that is no slice morphism is what this kind reports
+        Morphism(gadget.carrier, res.product, mapping)
+        kind = "missing-copy-map"
+    ce = GadgetCounterexample(digraph=D, kind=kind, mapping=mapping)
     return GadgetReport(1, D.vertex_count, False, ce, hom_count=len(found))
 
 

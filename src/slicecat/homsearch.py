@@ -3,9 +3,9 @@
 One arc-consistent engine serves every search.  Each pattern vertex is a
 variable whose domain is an int bitset over the host vertices, indexed in
 lexicographic order.  Each pattern edge or arc is a binary constraint checked
-against per-host-vertex adjacency bitmasks (out and in for digraphs).  Pins,
-slice colors and digraph loops narrow the initial domains; an injective
-search adds pairwise not-equal constraints.  AC-3 (Mackworth, "Consistency in
+against per-host-vertex adjacency bitmasks (out and in for digraphs).  Slice
+colors and digraph loops narrow the initial domains; an injective search
+adds pairwise not-equal constraints.  AC-3 (Mackworth, "Consistency in
 networks of relations", 1977) runs at the root and after every assignment.
 Variables go in a fixed order (descending degree, then id) and values in
 ascending order.  Propagation only cuts branches without solutions, so
@@ -234,7 +234,6 @@ def hom_leaves(
     A: Graph | SliceObject,
     B: Graph | SliceObject,
     *,
-    pins: Optional[Mapping[Vertex, Vertex]] = None,
     injective: bool = False,
     limit: Optional[int] = None,
 ) -> tuple[list[Vertex], Iterator[list[int]]]:
@@ -248,12 +247,12 @@ def hom_leaves(
     the stream after that many solutions.
     """
     _check_limit(limit)
-    variables, domains, constraints = _hom_search(A, B, pins, injective)
+    variables, domains, constraints = _hom_search(A, B, injective)
     return variables, _solve(domains, constraints, limit)
 
 
 def _hom_search(
-    A: Graph | SliceObject, B: Graph | SliceObject, pins: Optional[Mapping[Vertex, Vertex]], injective: bool
+    A: Graph | SliceObject, B: Graph | SliceObject, injective: bool
 ) -> tuple[list[Vertex], list[int], Constraints]:
     """The variable order, starting domains and constraints of ``hom_leaves``."""
     colors = None
@@ -270,12 +269,6 @@ def _hom_search(
         for w, c in colors[1].items():
             fibers[c] = fibers.get(c, 0) | 1 << index[w]
         domain = {v: fibers.get(colors[0][v], 0) for v in domain}
-    for k, v in (pins or {}).items():
-        if not A.has_vertex(k):
-            raise ValueError(f"pin {k!r} is not a pattern vertex")
-        if not B.has_vertex(v):
-            raise ValueError(f"pin image {v!r} is not a host vertex")
-        domain[k] &= 1 << index[v]
     variables = sorted(A.vertices, key=lambda v: (-A.degree(v), v))
     position = {v: i for i, v in enumerate(variables)}
     # an edge is listed once, so a neighbour is an out- or an in-neighbour along the list
@@ -290,21 +283,16 @@ def _hom_search(
     return variables, [domain[v] for v in variables], constraints
 
 
-def enumerate_homs(
-    A: Graph,
-    B: Graph,
-    pins: Optional[Mapping[Vertex, Vertex]] = None,
-    limit: Optional[int] = None,
-) -> Iterator[Morphism]:
-    """Stream every homomorphism A -> B extending ``pins``, at most ``limit``."""
-    variables, leaves = hom_leaves(A, B, pins=pins, limit=limit)
+def enumerate_homs(A: Graph, B: Graph, limit: Optional[int] = None) -> Iterator[Morphism]:
+    """Stream every homomorphism A -> B, at most ``limit``."""
+    variables, leaves = hom_leaves(A, B, limit=limit)
     for leaf in leaves:
         yield Morphism(A, B, _mapping(variables, B.vertices, leaf))
 
 
-def hom_count(A: Graph, B: Graph, pins: Optional[Mapping[Vertex, Vertex]] = None) -> int:
-    """The number of homomorphisms A -> B extending ``pins``, counted without enumerating them."""
-    return _count_solutions(*_hom_search(A, B, pins, False)[1:])
+def hom_count(A: Graph, B: Graph) -> int:
+    """The number of homomorphisms A -> B, counted without enumerating them."""
+    return _count_solutions(*_hom_search(A, B, False)[1:])
 
 
 def enumerate_slice_homs(X: SliceObject, Y: SliceObject, limit: Optional[int] = None) -> Iterator[SliceMorphism]:
@@ -316,7 +304,7 @@ def enumerate_slice_homs(X: SliceObject, Y: SliceObject, limit: Optional[int] = 
 
 def slice_hom_count(X: SliceObject, Y: SliceObject) -> int:
     """The number of slice morphisms X -> Y, counted without enumerating them."""
-    return _count_solutions(*_hom_search(X, Y, None, False)[1:])
+    return _count_solutions(*_hom_search(X, Y, False)[1:])
 
 
 class EndoVerdict(enum.Enum):
@@ -362,7 +350,7 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     the first non-bijective endomorphism in static order: the witness.
     """
     carrier = X if isinstance(X, Graph) else X.carrier
-    variables, domains, constraints = _hom_search(X, X, None, False)
+    variables, domains, constraints = _hom_search(X, X, False)
     cache: dict = {}
     endo_count = 0
     first: Optional[list[int]] = None
@@ -415,7 +403,7 @@ def endomorphism_verdict(X: SliceObject | Graph) -> EndoVerdict:
     and a search stopped at two solutions tells the identity alone (rigid)
     from a nontrivial group.
     """
-    _, domains, constraints = _hom_search(X, X, None, False)
+    _, domains, constraints = _hom_search(X, X, False)
     root = _root(domains, constraints)  # never None: the identity is a solution
     for i in range(len(root)):
         bit = 1 << i

@@ -19,7 +19,7 @@ import functools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import arrow
 from .core import (
@@ -779,24 +779,19 @@ def dichotomy_sweep(
     if not base.vertices:  # no carrier with a vertex maps to it
         raise ValueError("base has no vertices, so the sweep would pass vacuously")
     decomposition = _path_decomposition(base)
+
+    def objects() -> Iterator[SliceObject]:
+        for n in range(1, max_carrier + 1):
+            for carrier in enumerate_graphs(n):
+                if carrier.is_connected():
+                    for hom in enumerate_homs(carrier, base):
+                        yield SliceObject(carrier, base, hom)
+        rng = random.Random(seed)
+        for _ in range(samples):
+            yield random_slice_object(base, rng)
+
     instances = 0
-    for n in range(1, max_carrier + 1):
-        for carrier in enumerate_graphs(n):
-            if not carrier.is_connected():
-                continue
-            for hom in enumerate_homs(carrier, base):
-                X = SliceObject(carrier, base, hom)
-                instances += 1
-                if progress and instances % 200 == 0:
-                    progress(instances)
-                problem = _check_dichotomy_instance(X, decomposition)
-                if problem is not None:
-                    return DichotomyReport(
-                        instances, False, DichotomyViolation(X.to_dict(), problem)
-                    )
-    rng = random.Random(seed)
-    for _ in range(samples):
-        X = random_slice_object(base, rng)
+    for X in objects():
         instances += 1
         if progress and instances % 200 == 0:
             progress(instances)

@@ -220,8 +220,19 @@ class TestHoms:
             "map": {"v0": "v0", "v1": "v1"},
         }
         f = write(tmp_path / "slice.json", doc)
-        code, _ = run(capsys, ["homs", f, c3_file])
+        for argv in (["homs", f, c3_file], ["homs", c3_file, f]):
+            code, out = run(capsys, argv)
+            assert code == 2
+            assert json.loads(out) == {"error": "source and target must both be graphs or both slice objects"}
+
+    @pytest.mark.parametrize("mode", ["count", "exists", "list"])
+    def test_slices_over_different_bases_exit_two(self, capsys, tmp_path, mode):
+        k2, identity = build_path(1).to_dict(), {"v0": "v0", "v1": "v1"}
+        over_k2 = write(tmp_path / "k2.json", {"carrier": k2, "base": k2, "map": identity})
+        over_c3 = write(tmp_path / "c3.json", {"carrier": k2, "base": build_cycle(3).to_dict(), "map": identity})
+        code, out = run(capsys, ["homs", over_k2, over_c3, "--mode", mode])
         assert code == 2
+        assert json.loads(out) == {"error": "slice objects live over different bases"}
 
     def test_list_mode(self, capsys, tmp_path):
         k2 = write(tmp_path / "k2.json", build_path(1).to_dict())

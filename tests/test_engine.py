@@ -97,19 +97,6 @@ def test_sparse_pattern_counts_match_oracle(a, b):
     assert hom_count(a, b) == len(naive_homs(a, b))
 
 
-@settings(max_examples=100, deadline=None)
-@given(graphs(max_vertices=4), graphs(max_vertices=4), st.data())
-def test_pinned_graph_homs_match_oracle(a, b, data):
-    if not a.vertices or not b.vertices:
-        return
-    v = data.draw(st.sampled_from(a.vertices))
-    w = data.draw(st.sampled_from(b.vertices))
-    got = [m.mapping for m in enumerate_homs(a, b, pins={v: w})]
-    expected = {key for key in naive_homs(a, b) if dict(key)[v] == w}
-    assert got == static_order_sequence(expected, graph_variable_order(a))
-    assert hom_count(a, b, pins={v: w}) == len(got)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(BASES).flatmap(lambda base: st.tuples(slice_objects(base), slice_objects(base))))
 def test_slice_homs_match_oracle_in_order(pair):

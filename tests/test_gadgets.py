@@ -1,11 +1,15 @@
+from itertools import islice
+
 import pytest
 
-from slicecat import gadgets
-from slicecat.arrow import arrow_graph, phi
+from slicecat import gadgets, homsearch
+from slicecat.arrow import arrow_graph, phi, product_slice
 from slicecat.core import Digraph, Graph, SliceObject, build_path, is_homomorphism
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
+    GadgetCounterexample,
+    GadgetReport,
     ReplacementReport,
     builtin_gadget,
     build_gk,
@@ -30,6 +34,44 @@ SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
 TWO_CYCLE = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
 LOOP = Digraph(["u"], [("u", "u")])
 TWO_ARC_PATH = Digraph(["x", "y", "z"], [("x", "y"), ("y", "z")])
+
+
+def gadget_building_mutants() -> dict:
+    """The single-point structure-map rewrites that still build a gadget, by
+    (built-in name, vertex, new image)."""
+    building = {}
+    for name in BUILTIN_GADGET_NAMES:
+        gadget = builtin_gadget(name)
+        for vertex, target in structure_map_mutations(gadget):
+            mutated = dict(gadget.slice.structure_map.as_dict(), **{vertex: target})
+            try:
+                candidate = Gadget(SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b)
+            except ValueError:
+                continue
+            building[(name, vertex, target)] = candidate
+    return building
+
+
+def validated_verify_gadget(gadget, D) -> GadgetReport:
+    """``verify_gadget`` as it read with a validated failure path: on a
+    mismatch the search is re-run through ``enumerate_slice_homs`` and every
+    copy map is built through ``phi``.  The engine is looked up in
+    ``homsearch`` at call time, so a patched ``homsearch.hom_leaves`` reaches
+    both searches."""
+    res = arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
+    product = product_slice(res, gadget)
+    variables, leaves = homsearch.hom_leaves(gadget.slice, product)
+    bit = {w: 1 << i for i, w in enumerate(res.product.vertices)}
+    copies = sorted([bit[copy[x]] for x in variables] for copy in res.copies.values())
+    found = sorted(leaves)
+    if found == copies:
+        return GadgetReport(1, D.vertex_count, True, hom_count=len(found))
+    expected = {phi(res, arc).mapping for arc in D.arcs}
+    maps = {sm.map.mapping for sm in homsearch.enumerate_slice_homs(gadget.slice, product)}
+    extra = maps - expected
+    kind, mapping = ("extra-hom", min(extra)) if extra else ("missing-copy-map", min(expected - maps))
+    ce = GadgetCounterexample(digraph=D, kind=kind, mapping=dict(mapping))
+    return GadgetReport(1, D.vertex_count, False, ce, hom_count=len(found))
 
 
 class TestBuiltins:
@@ -131,6 +173,38 @@ class TestVerifyGadget:
                 assert report.verdict
                 assert report.hom_count == D.arc_count
 
+    def test_failure_path_matches_validated_reference(self):
+        # every mutant fails on some digraph with at most two vertices, so
+        # the raw failure path is reached; it must report what the validated
+        # re-search reported
+        for key, candidate in gadget_building_mutants().items():
+            failures = 0
+            for n in (1, 2):
+                for D in enumerate_digraphs(n, True):
+                    report = verify_gadget(candidate, D)
+                    assert report.to_dict() == validated_verify_gadget(candidate, D).to_dict(), (key, D)
+                    failures += not report.verdict
+            assert failures, key
+
+    def test_missing_copy_map_matches_validated_reference(self, monkeypatch):
+        # no gadget reaches this kind: every copy map of a valid gadget is a
+        # slice morphism the engine finds, so one copy-map leaf is dropped
+        search = homsearch.hom_leaves
+
+        def dropping(A, B, **kwargs):
+            variables, leaves = search(A, B, **kwargs)
+            return variables, islice(leaves, 1, None)
+
+        monkeypatch.setattr(gadgets, "hom_leaves", dropping)
+        monkeypatch.setattr(homsearch, "hom_leaves", dropping)
+        gadget = builtin_gadget("C3")
+        report = verify_gadget(gadget, TWO_CYCLE)
+        assert not report.verdict and report.hom_count == 1
+        assert report.counterexample.kind == "missing-copy-map"
+        res = arrow_graph(TWO_CYCLE, gadget.carrier, gadget.a, gadget.b)
+        assert report.counterexample.mapping in [res.copy_map(arc) for arc in TWO_CYCLE.arcs]
+        assert report.to_dict() == validated_verify_gadget(gadget, TWO_CYCLE).to_dict()
+
     def test_exhaustive_c3_max2(self):
         report = verify_gadget_exhaustive(builtin_gadget("C3"), 2)
         assert report.verdict and report.digraphs_checked == 1 + 13
@@ -186,16 +260,7 @@ class TestMutations:
         # the single-point rewrites that still build a gadget: each admits a
         # stray slice morphism into some product over at most two vertices,
         # so both bounded verifiers must fail on every one of them
-        building = {}
-        for name in BUILTIN_GADGET_NAMES:
-            gadget = builtin_gadget(name)
-            for vertex, target in structure_map_mutations(gadget):
-                mutated = dict(gadget.slice.structure_map.as_dict(), **{vertex: target})
-                try:
-                    candidate = Gadget(SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b)
-                except ValueError:
-                    continue
-                building[(name, vertex, target)] = candidate
+        building = gadget_building_mutants()
         assert set(building) == {
             ("C4", "b", "3"), ("C4", "c", "0"), ("C4", "d", "1"),
             ("P4", "c", "0"), ("P4", "d", "3"), ("P4", "g", "2"), ("P4", "i", "4"), ("P4", "j", "1"),

@@ -52,16 +52,6 @@ class TestEnumerateHoms:
     def test_no_targets(self):
         assert hom_count(build_path(0), Graph([])) == 0
 
-    def test_pins_restrict(self):
-        k2, c3 = build_path(1), build_cycle(3)
-        pinned = list(enumerate_homs(k2, c3, pins={"v0": "v0"}))
-        assert len(pinned) == 2
-        assert all(m("v0") == "v0" for m in pinned)
-
-    def test_bad_pin_is_an_error(self):
-        with pytest.raises(ValueError):
-            list(enumerate_homs(build_path(1), build_path(1), pins={"zz": "v0"}))
-
     def test_budget_limits_stream(self):
         out = list(enumerate_homs(build_path(1), build_cycle(3), limit=4))
         assert len(out) == 4

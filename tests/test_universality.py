@@ -381,6 +381,30 @@ class TestDichotomySweep:
         report = dichotomy_sweep(base, 2, samples=40, seed=6)
         assert report.verdict
 
+    def test_progress_counts_every_two_hundred_instances(self):
+        # 346 exhaustive instances and 190 samples: the sweep crosses two
+        # multiples of 200, one in each phase
+        seen = []
+        report = dichotomy_sweep(P3, 4, samples=190, seed=3, progress=seen.append)
+        assert report.verdict and report.instances == 346 + 190
+        assert seen == [200, 400]
+
+    def test_sample_failure_reports_its_labeled_position(self, monkeypatch):
+        exhaustive = dichotomy_sweep(P3, 3).instances
+        check = universality._check_dichotomy_instance
+        calls = []
+
+        def planted(X, decomposition):
+            calls.append(X)
+            return "planted" if len(calls) == exhaustive + 7 else check(X, decomposition)
+
+        monkeypatch.setattr(universality, "_check_dichotomy_instance", planted)
+        report = dichotomy_sweep(P3, 3, samples=20, seed=9)
+        rng = random.Random(9)
+        seventh = [random_slice_object(P3, rng) for _ in range(7)][-1]
+        assert not report.verdict and report.instances == exhaustive + 7
+        assert report.violation.to_dict() == {"instance": seventh.to_dict(), "detail": "planted"}
+
 
 class TestFullEmbedding:
     def test_single_arc_pair(self):
