@@ -64,15 +64,17 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _wants_json(path: str, text: str) -> bool:
-    return path.endswith(".json") or text.lstrip().startswith("{")
-
-
-def _load_graph(path: str, cls: type[Graph] | type[Digraph] = Graph) -> Graph | Digraph:
-    """A ``cls`` read from a JSON document or an edge list."""
+def _load_graph(
+    path: str, cls: type[Graph] | type[Digraph] = Graph, *, slices: bool = False
+) -> Graph | Digraph | SliceObject:
+    """A ``cls`` read from a JSON document or an edge list; with ``slices``, a
+    JSON document with a ``"carrier"`` key is read as a slice object."""
     text = _read_text(path)
-    if _wants_json(path, text):
-        return cls.from_dict(json.loads(text))
+    if path.endswith(".json") or text.lstrip().startswith("{"):
+        data = json.loads(text)
+        if slices and isinstance(data, dict) and "carrier" in data:
+            return SliceObject.from_dict(data)
+        return cls.from_dict(data)
     return cls.from_edgelist(text)
 
 
@@ -84,17 +86,6 @@ def _load_gadget(name_or_path: str) -> Gadget:
     if name_or_path.upper() in BUILTIN_GADGET_NAMES:
         return builtin_gadget(name_or_path)
     return Gadget.from_dict(json.loads(_read_text(name_or_path)))
-
-
-def _load_homs_side(path: str):
-    """A graph file or a slice-object file, detected by its keys."""
-    text = _read_text(path)
-    if _wants_json(path, text):
-        data = json.loads(text)
-        if isinstance(data, dict) and "carrier" in data:
-            return SliceObject.from_dict(data)
-        return Graph.from_dict(data)
-    return Graph.from_edgelist(text)
 
 
 def cmd_classify(args) -> int:
@@ -161,8 +152,8 @@ def cmd_strong_replacement(args) -> int:
 
 
 def cmd_homs(args) -> int:
-    A = _load_homs_side(args.source)
-    B = _load_homs_side(args.target)
+    A = _load_graph(args.source, slices=True)
+    B = _load_graph(args.target, slices=True)
     if isinstance(A, SliceObject) != isinstance(B, SliceObject):
         raise ValueError("source and target must both be graphs or both slice objects")
     limit = 1 if args.mode == "exists" else args.max_solutions
@@ -186,7 +177,7 @@ def cmd_homs(args) -> int:
 
 
 def cmd_endos(args) -> int:
-    _emit(classify_endomorphisms(_load_homs_side(args.object)).to_dict())
+    _emit(classify_endomorphisms(_load_graph(args.object, slices=True)).to_dict())
     return 0
 
 

@@ -7,6 +7,11 @@ against per-host-vertex adjacency bitmasks (out and in for digraphs).  Slice
 colors and digraph loops narrow the initial domains; an injective search
 adds pairwise not-equal constraints.  AC-3 (Mackworth, "Consistency in
 networks of relations", 1977) runs at the root and after every assignment.
+A revision narrows a variable's partners to the union of the support rows
+of its domain's values: a singleton domain reads its row, a larger one reads
+a table from domain bitset to union that is filled on first use.  Each
+support list of a search has its own table, which lives as long as that one
+search.
 Variables go in a fixed order (descending degree, then id) and values in
 ascending order.  Propagation only cuts branches without solutions, so
 solutions stream in lexicographic order of their images along that variable
@@ -48,9 +53,12 @@ from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 DIGRAPH_ENUMERATION_CAP = 4
 
 
-# one constraint group of a variable x: (support, partners).  When x takes
-# value i, every variable in partners must take a value in support[i].
-Constraints = list[list[tuple[Sequence[int], list[int]]]]
+# one constraint group of a variable x: (support, unions, partners).  When x
+# takes value i, every variable in partners must take a value in support[i];
+# when x's domain is the bitset d, a value in unions[d], the union of
+# support[i] over the bits i of d.  Each support list has one union table,
+# shared by its groups and freed with the search.
+Constraints = list[list[tuple[Sequence[int], dict[int, int], list[int]]]]
 # a test on a propagated node and the depth of the variable just assigned
 # there: True keeps the search from descending below the node
 Cut = Optional[Callable[[list[int], int], bool]]
@@ -70,20 +78,38 @@ def _adjacency_masks(
     return out, inn
 
 
+class _Unions(dict):
+    """The union table of one support list: domain bitset -> the union of
+    the support rows of its bits, filled on first read."""
+
+    __slots__ = ("support",)
+
+    def __init__(self, support: Sequence[int]):
+        self.support = support
+
+    def __missing__(self, domain: int) -> int:
+        support = self.support
+        union = 0
+        m = domain
+        while m:
+            low = m & -m
+            union |= support[low.bit_length() - 1]
+            m ^= low
+        self[domain] = union
+        return union
+
+
 def _propagate(doms: list[int], changed: Iterable[int], constraints: Constraints) -> Optional[list[int]]:
     """AC-3 from the variables in ``changed``, narrowing ``doms`` in place;
-    None when a domain is wiped out."""
+    None when a domain is wiped out.  A singleton domain revises its partners
+    with its support row, a larger one with its union from the table."""
     queue = list(changed)
     while queue:
         x = queue.pop()
         dx = doms[x]
-        for support, partners in constraints[x]:
-            allowed = 0
-            m = dx
-            while m:
-                low = m & -m
-                allowed |= support[low.bit_length() - 1]
-                m ^= low
+        i = -1 if dx & (dx - 1) else dx.bit_length() - 1
+        for support, unions, partners in constraints[x]:
+            allowed = unions[dx] if i < 0 else support[i]
             for y in partners:
                 dy = doms[y] & allowed
                 if dy != doms[y]:
@@ -120,31 +146,42 @@ def _solve(domains: list[int], constraints: Constraints, limit: Optional[int], c
 
 
 def _dfs(node: list[int], constraints: Constraints, limit: Optional[int], cut: Cut = None) -> Iterator[list[int]]:
-    """The depth-first search of ``_solve`` below an arc-consistent ``node``."""
+    """The depth-first search of ``_solve`` below an arc-consistent ``node``.
+
+    A depth whose domain is a singleton gets no frame: its value was
+    propagated when it was forced, so the search steps over it."""
     emitted = 0
-    # one frame per depth: the domains on entry and the values left to try
-    stack = [(node, node[0])]
-    while stack:
-        doms, left = stack[-1]
-        if not left:
-            stack.pop()
-            continue
-        low = left & -left
-        depth = len(stack) - 1
-        stack[-1] = (doms, left ^ low)
-        child = doms  # a forced value was propagated when it was forced
-        if doms[depth] != low:
-            child = doms.copy()
+    n = len(node)
+    # one frame per depth with a choice: the domains there, the depth and the values left to try
+    stack: list[list] = []
+    doms, depth = node, 0
+    while True:
+        while depth < n and not doms[depth] & (doms[depth] - 1):
+            depth += 1
+        if depth < n:
+            stack.append([doms, depth, doms[depth]])
+        else:
+            yield doms
+            emitted += 1
+            if emitted == limit:
+                return
+        while stack:
+            frame = stack[-1]
+            left = frame[2]
+            if not left:
+                stack.pop()
+                continue
+            low = left & -left
+            frame[2] = left ^ low
+            depth = frame[1]
+            child = frame[0].copy()
             child[depth] = low
             child = _propagate(child, (depth,), constraints)
-            if child is None or cut and depth + 1 < len(node) and cut(child, depth):
+            if child is None or cut and depth + 1 < n and cut(child, depth):
                 continue
-        if depth + 1 < len(node):
-            stack.append((child, child[depth + 1]))
-            continue
-        yield child
-        emitted += 1
-        if emitted == limit:
+            doms, depth = child, depth + 1
+            break
+        else:  # every frame is exhausted
             return
 
 
@@ -174,7 +211,7 @@ def _count(doms: list[int], constraints: Constraints, cache: dict, variables: It
         while pending and total:
             component = [pending.pop()]
             for x in component:
-                for _, partners in constraints[x]:
+                for _, _, partners in constraints[x]:
                     for y in partners:
                         if y in pending:
                             pending.remove(y)
@@ -259,7 +296,8 @@ def _hom_search(
     if isinstance(A, SliceObject):
         if A.base != B.base:
             raise ValueError("slice objects live over different bases")
-        colors = (A.structure_map.as_dict(), B.structure_map.as_dict())
+        source = A.structure_map.as_dict()
+        colors = (source, source if B is A else B.structure_map.as_dict())
         A, B = A.carrier, B.carrier
     index = {w: i for i, w in enumerate(B.vertices)}
     full = (1 << len(index)) - 1
@@ -269,17 +307,20 @@ def _hom_search(
         for w, c in colors[1].items():
             fibers[c] = fibers.get(c, 0) | 1 << index[w]
         domain = {v: fibers.get(colors[0][v], 0) for v in domain}
-    variables = sorted(A.vertices, key=lambda v: (-A.degree(v), v))
+    # the vertices are sorted by id and the sort is stable: descending degree, then id
+    variables = sorted(A.vertices, key=A.degree, reverse=True)
     position = {v: i for i, v in enumerate(variables)}
     # an edge is listed once, so a neighbour is an out- or an in-neighbour along the list
     adjacency = [o | i for o, i in zip(*_adjacency_masks(index, B.edges))]
+    unions = _Unions(adjacency)
     constraints: Constraints = [
-        [(adjacency, [position[w] for w in A.neighbors(v)])] for v in variables
+        [(adjacency, unions, [position[w] for w in A.neighbors(v)])] for v in variables
     ]
     if injective:
         not_equal = [full ^ 1 << i for i in range(len(index))]
+        unions = _Unions(not_equal)
         for x, group in enumerate(constraints):
-            group.append((not_equal, [y for y in range(len(variables)) if y != x]))
+            group.append((not_equal, unions, [y for y in range(len(variables)) if y != x]))
     return variables, [domain[v] for v in variables], constraints
 
 
@@ -538,10 +579,11 @@ def _digraph_search(D1: Digraph, D2: Digraph) -> tuple[list[Vertex], list[int], 
     index = {w: i for i, w in enumerate(D2.vertices)}
     position = {v: i for i, v in enumerate(variables)}
     out, inn = _adjacency_masks(index, D2.arcs)
+    out_unions, in_unions = _Unions(out), _Unions(inn)
     constraints: Constraints = [
         [
-            (out, [position[w] for w in D1.out_neighbors(v) if w != v]),
-            (inn, [position[w] for w in D1.in_neighbors(v) if w != v]),
+            (out, out_unions, [position[w] for w in D1.out_neighbors(v) if w != v]),
+            (inn, in_unions, [position[w] for w in D1.in_neighbors(v) if w != v]),
         ]
         for v in variables
     ]
