@@ -18,6 +18,7 @@ import sys
 import traceback
 from typing import Iterator, Optional
 
+from . import arrow
 from .core import Digraph, Graph, Morphism, SliceObject
 from .gadgets import (
     BUILTIN_GADGET_NAMES,
@@ -101,8 +102,6 @@ def cmd_cone_classify(args) -> int:
 
 
 def cmd_arrow(args) -> int:
-    from . import arrow
-
     D = _load_graph(args.digraph, Digraph)
     gadget = _load_gadget(args.gadget)
     isolated = D.isolated_vertices()
@@ -117,8 +116,6 @@ def cmd_arrow(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    from . import arrow
-
     D = _load_graph(args.digraph, Digraph)
     gadget = _load_gadget(args.gadget)
     res = arrow.arrow_graph(D, gadget.carrier, gadget.a, gadget.b)

@@ -203,20 +203,20 @@ class Digraph:
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Sequence[Vertex]] = ()):
         vs = _ids(vertices)
-        vset = frozenset(vs)
         ars = sorted({(str(u), str(v)) for u, v in arcs})
+        # in sorted arc order each vertex meets its out-neighbours (as the
+        # first end) and its in-neighbours (as the second) ascending
+        out: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
+        inn: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
         for u, v in ars:
-            if u not in vset or v not in vset:
+            if u not in out or v not in out:
                 raise ValueError(f"arc ({u!r}, {v!r}) has an endpoint outside the vertex set")
+            out[u].append(v)
+            inn[v].append(u)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "arcs", tuple(ars))
-        out: dict[Vertex, set[Vertex]] = {v: set() for v in vs}
-        inn: dict[Vertex, set[Vertex]] = {v: set() for v in vs}
-        for u, v in ars:
-            out[u].add(v)
-            inn[v].add(u)
-        object.__setattr__(self, "_out", {v: tuple(sorted(ns)) for v, ns in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(sorted(ns)) for v, ns in inn.items()})
+        object.__setattr__(self, "_out", {v: tuple(ns) for v, ns in out.items()})
+        object.__setattr__(self, "_in", {v: tuple(ns) for v, ns in inn.items()})
         object.__setattr__(self, "_arc_set", frozenset(ars))
 
     @property

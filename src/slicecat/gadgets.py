@@ -17,13 +17,22 @@ path of length 4, and length 6 over the 3-leaf star.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from string import ascii_lowercase
+from typing import Iterator, Optional
 
 from . import arrow
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, document_id
 from .homsearch import digraph_from_mask, hom_leaves, labeled_digraph_classes
 
-BUILTIN_GADGET_NAMES = ("C3", "C4", "P4", "Y")
+# per built-in gadget, keyed by its base graph: the base's edges and the
+# colours along the carrier path a, b, c, ...
+_BUILTIN_GADGETS = {
+    "C3": ("01 12 02", "0120"),
+    "C4": ("01 12 23 03", "01230"),
+    "P4": ("01 12 23 34", "0121234323210"),
+    "Y": ("01 12 13", "0121310"),
+}
+BUILTIN_GADGET_NAMES = tuple(_BUILTIN_GADGETS)
 
 
 @dataclass(frozen=True, init=False)
@@ -72,34 +81,15 @@ class Gadget:
         return cls(SliceObject.from_dict(data), document_id(data["a"], "a"), document_id(data["b"], "b"))
 
 
-def _path_on(letters: Sequence[str]) -> Graph:
-    return Graph(letters, [(letters[i], letters[i + 1]) for i in range(len(letters) - 1)])
-
-
 def builtin_gadget(base_name: str) -> Gadget:
     """One of the four verified gadgets, keyed by its base graph."""
-    name = base_name.upper()
-    if name == "C3":
-        base = Graph(list("012"), [("0", "1"), ("1", "2"), ("0", "2")])
-        letters = list("abcd")
-        colors = list("0120")
-    elif name == "C4":
-        base = Graph(list("0123"), [("0", "1"), ("1", "2"), ("2", "3"), ("0", "3")])
-        letters = list("abcde")
-        colors = list("01230")
-    elif name == "P4":
-        base = Graph(list("01234"), [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4")])
-        letters = list("abcdefghijklm")
-        colors = list("0121234323210")
-    elif name == "Y":
-        base = Graph(list("0123"), [("0", "1"), ("1", "2"), ("1", "3")])
-        letters = list("abcdefg")
-        colors = list("0121310")
-    else:
+    if base_name.upper() not in _BUILTIN_GADGETS:
         raise ValueError(f"unknown built-in gadget {base_name!r}; have {BUILTIN_GADGET_NAMES}")
-    carrier = _path_on(letters)
-    f = dict(zip(letters, colors))
-    return Gadget(SliceObject(carrier, base, f), letters[0], letters[-1])
+    edges, colors = _BUILTIN_GADGETS[base_name.upper()]
+    base = Graph(set(edges.replace(" ", "")), edges.split())
+    letters = list(ascii_lowercase[: len(colors)])
+    carrier = Graph(letters, zip(letters, letters[1:]))
+    return Gadget(SliceObject(carrier, base, dict(zip(letters, colors))), letters[0], letters[-1])
 
 
 @dataclass(frozen=True)

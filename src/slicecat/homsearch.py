@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
@@ -126,31 +126,29 @@ def _root(domains: list[int], constraints: Constraints) -> Optional[list[int]]:
     return _propagate(list(domains), range(len(domains)), constraints) if all(domains) else None
 
 
-def _solve(domains: list[int], constraints: Constraints, limit: Optional[int], cut: Cut = None) -> Iterator[list[int]]:
+def _solve(domains: list[int], constraints: Constraints, cut: Cut = None) -> Iterator[list[int]]:
     """Yield every assignment within the domain bitsets that satisfies the
     constraints (each listed from both ends), assigning variables in list
     order and values in ascending order.  A solution is yielded as its list of
     singleton domains, which may be one of the search's frames: never mutate it.
+    It runs only as far as its consumer reads; no variables give one empty solution.
 
     ``cut``, when given, is called on every node that an assignment and its
     propagation make above the leaves (not on the root, and not where the
     value was forced already); the search does not descend below a node it
     returns True for.
     """
-    if not domains:
-        yield []
-        return
     root = _root(domains, constraints)
     if root is not None:
-        yield from _dfs(root, constraints, limit, cut)
+        yield from _dfs(root, constraints, cut)
 
 
-def _dfs(node: list[int], constraints: Constraints, limit: Optional[int], cut: Cut = None) -> Iterator[list[int]]:
-    """The depth-first search of ``_solve`` below an arc-consistent ``node``.
+def _dfs(node: list[int], constraints: Constraints, cut: Cut = None) -> Iterator[list[int]]:
+    """The depth-first search of ``_solve`` below an arc-consistent ``node``,
+    yielding every solution there in the same order.
 
     A depth whose domain is a singleton gets no frame: its value was
     propagated when it was forced, so the search steps over it."""
-    emitted = 0
     n = len(node)
     # one frame per depth with a choice: the domains there, the depth and the values left to try
     stack: list[list] = []
@@ -162,9 +160,6 @@ def _dfs(node: list[int], constraints: Constraints, limit: Optional[int], cut: C
             stack.append([doms, depth, doms[depth]])
         else:
             yield doms
-            emitted += 1
-            if emitted == limit:
-                return
         while stack:
             frame = stack[-1]
             left = frame[2]
@@ -185,8 +180,8 @@ def _dfs(node: list[int], constraints: Constraints, limit: Optional[int], cut: C
             return
 
 
-def _count(doms: list[int], constraints: Constraints, cache: dict, variables: Iterable[int]) -> int:
-    """The number of solutions within the arc-consistent ``doms`` on ``variables``.
+def _count(doms: list[int], constraints: Constraints, cache: dict) -> int:
+    """The number of solutions within the arc-consistent ``doms``.
 
     In an arc-consistent state a singleton variable's constraints already hold
     for every value its partners have left, so only the variables with a
@@ -205,7 +200,7 @@ def _count(doms: list[int], constraints: Constraints, cache: dict, variables: It
     # pending variables, running total), then its cache key, branching
     # variable, the rest, the values left and the sum so far
     frames: list[list] = []
-    pending = {x for x in variables if doms[x] & (doms[x] - 1)}
+    pending = {x for x, d in enumerate(doms) if d & (d - 1)}
     total = 1
     while True:
         while pending and total:
@@ -254,11 +249,11 @@ def _count(doms: list[int], constraints: Constraints, cache: dict, variables: It
 def _count_solutions(domains: list[int], constraints: Constraints) -> int:
     """How many assignments ``_solve`` would yield, counted by ``_count``."""
     root = _root(domains, constraints)
-    return 0 if root is None else _count(root, constraints, {}, range(len(root)))
+    return 0 if root is None else _count(root, constraints, {})
 
 
 def _check_limit(limit: Optional[int]) -> None:
-    if limit is not None and limit < 1:  # the engine would read it as no limit
+    if limit is not None and limit < 1:  # an empty stream would read as "no solution"
         raise ValueError(f"limit must be at least 1, got {limit}")
 
 
@@ -285,7 +280,7 @@ def hom_leaves(
     """
     _check_limit(limit)
     variables, domains, constraints = _hom_search(A, B, injective)
-    return variables, _solve(domains, constraints, limit)
+    return variables, islice(_solve(domains, constraints), limit)
 
 
 def _hom_search(
@@ -400,15 +395,15 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
         nonlocal endo_count, first
         if doms.count(doms[depth]) == 1:  # no other variable is fixed to this value
             return False
-        count = _count(doms, constraints, cache, range(len(doms)))
+        count = _count(doms, constraints, cache)
         if count and first is None:
-            first = next(_dfs(doms, constraints, 1))
+            first = next(_dfs(doms, constraints))
         endo_count += count
         return True
 
     every_vertex = (1 << carrier.vertex_count) - 1
     auto_count = 0
-    for leaf in _solve(domains, constraints, None, non_bijective):
+    for leaf in _solve(domains, constraints, non_bijective):
         # n distinct singletons sum to all n bits; a repeated one carries and
         # leaves fewer bits set, so the sum tells bijections apart
         if sum(leaf) == every_vertex:
@@ -452,9 +447,10 @@ def endomorphism_verdict(X: SliceObject | Graph) -> EndoVerdict:
         # the root is arc-consistent, so only the variables that lost the value need revising
         lost = [x for x, d in enumerate(root) if d & bit]
         if all(doms) and _propagate(doms, lost, constraints) is not None:
-            if next(_dfs(doms, constraints, 1), None) is not None:
+            if next(_dfs(doms, constraints), None) is not None:
                 return EndoVerdict.HAS_PROPER_ENDOMORPHISM
-    if len(list(_solve(root, constraints, 2))) == 1:
+    # the root is arc-consistent already, so its search needs no second AC-3
+    if len(list(islice(_dfs(root, constraints), 2))) == 1:
         return EndoVerdict.RIGID
     return EndoVerdict.AUTOMORPHISMS_ONLY
 
@@ -465,10 +461,9 @@ def contains_subgraph(pattern: Graph, host: Graph) -> Optional[Morphism]:
     Ordinary (non-induced) subgraph containment: host edges between image
     vertices that are not pattern edges are fine.
     """
-    variables, leaves = hom_leaves(pattern, host, injective=True, limit=1)
-    for leaf in leaves:
-        return Morphism(pattern, host, _mapping(variables, host.vertices, leaf))
-    return None
+    variables, leaves = hom_leaves(pattern, host, injective=True)
+    leaf = next(leaves, None)
+    return None if leaf is None else Morphism(pattern, host, _mapping(variables, host.vertices, leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +565,7 @@ def digraph_hom_leaves(
     """
     _check_limit(limit)
     variables, domains, constraints = _digraph_search(D1, D2)
-    return variables, _solve(domains, constraints, limit)
+    return variables, islice(_solve(domains, constraints), limit)
 
 
 def _digraph_search(D1: Digraph, D2: Digraph) -> tuple[list[Vertex], list[int], Constraints]:

@@ -7,8 +7,11 @@ against them set-for-set.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from slicecat.core import Digraph, Graph, SliceObject, is_homomorphism
 
@@ -112,3 +115,15 @@ def random_digraph_no_isolated(rng: random.Random, max_vertices: int) -> Digraph
         D = random_digraph(rng, max_vertices)
         if not D.isolated_vertices():
             return D
+
+
+def load_workloads():
+    """The benchmark's workload module, read from ``perfbench/`` next to ``tests/``."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -29,6 +29,27 @@ ADVERSARIAL_IDS = st.lists(
 ).map("".join)
 
 
+class TestDigraphAdjacency:
+    @staticmethod
+    def assert_sorted_distinct_neighbours(d, arcs):
+        for v in d.vertices:
+            assert d.out_neighbors(v) == tuple(sorted({w for u, w in arcs if u == v}))
+            assert d.in_neighbors(v) == tuple(sorted({u for u, w in arcs if w == v}))
+
+    def test_random_digraphs_with_loops(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            d = random_digraph(rng, 6, rng.random())
+            self.assert_sorted_distinct_neighbours(d, d.arcs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ADVERSARIAL_IDS, min_size=1, max_size=5, unique=True), st.data())
+    def test_adversarial_ids_with_repeated_arcs(self, names, data):
+        # the arcs come in any order and may repeat
+        arcs = data.draw(st.lists(st.sampled_from([(u, v) for u in names for v in names]), max_size=12))
+        self.assert_sorted_distinct_neighbours(Digraph(names, arcs), arcs)
+
+
 class TestArrowGraph:
     def test_single_arc_is_one_copy(self):
         res = arrow_graph(SINGLE_ARC, C3_GADGET.carrier, "a", "d")

@@ -10,6 +10,7 @@ endomorphism in that sequence.  ``endomorphism_verdict`` must give the
 verdict of the oracle's counts.
 """
 
+import random
 from math import comb, factorial
 
 import pytest
@@ -22,13 +23,16 @@ from slicecat.homsearch import (
     classify_endomorphisms,
     contains_subgraph,
     digraph_hom_count,
+    digraph_hom_leaves,
     endomorphism_verdict,
     enumerate_digraph_homs,
     enumerate_homs,
     enumerate_slice_homs,
     hom_count,
+    hom_leaves,
     slice_hom_count,
 )
+from slicecat.universality import random_slice_object
 
 from conftest import (
     digraph_variable_order,
@@ -37,6 +41,8 @@ from conftest import (
     naive_endo_counts,
     naive_homs,
     naive_slice_homs,
+    random_digraph,
+    random_graph,
     static_order_sequence,
 )
 
@@ -112,6 +118,51 @@ def test_digraph_homs_match_oracle_in_order(d1, d2):
     got = [tuple(sorted(m.items())) for m in enumerate_digraph_homs(d1, d2)]
     assert got == static_order_sequence(naive_digraph_homs(d1, d2), digraph_variable_order(d1))
     assert digraph_hom_count(d1, d2) == len(got)
+
+
+def limited_streams(rng: random.Random, kind: str):
+    """The streams of one random search of ``kind``, each as a function from
+    ``limit`` to a list: the raw solutions and the public enumerator's output."""
+    if kind == "digraph":
+        d1, d2 = random_digraph(rng, 4), random_digraph(rng, 3, 0.5)
+        return [
+            lambda k: list(map(tuple, digraph_hom_leaves(d1, d2, k)[1])),
+            lambda k: list(enumerate_digraph_homs(d1, d2, k)),
+        ]
+    if kind == "slice":
+        base = rng.choice(BASES)
+        x, y = random_slice_object(base, rng, max_vertices=5), random_slice_object(base, rng, max_vertices=5)
+        return [
+            lambda k: list(map(tuple, hom_leaves(x, y, limit=k)[1])),
+            lambda k: list(enumerate_slice_homs(x, y, k)),
+        ]
+    a, b = random_graph(rng, 5), random_graph(rng, 5, 0.6)
+    if kind == "injective":
+        return [lambda k: list(map(tuple, hom_leaves(a, b, injective=True, limit=k)[1]))]
+    return [
+        lambda k: list(map(tuple, hom_leaves(a, b, limit=k)[1])),
+        lambda k: list(enumerate_homs(a, b, limit=k)),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["graph", "slice", "injective", "digraph"])
+def test_a_limit_keeps_the_first_solutions_of_the_stream(kind):
+    rng = random.Random(f"limit:{kind}")
+    for _ in range(40):
+        for stream in limited_streams(rng, kind):
+            full = stream(None)
+            for k in (1, 2, 5, len(full) + 1):
+                assert stream(k) == full[:k]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_a_vertex_less_pattern_has_one_empty_solution(n):
+    vs = [f"v{i}" for i in range(n)]
+    host, digraph_host = Graph(vs, zip(vs, vs[1:])), Digraph(vs, zip(vs, vs))
+    for limit in (None, 1):
+        assert list(hom_leaves(Graph([]), host, limit=limit)[1]) == [[]]
+        assert list(digraph_hom_leaves(Digraph([]), digraph_host, limit)[1]) == [[]]
+    assert hom_count(Graph([]), host) == digraph_hom_count(Digraph([]), digraph_host) == 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,10 +10,7 @@ search its own unions.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -31,6 +28,7 @@ from slicecat.homsearch import (
 from conftest import (
     digraph_variable_order,
     graph_variable_order,
+    load_workloads,
     naive_digraph_homs,
     naive_homs,
     naive_slice_homs,
@@ -38,8 +36,6 @@ from conftest import (
     random_graph,
     static_order_sequence,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def reference_propagate(doms, changed, constraints):
@@ -123,17 +119,6 @@ def test_union_tables_narrow_like_the_bitwise_revision(kind, seed):
             for x in changed:
                 doms[x] = random_subset(rng, doms[x])
             assert_same_narrowing(doms, changed, constraints)
-
-
-def load_workloads():
-    """The benchmark's workload module, read from ``perfbench/`` next to ``tests/``."""
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # its dataclasses look their module up there
-        spec.loader.exec_module(module)
-    return sys.modules[name]
 
 
 @pytest.mark.parametrize("seed", [1, 7, 12])

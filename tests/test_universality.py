@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -41,7 +44,7 @@ from slicecat.universality import (
     retract_slice_to_path,
 )
 
-from conftest import random_graph
+from conftest import load_workloads, random_graph
 
 P3 = build_path(3)
 
@@ -490,3 +493,19 @@ class TestFullEmbedding:
         report = full_embedding_check(bad, 1)
         assert not report.verdict
         assert report.violation is not None
+
+
+def test_dichotomy_benchmark_objects_keep_their_classifications():
+    # every verdict and witness of the 19,248 dichotomy benchmark objects of
+    # seeds 1, 7 and 12, pinned as a digest: a rewrite of the classifier's
+    # internals must return exactly the same reports
+    workloads = load_workloads()
+    digest = hashlib.sha256()
+    tally: Counter = Counter()
+    for seed in (1, 7, 12):
+        for call in workloads._build_dichotomy(random.Random(f"dichotomy:{seed}")):
+            report = classify_slice_object(call.args[0]).to_dict()
+            tally[report["verdict"]] += 1
+            digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
+    assert tally == {"rigid": 1727, "proper-endomorphism": 17521}
+    assert digest.hexdigest() == "1848f204d4c2984f802b058fd65493857e57a551aea85eccec76e124c02a1b2b"
