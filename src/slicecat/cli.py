@@ -185,13 +185,8 @@ def cmd_retract(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
-    base = _load_graph(args.base)
     report = dichotomy_sweep(
-        base,
-        args.max_carrier,
-        samples=args.samples,
-        seed=args.seed,
-        progress=_progress("dichotomy"),
+        _load_graph(args.base), args.max_carrier, samples=args.samples, seed=args.seed, progress=_progress("dichotomy")
     )
     _emit(report.to_dict())
     return 0 if report.verdict else 1

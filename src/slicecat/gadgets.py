@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from . import arrow
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, document_id
-from .homsearch import digraph_from_mask, hom_leaves, labeled_digraph_classes
+from .homsearch import class_sweep, digraph_from_mask, hom_leaves, labeled_digraph_classes
 
 # per built-in gadget, keyed by its base graph: the base's edges and the
 # colours along the carrier path a, b, c, ...
@@ -235,22 +235,19 @@ def verify_gadget(gadget: Gadget, D: Digraph) -> GadgetReport:
 def verify_gadget_exhaustive(gadget: Gadget, max_n: int, *, progress=None) -> GadgetReport:
     """Sweep every labeled digraph without isolated points on 1..max_n vertices.
 
-    Each isomorphism class is checked once, at its least mask, the first of
-    its digraphs the sweep reaches; its hom count is weighted by its orbit
-    size.  Stops at the first counterexample; ``digraphs_checked`` counts
-    the digraphs examined up to and including it.
+    Each isomorphism class is checked once, at the first of its digraphs the
+    sweep reaches, and its hom count is added up per labeled digraph
+    (``class_sweep``).  Stops at the first counterexample; ``digraphs_checked``
+    counts the digraphs examined up to and including it.
     """
-    checked = 0
-    total_homs = 0
-    for n, mask, least, size in labeled_digraph_classes(max_n, True):
-        checked += 1
-        if mask == least:
-            report = verify_gadget(gadget, digraph_from_mask(n, mask))
-            if not report.verdict:
-                return replace(report, digraphs_checked=checked, max_size=max_n)
-            total_homs += size * (report.hom_count or 0)
-        if progress and checked % 100 == 0:
-            progress(checked)
+
+    def check(key):
+        report = verify_gadget(gadget, digraph_from_mask(*key))
+        return (1, report.hom_count or 0), None if report.verdict else report
+
+    (checked, total_homs), failure = class_sweep(labeled_digraph_classes(max_n, True), check, (0, 0), progress, 100)
+    if failure is not None:
+        return replace(failure, digraphs_checked=checked, max_size=max_n)
     return GadgetReport(checked, max_n, True, hom_count=total_homs)
 
 
@@ -356,7 +353,7 @@ def check_strong_replacement_exhaustive(
     regime on 1..max_n vertices: loop-free ones, or ones without isolated
     vertices.
 
-    Each isomorphism class is checked once, at its least mask.  Returns the
+    Each isomorphism class is checked once (``class_sweep``).  Returns the
     number of labeled digraphs checked, up to and including the first
     failing one, the report and the failing digraph (None on a pass, where
     ``homs_checked`` counts over every labeled digraph).  Under
@@ -369,16 +366,15 @@ def check_strong_replacement_exhaustive(
             f"distinguished vertices {a!r} and {b!r} are adjacent, so under regime {regime!r} "
             "the product of a loop digraph would have a loop"
         )
-    checked = 0
-    total_homs = 0
-    for n, mask, least, size in labeled_digraph_classes(max_n, no_isolated):
-        if not no_isolated and mask & sum(1 << (n + 1) * i for i in range(n)):
-            continue
-        checked += 1
-        if mask == least:
-            D = digraph_from_mask(n, mask)
-            report = check_strong_replacement(H, a, b, D, regime=regime)
-            if not report.holds:
-                return checked, report, D
-            total_homs += size * report.homs_checked
-    return checked, ReplacementReport(True, total_homs), None
+    keys = labeled_digraph_classes(max_n, no_isolated)
+    if not no_isolated:  # a loop is kept by relabeling, so the least mask tells
+        keys = ((n, least) for n, least in keys if not least & sum(1 << (n + 1) * i for i in range(n)))
+
+    def check(key):
+        D = digraph_from_mask(*key)
+        report = check_strong_replacement(H, a, b, D, regime=regime)
+        return (1, report.homs_checked), None if report.holds else (report, D)
+
+    (checked, total_homs), failure = class_sweep(keys, check, (0, 0))
+    report, D = failure or (ReplacementReport(True, total_homs), None)
+    return checked, report, D

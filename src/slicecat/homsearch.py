@@ -33,12 +33,15 @@ functions wrap it and yield validated morphisms (dicts for digraphs).  The
 internal verifiers count and compare raw solutions and validate only the
 witnesses and counterexamples they return.
 
-The bounded digraph sweeps search each isomorphism class once, at its least
-arc mask (``digraph_classes``; isomorph rejection after McKay, J. Algorithms
-1998), since relabeling keeps loops, isolated vertices, verdicts and hom
-counts.  They share one walk, ``labeled_digraph_classes``: every labeled
-digraph in sweep order, with the least mask and size of its class, so their
-counters and counterexamples keep a labeled meaning.
+The bounded sweeps (gadget verification, embedding, strong replacement and
+the dichotomy) search each isomorphism class once, since relabeling keeps
+loops, isolated vertices, connectivity, verdicts and hom counts (isomorph
+rejection after McKay, J. Algorithms 1998).  One class routine,
+``least_masks``, maps every labeled graph or digraph, as a bit mask over
+vertex pairs, to the least mask of its class.  One helper, ``class_sweep``,
+walks the labeled items in sweep order, checks a class at its first item and
+adds the result up per item, so counters, progress and counterexamples keep
+a labeled meaning.
 """
 
 from __future__ import annotations
@@ -46,11 +49,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from operator import add, or_
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 
 DIGRAPH_ENUMERATION_CAP = 4
+# a carrier class walk keeps one entry per labeled graph: 2^21 at 7 vertices, 2^28 at 8
+CARRIER_ENUMERATION_CAP = 7
 
 
 # one constraint group of a variable x: (support, unions, partners).  When x
@@ -467,7 +473,7 @@ def contains_subgraph(pattern: Graph, host: Graph) -> Optional[Morphism]:
 
 
 # ---------------------------------------------------------------------------
-# digraphs
+# labeled graphs and digraphs, their isomorphism classes and the class sweep
 
 
 def check_digraph_size(n: int) -> None:
@@ -479,6 +485,41 @@ def check_digraph_size(n: int) -> None:
         raise ValueError(
             f"digraph enumeration is capped at {DIGRAPH_ENUMERATION_CAP} vertices (requested {n})"
         )
+
+
+def _cells(n: int, directed: bool) -> list[tuple[int, int]]:
+    """The vertex pairs behind the bits of a mask on n vertices, bit k for the
+    k-th: the arc (i, j) at bit n*i + j, or the edges i < j in lexicographic order."""
+    return [(i, j) for i in range(n) for j in range(n) if directed or i < j]
+
+
+def least_masks(n: int, directed: bool) -> list[int]:
+    """Per mask over the vertex pairs of n vertices (digraph arcs or graph
+    edges, numbered as ``digraph_from_mask`` and ``graph_from_mask`` read
+    them), the least mask of its isomorphism class: a list with one entry per
+    mask, 2^(n*n) or 2^(n(n-1)/2).
+
+    The masks are walked in ascending order.  A mask not reached yet is the
+    least of its class.  Its orbit, the masks of the n!/|Aut| labeled
+    relabelings, is the OR over its pairs of their images under every vertex
+    permutation, taken permutation by permutation.
+    """
+    cells = _cells(n, directed)
+    # an edge is found from either end; an arc only from its own
+    at = {(j, i): k for k, (i, j) in enumerate(cells)} | {c: k for k, c in enumerate(cells)}
+    perms = list(permutations(range(n)))
+    # per pair, the bit of its image under each permutation
+    images = [[1 << at[p[i], p[j]] for p in perms] for i, j in cells]
+    least = [-1] * (1 << len(cells))
+    for mask in range(len(least)):
+        if least[mask] < 0:
+            orbit = [0] * len(perms)
+            for k, image in enumerate(images):
+                if mask >> k & 1:
+                    orbit = list(map(or_, orbit, image))
+            for m in orbit:
+                least[m] = mask
+    return least
 
 
 def digraph_masks(n: int, require_no_isolated: bool) -> Iterator[int]:
@@ -493,41 +534,63 @@ def digraph_masks(n: int, require_no_isolated: bool) -> Iterator[int]:
 def digraph_classes(n: int, require_no_isolated: bool) -> list[tuple[int, frozenset[int]]]:
     """The isomorphism classes of the digraphs of ``digraph_masks``, ascending
     by least mask: per class its least arc mask and its orbit, the masks of
-    the n!/|Aut| labeled digraphs isomorphic to it.
-
-    The masks are walked in ascending order.  A mask not seen yet is the
-    least of its class; relabeling it once per vertex permutation gives its
-    orbit, which is then marked as seen.
-    """
+    the n!/|Aut| labeled digraphs isomorphic to it (see ``least_masks``)."""
     check_digraph_size(n)
-    perms = list(permutations(range(n)))
-    seen: set[int] = set()
-    classes = []
+    least = least_masks(n, True)
+    orbits: dict[int, set[int]] = {}
     for mask in digraph_masks(n, require_no_isolated):
-        if mask not in seen:
-            arcs = [divmod(k, n) for k in range(n * n) if mask >> k & 1]
-            orbit = frozenset(sum(1 << (n * p[i] + p[j]) for i, j in arcs) for p in perms)
-            seen |= orbit
-            classes.append((mask, orbit))
-    return classes
+        orbits.setdefault(least[mask], set()).add(mask)
+    return [(mask, frozenset(orbit)) for mask, orbit in orbits.items()]
 
 
-def labeled_digraph_classes(max_n: int, require_no_isolated: bool) -> Iterator[tuple[int, int, int, int]]:
+def labeled_digraph_classes(max_n: int, require_no_isolated: bool) -> Iterator[tuple[int, int]]:
     """Every labeled digraph of ``digraph_masks`` on 1..max_n vertices, in
-    that order (the sweep order): per digraph its size n, its arc mask, the
-    least mask of its class and the class size.  The cap is checked before
-    anything is yielded."""
+    that order (the sweep order), as the key of its class: its size n and
+    least mask.  The cap is checked before anything is yielded."""
     check_digraph_size(max_n)
     for n in range(1, max_n + 1):
-        classes = {m: (mask, len(orbit)) for mask, orbit in digraph_classes(n, require_no_isolated) for m in orbit}
-        for mask in digraph_masks(n, require_no_isolated):
-            yield (n, mask, *classes[mask])
+        least = least_masks(n, True)
+        yield from ((n, least[mask]) for mask in digraph_masks(n, require_no_isolated))
 
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:
     """The digraph on v0..v(n-1) whose arcs are the set bits of ``mask``."""
     vs = [f"v{i}" for i in range(n)]
     return Digraph(vs, [(vs[k // n], vs[k % n]) for k in range(n * n) if mask >> k & 1])
+
+
+def graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph on v0..v(n-1) whose edges are the set bits of ``mask``, the
+    edges i < j numbered in lexicographic order."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(vs[i], vs[j]) for k, (i, j) in enumerate(_cells(n, False)) if mask >> k & 1])
+
+
+def class_sweep(keys: Iterable[Hashable], check: Callable, totals: Sequence[int], progress=None, every: int = 1):
+    """Sweep labeled items, checking each isomorphism class once.
+
+    ``keys`` gives one key per labeled item, in sweep order; isomorphic items
+    share a key, such as the size and least mask of their class.
+    ``check(key)`` runs at the first item of each key, the first member of
+    its class that the sweep reaches, and returns the counts of one item of
+    the class (a tuple like ``totals``, whose first entry counts labeled
+    units) and a failure or None.  The counts are added to ``totals`` per
+    labeled item, and the sweep stops at the first item whose class failed,
+    so the totals and the failure keep their labeled meaning.  ``progress``
+    gets every multiple of ``every`` that the running unit count reaches.
+    Returns the totals and the failure, None when every item passed.
+    """
+    results: dict = {}
+    for key in keys:
+        if key not in results:
+            results[key] = check(key)
+        counts, failure = results[key]
+        done, totals = totals[0], list(map(add, totals, counts))
+        for reached in range((done // every + 1) * every, totals[0] + 1, every) if progress else ():
+            progress(reached)
+        if failure is not None:
+            return totals, failure
+    return list(totals), None
 
 
 def enumerate_digraphs(n: int, require_no_isolated: bool, *, canonical: bool = False) -> Iterator[Digraph]:
@@ -552,6 +615,10 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     pairs = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)]
     for mask in range(1 << len(pairs)):
         yield Graph(vs, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+
+
+# ---------------------------------------------------------------------------
+# digraph homomorphisms
 
 
 def digraph_hom_leaves(

@@ -9,7 +9,10 @@ machinery (gadget gluing) at desk scale, one pair of digraphs per pair of
 isomorphism classes; for a non-universal base it builds the constructive
 dichotomy witness: every slice object is rigid or carries a proper
 endomorphism, exhibited through path retractions and cross-component
-folding.
+folding.  The dichotomy sweep checks every hom of one carrier per
+isomorphism class of connected carriers.  All sweeps run through
+``homsearch.class_sweep``, so their counts and counterexamples are those of
+the labeled sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import functools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import chain, repeat
+from typing import Optional
 
 from . import arrow
 from .core import (
@@ -36,17 +40,20 @@ from .core import (
 )
 from .gadgets import Gadget
 from .homsearch import (
+    CARRIER_ENUMERATION_CAP,
     EndoVerdict,
+    class_sweep,
     classify_endomorphisms,
     contains_subgraph,
     digraph_from_mask,
     digraph_hom_count,
     digraph_masks,
     endomorphism_verdict,
-    enumerate_graphs,
     enumerate_homs,
+    graph_from_mask,
     hom_leaves,
     labeled_digraph_classes,
+    least_masks,
 )
 
 PATTERN_BUILDERS = {
@@ -395,6 +402,8 @@ def compare_components(X: SliceObject, Y: SliceObject) -> SliceMorphism:
         raise ValueError("objects live over different bases")
     if not X.carrier.is_connected() or not Y.carrier.is_connected():
         raise ValueError("both carriers must be connected")
+    if not X.carrier.vertices:  # an empty image is no subpath to map into
+        raise ValueError("the carrier of X is empty")
     base_ord = path_order(X.base, X.base.vertices)
     n = len(base_ord) - 1
     if n > 3:
@@ -651,27 +660,17 @@ def _product_triple(gadget: Gadget, D: Digraph) -> tuple[Digraph, arrow.ArrowRes
     return D, res, arrow.product_slice(res, gadget)
 
 
-def full_embedding_check(
-    gadget: Gadget,
-    max_n: int,
-    *,
-    progress=None,
-) -> EmbeddingReport:
+def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> EmbeddingReport:
     """Check h -> glued(h) is a bijection on every hom-set between products.
 
     Sweeps all ordered pairs of isolated-point-free digraphs with up to
     ``max_n`` vertices.  Assumes the gadget itself has already been verified
     at this size (otherwise fullness can fail and will be reported).
     Relabeling D1 and D2 separately keeps the verdict and both hom counts,
-    so each pair of isomorphism classes is checked once, at its least masks.
+    so each pair of isomorphism classes is checked once (``class_sweep``).
     """
-    # every labeled digraph, in sweep order, as the (size, least mask) of its class
-    labeled = []
-    triples = {}
-    for n, mask, least, _ in labeled_digraph_classes(max_n, True):
-        labeled.append((n, least))
-        if mask == least:
-            triples[n, mask] = _product_triple(gadget, digraph_from_mask(n, mask))
+    labeled = list(labeled_digraph_classes(max_n, True))
+    triples = {key: _product_triple(gadget, digraph_from_mask(*key)) for key in dict.fromkeys(labeled)}
     return _embedding_sweep(gadget, triples, ((x, y) for x in labeled for y in labeled), progress)
 
 
@@ -703,22 +702,13 @@ def full_embedding_spot_check(
 
 def _embedding_sweep(gadget: Gadget, triples: dict, pairs, progress) -> EmbeddingReport:
     """Sweep ``pairs`` of keys of ``triples`` in order, checking each distinct pair once."""
-    checked = 0
-    total_d = 0
-    total_s = 0
-    results: dict = {}
-    for pair in pairs:
-        if pair not in results:
-            results[pair] = _check_embedding_pair(gadget, triples[pair[0]], triples[pair[1]])
-        nd, ns, violation = results[pair]
-        checked += 1
-        total_d += nd
-        total_s += ns
-        if progress and checked % 50 == 0:
-            progress(checked)
-        if violation is not None:
-            return EmbeddingReport(checked, total_d, total_s, False, violation)
-    return EmbeddingReport(checked, total_d, total_s, True)
+
+    def check(pair):
+        nd, ns, violation = _check_embedding_pair(gadget, triples[pair[0]], triples[pair[1]])
+        return (1, nd, ns), violation
+
+    (checked, total_d, total_s), violation = class_sweep(pairs, check, (0, 0, 0), progress, 50)
+    return EmbeddingReport(checked, total_d, total_s, violation is None, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -761,44 +751,50 @@ def _check_dichotomy_instance(X: SliceObject, decomposition: tuple[tuple[Vertex,
 
 
 def dichotomy_sweep(
-    base: Graph,
-    max_carrier: int,
-    *,
-    samples: int = 0,
-    seed: int = 0,
-    progress=None,
+    base: Graph, max_carrier: int, *, samples: int = 0, seed: int = 0, progress=None
 ) -> DichotomyReport:
     """Exhaust all slice objects with small connected carriers over a
     non-universal base, then optionally add randomly generated instances
-    (disconnected carriers included).  The base is classified once, before
-    the first instance; a universal or empty base is a ValueError."""
+    (disconnected carriers included).
+
+    Relabeling a carrier keeps its hom count and the verdicts, so each
+    carrier class is searched once, at its least edge mask, the first of its
+    carriers the sweep reaches (``class_sweep``); ``instances`` counts labeled
+    instances.  Carriers above ``CARRIER_ENUMERATION_CAP`` vertices, a
+    universal or an empty base are a ValueError; the base is classified once,
+    before the first instance.
+    """
     if max_carrier < 1:  # a sweep over no carrier sizes would pass vacuously
         raise ValueError(f"max_carrier must be at least 1, got {max_carrier}")
+    if max_carrier > CARRIER_ENUMERATION_CAP:
+        raise ValueError(
+            f"carrier enumeration is capped at {CARRIER_ENUMERATION_CAP} vertices (requested {max_carrier})"
+        )
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
     if not base.vertices:  # no carrier with a vertex maps to it
         raise ValueError("base has no vertices, so the sweep would pass vacuously")
     decomposition = _path_decomposition(base)
+    rng = random.Random(seed)
 
-    def objects() -> Iterator[SliceObject]:
-        for n in range(1, max_carrier + 1):
-            for carrier in enumerate_graphs(n):
-                if carrier.is_connected():
-                    for hom in enumerate_homs(carrier, base):
-                        yield SliceObject(carrier, base, hom)
-        rng = random.Random(seed)
-        for _ in range(samples):
-            yield random_slice_object(base, rng)
+    def check(key):
+        if key[0]:
+            carrier = graph_from_mask(*key)
+            homs = enumerate_homs(carrier, base) if carrier.is_connected() else ()
+            objects = [SliceObject(carrier, base, h) for h in homs]
+        else:  # each sample key is new, so the samples are drawn in order
+            objects = [random_slice_object(base, rng)]
+        for count, X in enumerate(objects, 1):
+            problem = _check_dichotomy_instance(X, decomposition)
+            if problem is not None:
+                return (count,), DichotomyViolation(X.to_dict(), problem)
+        return (len(objects),), None
 
-    instances = 0
-    for X in objects():
-        instances += 1
-        if progress and instances % 200 == 0:
-            progress(instances)
-        problem = _check_dichotomy_instance(X, decomposition)
-        if problem is not None:
-            return DichotomyReport(instances, False, DichotomyViolation(X.to_dict(), problem))
-    return DichotomyReport(instances, True)
+    # per labeled carrier the size and least mask of its class, then one key per sample
+    carriers = chain.from_iterable(zip(repeat(n), least_masks(n, False)) for n in range(1, max_carrier + 1))
+    keys = chain(carriers, zip(repeat(0), range(samples)))
+    (instances,), violation = class_sweep(keys, check, (0,), progress, 200)
+    return DichotomyReport(instances, violation is None, violation)
 
 
 def random_slice_object(

@@ -1,15 +1,17 @@
 """Sweeps over isomorphism classes against the labeled sweeps they replace.
 
 The reference sweeps below walk every labeled digraph in ascending arc-mask
-order, one check per digraph, as the sweeps did before they checked one
-least mask per class.  Reduced and labeled sweeps must agree on every report
-field: verdict, counterexample, ``digraphs_checked``, ``pairs_checked`` and
-the hom totals.
+order, or every labeled connected carrier in ascending edge-mask order and
+every hom into the base, one check per digraph or instance, as the sweeps
+did before they checked one member per class.  Reduced and labeled sweeps
+must agree on every report field: verdict, counterexample or violation,
+``digraphs_checked``, ``pairs_checked``, ``instances`` and the hom totals.
 """
 
 import contextlib
 import io
 import json
+import random
 from itertools import permutations
 from math import factorial
 
@@ -17,7 +19,7 @@ import pytest
 
 from slicecat import gadgets, universality
 from slicecat.cli import main
-from slicecat.core import Digraph, SliceObject, build_path
+from slicecat.core import Digraph, Graph, SliceObject, build_path, disjoint_union
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
@@ -30,8 +32,26 @@ from slicecat.gadgets import (
     structure_map_mutations,
     verify_gadget_exhaustive,
 )
-from slicecat.homsearch import digraph_classes, digraph_masks, enumerate_digraphs, labeled_digraph_classes
-from slicecat.universality import EmbeddingReport, EmbeddingViolation, full_embedding_check
+from slicecat.homsearch import (
+    class_sweep,
+    digraph_classes,
+    digraph_masks,
+    enumerate_digraphs,
+    enumerate_graphs,
+    enumerate_homs,
+    graph_from_mask,
+    labeled_digraph_classes,
+    least_masks,
+)
+from slicecat.universality import (
+    DichotomyReport,
+    DichotomyViolation,
+    EmbeddingReport,
+    EmbeddingViolation,
+    dichotomy_sweep,
+    full_embedding_check,
+    random_slice_object,
+)
 
 
 def _gadget_building_mutants() -> dict:
@@ -58,6 +78,13 @@ def _mask(D: Digraph) -> int:
     """The arc mask of a digraph on v0..v(n-1), as ``digraph_masks`` numbers it."""
     n = D.vertex_count
     return sum(1 << (n * int(u[1:]) + int(v[1:])) for u, v in D.arcs)
+
+
+def _edge_mask(G: Graph) -> int:
+    """The edge mask of a graph on v0..v(n-1), as ``enumerate_graphs`` numbers it."""
+    n = G.vertex_count
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return sum(1 << pairs.index((int(u[1:]), int(v[1:]))) for u, v in G.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +133,32 @@ def labeled_strong(H, a, b, max_n, regime) -> dict:
             if not report.holds:
                 return dict(report.to_dict(), digraphs_checked=checked, digraph=D.to_dict())
     return {"holds": True, "digraphs_checked": checked, "witness": None}
+
+
+def labeled_dichotomy(base, max_carrier, samples=0, seed=0, progress=None) -> DichotomyReport:
+    """Every labeled connected carrier, every hom into the base, then the
+    seeded samples: one check per instance."""
+    decomposition = universality._path_decomposition(base)
+
+    def objects():
+        for n in range(1, max_carrier + 1):
+            for carrier in enumerate_graphs(n):
+                if carrier.is_connected():
+                    for hom in enumerate_homs(carrier, base):
+                        yield SliceObject(carrier, base, hom)
+        rng = random.Random(seed)
+        for _ in range(samples):
+            yield random_slice_object(base, rng)
+
+    instances = 0
+    for X in objects():
+        instances += 1
+        if progress and instances % 200 == 0:
+            progress(instances)
+        problem = universality._check_dichotomy_instance(X, decomposition)
+        if problem is not None:
+            return DichotomyReport(instances, False, DichotomyViolation(X.to_dict(), problem))
+    return DichotomyReport(instances, True)
 
 
 def library_strong(H, a, b, max_n, regime) -> dict:
@@ -177,6 +230,30 @@ def test_passing_strong_replacement_matches_labeled_sweep(tmp_path):
         for D in enumerate_digraphs(n, False)
         if not D.has_loop()
     )
+
+
+DICHOTOMY_BASES = {
+    "P3": build_path(3),
+    "P1+P3": disjoint_union([build_path(1), build_path(3)]),
+    "P2": build_path(2),
+}
+
+
+@pytest.mark.parametrize("max_carrier", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(DICHOTOMY_BASES))
+def test_dichotomy_matches_labeled_sweep(name, max_carrier):
+    base = DICHOTOMY_BASES[name]
+    seen, expected_seen = [], []
+    reduced = dichotomy_sweep(base, max_carrier, samples=250, seed=max_carrier, progress=seen.append)
+    labeled = labeled_dichotomy(base, max_carrier, 250, max_carrier, expected_seen.append)
+    assert reduced.to_dict() == labeled.to_dict()
+    assert seen == expected_seen
+
+
+def test_dichotomy_counts_labeled_instances():
+    P3 = build_path(3)
+    assert dichotomy_sweep(P3, 5).instances == 5_416
+    assert dichotomy_sweep(P3, 6).instances == 130_762
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +341,51 @@ def test_strong_replacement_fails_inside_a_size_like_the_labeled_sweep(monkeypat
     assert checked == 5 + sum(1 for m in digraph_masks(3, False) if m <= target and not m & loops)
 
 
+def _late_carrier_class(n: int, base: Graph, min_index: int) -> tuple[int, set[int]]:
+    """The least edge mask and the orbit of a connected carrier class on n
+    vertices, at least the ``min_index``-th, that maps onto ``base`` and that
+    an earlier connected class has a labeled member above."""
+    least = least_masks(n, False)
+    orbits: dict[int, set[int]] = {}
+    for mask, m in enumerate(least):
+        orbits.setdefault(m, set()).add(mask)
+    connected = [m for m in orbits if graph_from_mask(n, m).is_connected()]
+    for k in range(min_index, len(connected)):
+        homs = enumerate_homs(graph_from_mask(n, connected[k]), base)
+        onto = any(set(h.as_dict().values()) == set(base.vertices) for h in homs)
+        if onto and any(max(orbits[m]) > connected[k] for m in connected[:k]):
+            return connected[k], orbits[connected[k]]
+    raise AssertionError("no such class")
+
+
+def test_dichotomy_fails_inside_a_size_like_the_labeled_sweep(monkeypatch):
+    P3 = build_path(3)
+    target, orbit = _late_carrier_class(5, P3, 4)
+    real = universality._check_dichotomy_instance
+
+    def liar(X, decomposition):
+        # invariant under relabeling: the carrier's class and a surjective structure map
+        carrier = X.carrier
+        if carrier.vertex_count == 5 and _edge_mask(carrier) in orbit and len(set(X.image())) == 4:
+            return "planted"
+        return real(X, decomposition)
+
+    monkeypatch.setattr(universality, "_check_dichotomy_instance", liar)
+    reduced = dichotomy_sweep(P3, 5, samples=10, seed=1)
+    labeled = labeled_dichotomy(P3, 5, 10, 1)
+    assert reduced.to_dict() == labeled.to_dict()
+    assert not reduced.verdict and reduced.violation.detail == "planted"
+    carrier = SliceObject.from_dict(reduced.violation.slice_doc).carrier
+    assert _edge_mask(carrier) == target
+    # every instance on at most 4 vertices, those of the labeled carriers
+    # before the target, then the target's homs up to its first onto P3
+    before = [graph_from_mask(5, m) for m in range(target)]
+    prefix = sum(len(list(enumerate_homs(G, P3))) for G in before if G.is_connected())
+    onto = [len(set(h.as_dict().values())) == 4 for h in enumerate_homs(carrier, P3)]
+    assert onto.index(True) > 0
+    assert reduced.instances == dichotomy_sweep(P3, 4).instances + prefix + onto.index(True) + 1
+
+
 def test_progress_reports_labeled_units():
     seen = []
     verify_gadget_exhaustive(builtin_gadget("C3"), 3, progress=seen.append)
@@ -328,16 +450,90 @@ def test_class_counts_are_oeis_a000595(n, classes):
 
 
 # ---------------------------------------------------------------------------
+# least_masks over graphs
+
+
+def _edges(n: int, mask: int) -> list[tuple[int, int]]:
+    """The vertex pairs i < j of the set bits of an edge mask, in lexicographic order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_graph_classes_match_the_brute_force(n):
+    least = least_masks(n, False)
+    assert len(least) == 2 ** (n * (n - 1) // 2)
+    pairs = _edges(n, len(least) - 1)
+    perms = list(permutations(range(n)))
+    for mask, m in enumerate(least):
+        edges = {frozenset(e) for e in _edges(n, mask)}
+        relabeled = [{frozenset(p[x] for x in e) for e in edges} for p in perms]
+        orbit = {sum(1 << pairs.index(tuple(sorted(e))) for e in es) for es in relabeled}
+        assert m == min(orbit)
+        if m == mask:  # the class, once: its orbit has n!/|Aut| masks, and each maps to it
+            assert len(orbit) == factorial(n) // relabeled.count(edges)
+            assert {k for k, x in enumerate(least) if x == m} == orbit
+
+
+@pytest.mark.parametrize(
+    "n, classes, connected", [(1, 1, 1), (2, 2, 1), (3, 4, 2), (4, 11, 6), (5, 34, 21), (6, 156, 112)]
+)
+def test_graph_class_counts_are_oeis_a000088_and_a001349(n, classes, connected):
+    least = set(least_masks(n, False))
+    assert len(least) == classes
+    assert sum(graph_from_mask(n, m).is_connected() for m in least) == connected
+
+
+def test_graph_masks_number_edges_lexicographically():
+    for n in range(6):
+        expected = [Graph([f"v{i}" for i in range(n)], [(f"v{i}", f"v{j}") for i, j in _edges(n, mask)])
+                    for mask in range(2 ** (n * (n - 1) // 2))]
+        assert [graph_from_mask(n, mask) for mask in range(len(expected))] == expected
+        assert list(enumerate_graphs(n)) == expected
+    assert graph_from_mask(4, 0b100000).edges == (("v2", "v3"),)
+    assert graph_from_mask(4, 0b000100).edges == (("v0", "v3"),)
+
+
+# ---------------------------------------------------------------------------
+# class_sweep
+
+
+def test_class_sweep_checks_each_key_once_and_reports_every_multiple():
+    calls = []
+
+    def check(key):
+        calls.append(key)
+        return (key, 10 * key), None
+
+    seen = []
+    totals, failure = class_sweep([3, 1, 3, 250, 1], check, (0, 0), seen.append, 100)
+    assert calls == [3, 1, 250]
+    assert totals == [258, 2580] and failure is None
+    # one item may cross several multiples; each is reported once
+    assert seen == [100, 200]
+
+
+def test_class_sweep_stops_at_the_first_failing_item():
+    def check(key):
+        return (1, key), ("bad", key) if key == 2 else None
+
+    seen = []
+    totals, failure = class_sweep([1, 1, 2, 1, 2, 3], check, (0, 0), seen.append)
+    assert totals == [3, 4] and failure == ("bad", 2)
+    assert seen == [1, 2, 3]
+    assert class_sweep([], check, (0, 0)) == ([0, 0], None)
+
+
+# ---------------------------------------------------------------------------
 # labeled_digraph_classes
 
 
 @pytest.mark.parametrize("require_no_isolated", [True, False])
 def test_labeled_walk_matches_the_brute_force(require_no_isolated):
-    walk = list(labeled_digraph_classes(3, require_no_isolated))
-    assert [(n, mask) for n, mask, _, _ in walk] == [
-        (n, mask) for n in (1, 2, 3) for mask in digraph_masks(n, require_no_isolated)
-    ]
-    for n, mask, least, size in walk:
-        arcs = [divmod(k, n) for k in range(n * n) if mask >> k & 1]
-        relabelings = {sum(1 << (n * p[i] + p[j]) for i, j in arcs) for p in permutations(range(n))}
-        assert (least, size) == (min(relabelings), len(relabelings))
+    # one key per labeled digraph, in sweep order: its size and the least of its relabelings
+    expected = []
+    for n in (1, 2, 3):
+        for mask in digraph_masks(n, require_no_isolated):
+            arcs = [divmod(k, n) for k in range(n * n) if mask >> k & 1]
+            expected.append((n, min(sum(1 << (n * p[i] + p[j]) for i, j in arcs) for p in permutations(range(n)))))
+    assert list(labeled_digraph_classes(3, require_no_isolated)) == expected

@@ -282,6 +282,11 @@ class TestEndosRetractDichotomy:
         payload = json.loads(out)
         assert code == 0 and payload["verdict"] == "pass"
 
+    def test_dichotomy_over_cap_exits_two(self, capsys, p3_file):
+        code, out = run(capsys, ["dichotomy", p3_file, "--max-carrier", "8"])
+        assert code == 2
+        assert json.loads(out) == {"error": "carrier enumeration is capped at 7 vertices (requested 8)"}
+
     @pytest.mark.parametrize("samples", ["0", "5"])
     def test_dichotomy_over_an_empty_base_exits_two(self, capsys, tmp_path, samples):
         base = write(tmp_path / "empty.json", {"vertices": [], "edges": []})

@@ -251,6 +251,13 @@ class TestCompareComponents:
         with pytest.raises(ValueError, match="containment"):
             compare_components(x, y)
 
+    @pytest.mark.parametrize("y", [slice_over_p3([], {"y": 0}), slice_over_p3([], {})])
+    def test_empty_carrier_is_an_error(self, y):
+        # an empty image lies in every image but is no subpath to map into
+        x = slice_over_p3([], {})
+        with pytest.raises(ValueError, match="carrier of X is empty"):
+            compare_components(x, y)
+
 
 class TestClassifySliceObject:
     def test_identity_rigid(self):
@@ -367,12 +374,23 @@ class TestDichotomySweep:
         assert calls == [base]
 
     def test_universal_base_is_refused_before_any_instance(self, monkeypatch):
-        def no_instances(n):
+        def no_instances(n, directed):
             raise AssertionError("an instance was generated")
 
-        monkeypatch.setattr(universality, "enumerate_graphs", no_instances)
+        monkeypatch.setattr(universality, "least_masks", no_instances)
         with pytest.raises(ValueError, match="base is universal; the dichotomy applies only"):
             dichotomy_sweep(build_cycle(3), 2, samples=5)
+
+    def test_carrier_cap_is_checked_before_any_instance(self, monkeypatch):
+        def no_instances(*args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(universality, "least_masks", no_instances)
+        monkeypatch.setattr(universality, "_check_dichotomy_instance", no_instances)
+        cap = universality.CARRIER_ENUMERATION_CAP
+        assert cap == 7
+        with pytest.raises(ValueError, match=r"capped at 7 vertices \(requested 8\)"):
+            dichotomy_sweep(P3, cap + 1, samples=5)
 
     def test_exhaustive_small_plus_samples(self):
         report = dichotomy_sweep(P3, 3, samples=60, seed=5)
@@ -394,17 +412,15 @@ class TestDichotomySweep:
 
     def test_sample_failure_reports_its_labeled_position(self, monkeypatch):
         exhaustive = dichotomy_sweep(P3, 3).instances
+        rng = random.Random(9)
+        seventh = [random_slice_object(P3, rng) for _ in range(7)][-1]
         check = universality._check_dichotomy_instance
-        calls = []
 
         def planted(X, decomposition):
-            calls.append(X)
-            return "planted" if len(calls) == exhaustive + 7 else check(X, decomposition)
+            return "planted" if X == seventh else check(X, decomposition)
 
         monkeypatch.setattr(universality, "_check_dichotomy_instance", planted)
         report = dichotomy_sweep(P3, 3, samples=20, seed=9)
-        rng = random.Random(9)
-        seventh = [random_slice_object(P3, rng) for _ in range(7)][-1]
         assert not report.verdict and report.instances == exhaustive + 7
         assert report.violation.to_dict() == {"instance": seventh.to_dict(), "detail": "planted"}
 
