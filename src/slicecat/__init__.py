@@ -23,7 +23,6 @@ from .homsearch import (
     EndoReport,
     EndoVerdict,
     classify_endomorphisms,
-    contains_subgraph,
     digraph_hom_count,
     endomorphism_verdict,
     enumerate_digraph_homs,
@@ -41,10 +40,8 @@ from .arrow import (
     arrow_slice,
     interior_id,
     phi,
-    phi_is_strong,
     product_slice,
     product_structure_map,
-    slice_phi,
 )
 from .gadgets import (
     BUILTIN_GADGET_NAMES,
@@ -55,10 +52,8 @@ from .gadgets import (
     builtin_gadget,
     check_strong_replacement,
     check_strong_replacement_exhaustive,
-    structure_map_mutations,
     verify_gadget,
     verify_gadget_exhaustive,
-    verify_mutated_gadget,
 )
 from .universality import (
     BaseClassification,
@@ -71,13 +66,11 @@ from .universality import (
     RigidPathCertificate,
     classify_cone_base,
     classify_slice_base,
-    classify_slice_base_by_subgraph,
     classify_slice_object,
     compare_components,
     dichotomy_sweep,
     full_embedding_check,
     full_embedding_spot_check,
-    random_connected_surjective_slice,
     random_slice_object,
     retract_slice_to_path,
 )

@@ -13,18 +13,17 @@ inherits one: D-vertices go to f(a) and interior vertices to f(w).
 only what it builds from outside input: the distinguished vertices, every
 product id against all earlier ones, and the product ``Graph`` itself.  The
 copy maps it stores are not validated there.  A copy map is validated as a
-``Morphism`` when ``phi`` returns it, and as a ``SliceMorphism`` when
-``slice_phi`` does; ``product_structure_map`` validates the inherited map as a
-``Morphism``, and ``arrow_morphism`` validates its result as a
-``SliceMorphism``.  The verifiers read the stored copy maps unvalidated and
-validate only the counterexamples they return.
+``Morphism`` when ``phi`` returns it; ``product_structure_map`` validates the
+inherited map as a ``Morphism``, and ``arrow_morphism`` validates its result
+as a ``SliceMorphism``.  The verifiers read the stored copy maps unvalidated
+and validate only the counterexamples they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 
@@ -158,11 +157,6 @@ def arrow_slice(D: Digraph, gadget: "Gadget") -> SliceObject:
     return product_slice(arrow_graph(D, gadget.carrier, gadget.a, gadget.b), gadget)
 
 
-def slice_phi(res: ArrowResult, gadget: "Gadget", arc: Arc) -> SliceMorphism:
-    """The copy map of one arc as a slice morphism into the product object."""
-    return SliceMorphism(gadget.slice, product_slice(res, gadget), phi(res, arc))
-
-
 def arrow_morphism(
     D1: Digraph,
     D2: Digraph,
@@ -194,33 +188,3 @@ def arrow_morphism(
         for w, pid in copy.items():  # a and b rewrite u and v with h(u) and h(v)
             mapping[pid] = target[w]
     return SliceMorphism(product_slice(res1, gadget), product_slice(res2, gadget), mapping)
-
-
-def phi_is_strong(res: ArrowResult, arc: Arc) -> tuple[bool, Optional[tuple[Vertex, Vertex]]]:
-    """Edge reflection check for one copy map.
-
-    On a non-loop arc the copy map must reflect edges exactly: the images of
-    s, t are adjacent in the product iff {s, t} is a gadget edge.  On a loop
-    arc a and b share an image, so the check is performed on vertex pairs with
-    distinct images and treats edges at a and b as interchangeable.
-    """
-    arc = (arc[0], arc[1])
-    copy = res.copy_map(arc)
-    g = res.gadget_graph
-    is_loop = arc[0] == arc[1]
-    swap = {res.a: res.b, res.b: res.a}
-    for i, s in enumerate(g.vertices):
-        for t in g.vertices[i + 1 :]:
-            if copy[s] == copy[t]:
-                continue
-            product_edge = res.product.has_edge(copy[s], copy[t])
-            gadget_edge = g.has_edge(s, t)
-            if is_loop:
-                gadget_edge = (
-                    gadget_edge
-                    or g.has_edge(swap.get(s, s), t)
-                    or g.has_edge(s, swap.get(t, t))
-                )
-            if product_edge != gadget_edge:
-                return False, (s, t)
-    return True, None

@@ -149,14 +149,14 @@ def cmd_strong_replacement(args) -> int:
 
 
 def cmd_homs(args) -> int:
+    if args.max_solutions is not None and args.max_solutions < 1:
+        raise ValueError(f"limit must be at least 1, got {args.max_solutions}")
     A = _load_graph(args.source, slices=True)
     B = _load_graph(args.target, slices=True)
     if isinstance(A, SliceObject) != isinstance(B, SliceObject):
         raise ValueError("source and target must both be graphs or both slice objects")
     limit = 1 if args.mode == "exists" else args.max_solutions
     if args.mode == "count":
-        if limit is not None and limit < 1:
-            raise ValueError(f"limit must be at least 1, got {limit}")
         count = slice_hom_count(A, B) if isinstance(A, SliceObject) else hom_count(A, B)
         _emit({"mode": "count", "count": count if limit is None else min(count, limit)})
         return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from string import ascii_lowercase
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import arrow
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, document_id
@@ -249,39 +249,6 @@ def verify_gadget_exhaustive(gadget: Gadget, max_n: int, *, progress=None) -> Ga
     if failure is not None:
         return replace(failure, digraphs_checked=checked, max_size=max_n)
     return GadgetReport(checked, max_n, True, hom_count=total_homs)
-
-
-# ---------------------------------------------------------------------------
-# mutation testing: the verifiers must be able to fail
-
-
-def structure_map_mutations(gadget: Gadget) -> Iterator[tuple[Vertex, Vertex]]:
-    """All single-point structure-map rewrites (vertex, new base image)."""
-    f = gadget.slice.structure_map
-    for v in gadget.carrier.vertices:
-        for t in gadget.base.vertices:
-            if t != f(v):
-                yield v, t
-
-
-def verify_mutated_gadget(
-    gadget: Gadget, vertex: Vertex, new_target: Vertex, max_n: int = 2
-) -> GadgetReport:
-    """Apply one structure-map rewrite, then validate and sweep.
-
-    A rewrite that breaks the homomorphism property or the distinguished-pair
-    invariants fails immediately with an "invalid-gadget" counterexample; a
-    rewrite that still builds a gadget is swept like any other.
-    """
-    mutated = {k: v for k, v in gadget.slice.structure_map.mapping}
-    mutated[vertex] = new_target
-    try:
-        slice_obj = SliceObject(gadget.carrier, gadget.base, mutated)
-        candidate = Gadget(slice_obj, gadget.a, gadget.b)
-    except ValueError as exc:
-        ce = GadgetCounterexample(digraph=None, kind="invalid-gadget", reason=str(exc))
-        return GadgetReport(0, max_n, False, ce)
-    return verify_gadget_exhaustive(candidate, max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ One arc-consistent engine serves every search.  Each pattern vertex is a
 variable whose domain is an int bitset over the host vertices, indexed in
 lexicographic order.  Each pattern edge or arc is a binary constraint checked
 against per-host-vertex adjacency bitmasks (out and in for digraphs).  Slice
-colors and digraph loops narrow the initial domains; an injective search
-adds pairwise not-equal constraints.  AC-3 (Mackworth, "Consistency in
-networks of relations", 1977) runs at the root and after every assignment.
+colors and digraph loops narrow the initial domains.  AC-3 (Mackworth,
+"Consistency in networks of relations", 1977) runs at the root and after
+every assignment.
 A revision narrows a variable's partners to the union of the support rows
 of its domain's values: a singleton domain reads its row, a larger one reads
 a table from domain bitset to union that is filled on first use.  Each
@@ -269,29 +269,22 @@ def _mapping(variables: Sequence[Vertex], values: Sequence[Vertex], leaf: list[i
 
 
 def hom_leaves(
-    A: Graph | SliceObject,
-    B: Graph | SliceObject,
-    *,
-    injective: bool = False,
-    limit: Optional[int] = None,
+    A: Graph | SliceObject, B: Graph | SliceObject, *, limit: Optional[int] = None
 ) -> tuple[list[Vertex], Iterator[list[int]]]:
     """The variable order (descending degree, then id) and the raw solutions
     A -> B: per solution the variables' singleton bitsets, bit i for B's i-th
     vertex.  Raw solutions are unvalidated and must not be mutated.
 
     For slice objects structure-map fibers act as colors, which is exactly
-    the commuting-triangle condition.  ``injective`` adds not-equal
-    constraints between all pattern vertices.  ``limit`` (at least 1) stops
-    the stream after that many solutions.
+    the commuting-triangle condition.  ``limit`` (at least 1) stops the
+    stream after that many solutions.
     """
     _check_limit(limit)
-    variables, domains, constraints = _hom_search(A, B, injective)
+    variables, domains, constraints = _hom_search(A, B)
     return variables, islice(_solve(domains, constraints), limit)
 
 
-def _hom_search(
-    A: Graph | SliceObject, B: Graph | SliceObject, injective: bool
-) -> tuple[list[Vertex], list[int], Constraints]:
+def _hom_search(A: Graph | SliceObject, B: Graph | SliceObject) -> tuple[list[Vertex], list[int], Constraints]:
     """The variable order, starting domains and constraints of ``hom_leaves``."""
     colors = None
     if isinstance(A, SliceObject):
@@ -301,8 +294,7 @@ def _hom_search(
         colors = (source, source if B is A else B.structure_map.as_dict())
         A, B = A.carrier, B.carrier
     index = {w: i for i, w in enumerate(B.vertices)}
-    full = (1 << len(index)) - 1
-    domain = dict.fromkeys(A.vertices, full)
+    domain = dict.fromkeys(A.vertices, (1 << len(index)) - 1)
     if colors is not None:
         fibers: dict[Vertex, int] = {}
         for w, c in colors[1].items():
@@ -317,11 +309,6 @@ def _hom_search(
     constraints: Constraints = [
         [(adjacency, unions, [position[w] for w in A.neighbors(v)])] for v in variables
     ]
-    if injective:
-        not_equal = [full ^ 1 << i for i in range(len(index))]
-        unions = _Unions(not_equal)
-        for x, group in enumerate(constraints):
-            group.append((not_equal, unions, [y for y in range(len(variables)) if y != x]))
     return variables, [domain[v] for v in variables], constraints
 
 
@@ -334,7 +321,7 @@ def enumerate_homs(A: Graph, B: Graph, limit: Optional[int] = None) -> Iterator[
 
 def hom_count(A: Graph, B: Graph) -> int:
     """The number of homomorphisms A -> B, counted without enumerating them."""
-    return _count_solutions(*_hom_search(A, B, False)[1:])
+    return _count_solutions(*_hom_search(A, B)[1:])
 
 
 def enumerate_slice_homs(X: SliceObject, Y: SliceObject, limit: Optional[int] = None) -> Iterator[SliceMorphism]:
@@ -346,7 +333,7 @@ def enumerate_slice_homs(X: SliceObject, Y: SliceObject, limit: Optional[int] = 
 
 def slice_hom_count(X: SliceObject, Y: SliceObject) -> int:
     """The number of slice morphisms X -> Y, counted without enumerating them."""
-    return _count_solutions(*_hom_search(X, Y, False)[1:])
+    return _count_solutions(*_hom_search(X, Y)[1:])
 
 
 class EndoVerdict(enum.Enum):
@@ -392,7 +379,7 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     the first non-bijective endomorphism in static order: the witness.
     """
     carrier = X if isinstance(X, Graph) else X.carrier
-    variables, domains, constraints = _hom_search(X, X, False)
+    variables, domains, constraints = _hom_search(X, X)
     cache: dict = {}
     endo_count = 0
     first: Optional[list[int]] = None
@@ -445,7 +432,7 @@ def endomorphism_verdict(X: SliceObject | Graph) -> EndoVerdict:
     and a search stopped at two solutions tells the identity alone (rigid)
     from a nontrivial group.
     """
-    _, domains, constraints = _hom_search(X, X, False)
+    _, domains, constraints = _hom_search(X, X)
     root = _root(domains, constraints)  # never None: the identity is a solution
     for i in range(len(root)):
         bit = 1 << i
@@ -459,17 +446,6 @@ def endomorphism_verdict(X: SliceObject | Graph) -> EndoVerdict:
     if len(list(islice(_dfs(root, constraints), 2))) == 1:
         return EndoVerdict.RIGID
     return EndoVerdict.AUTOMORPHISMS_ONLY
-
-
-def contains_subgraph(pattern: Graph, host: Graph) -> Optional[Morphism]:
-    """First injective edge-preserving map pattern -> host, or None.
-
-    Ordinary (non-induced) subgraph containment: host edges between image
-    vertices that are not pattern edges are fine.
-    """
-    variables, leaves = hom_leaves(pattern, host, injective=True)
-    leaf = next(leaves, None)
-    return None if leaf is None else Morphism(pattern, host, _mapping(variables, host.vertices, leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +507,6 @@ def digraph_masks(n: int, require_no_isolated: bool) -> Iterator[int]:
             yield mask
 
 
-def digraph_classes(n: int, require_no_isolated: bool) -> list[tuple[int, frozenset[int]]]:
-    """The isomorphism classes of the digraphs of ``digraph_masks``, ascending
-    by least mask: per class its least arc mask and its orbit, the masks of
-    the n!/|Aut| labeled digraphs isomorphic to it (see ``least_masks``)."""
-    check_digraph_size(n)
-    least = least_masks(n, True)
-    orbits: dict[int, set[int]] = {}
-    for mask in digraph_masks(n, require_no_isolated):
-        orbits.setdefault(least[mask], set()).add(mask)
-    return [(mask, frozenset(orbit)) for mask, orbit in orbits.items()]
-
-
 def labeled_digraph_classes(max_n: int, require_no_isolated: bool) -> Iterator[tuple[int, int]]:
     """Every labeled digraph of ``digraph_masks`` on 1..max_n vertices, in
     that order (the sweep order), as the key of its class: its size n and
@@ -598,11 +562,13 @@ def enumerate_digraphs(n: int, require_no_isolated: bool, *, canonical: bool = F
 
     With ``require_no_isolated`` only relations where every vertex occurs in
     some arc are produced.  ``canonical`` keeps one representative per
-    isomorphism class, its least arc mask (see ``digraph_classes``).
+    isomorphism class, the least arc mask of the class (see ``least_masks``).
     """
+    check_digraph_size(n)
     masks = digraph_masks(n, require_no_isolated)
     if canonical:
-        masks = (m for m, _ in digraph_classes(n, require_no_isolated))
+        least = least_masks(n, True)
+        masks = (m for m in masks if least[m] == m)
     for mask in masks:
         yield digraph_from_mask(n, mask)
 

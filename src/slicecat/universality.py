@@ -44,7 +44,6 @@ from .homsearch import (
     EndoVerdict,
     class_sweep,
     classify_endomorphisms,
-    contains_subgraph,
     digraph_from_mask,
     digraph_hom_count,
     digraph_masks,
@@ -126,21 +125,6 @@ def classify_slice_base(G: Graph) -> BaseClassification:
         return BaseClassification(BaseVerdict.NOT_UNIVERSAL, decomposition=tuple(paths))
     mapping = {f"v{i}": w for i, w in enumerate(order[:5])}
     return BaseClassification(BaseVerdict.UNIVERSAL, name, Morphism(PATTERN_BUILDERS[name](), G, mapping))
-
-
-def classify_slice_base_by_subgraph(G: Graph) -> BaseClassification:
-    """Independent route to the same verdict via subgraph search.
-
-    Tries the four patterns in a fixed order and returns the first injective
-    embedding found; used as a cross-check against the structural scan.
-    """
-    for name in ("C3", "C4", "P4", "Y"):
-        pattern = PATTERN_BUILDERS[name]()
-        hit = contains_subgraph(pattern, G)
-        if hit is not None:
-            return BaseClassification(BaseVerdict.UNIVERSAL, name, hit)
-    decomposition = tuple(path_order(G, comp) for comp in G.components())
-    return BaseClassification(BaseVerdict.NOT_UNIVERSAL, decomposition=decomposition)
 
 
 @dataclass(frozen=True)
@@ -818,44 +802,4 @@ def random_slice_object(
         for v in vs[i + 1 :]
         if base.has_edge(colors[u], colors[v]) and rng.random() < 0.45
     ]
-    return SliceObject(Graph(vs, edges), base, colors)
-
-
-def random_connected_surjective_slice(
-    base: Graph,
-    rng: random.Random,
-    *,
-    max_vertices: int = 8,
-) -> SliceObject:
-    """A random connected slice object whose structure map is onto.
-
-    Starts from a section of the base path (guaranteeing surjectivity),
-    attaches every further vertex to a compatible existing one (guaranteeing
-    connectivity), then sprinkles extra compatible edges.
-    """
-    base_ord = path_order(base, base.vertices)
-    m = len(base_ord)
-    n = rng.randint(m, max_vertices)
-    vs = [f"v{i}" for i in range(n)]
-    colors: dict[Vertex, Vertex] = {}
-    edges: list[tuple[Vertex, Vertex]] = []
-    for i in range(m):
-        colors[vs[i]] = base_ord[i]
-        if i:
-            edges.append((vs[i - 1], vs[i]))
-    for i in range(m, n):
-        colors[vs[i]] = rng.choice(base.vertices)
-        anchors = [
-            w for w in vs[:i] if base.has_edge(colors[w], colors[vs[i]])
-        ]
-        if anchors:
-            edges.append((rng.choice(anchors), vs[i]))
-        else:
-            # same color as an isolated-compatible situation cannot happen on
-            # a path base: every color has an adjacent one among the seeds
-            raise RuntimeError("no compatible anchor for a fresh vertex")
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if base.has_edge(colors[u], colors[v]) and rng.random() < 0.35:
-                edges.append((u, v))
     return SliceObject(Graph(vs, edges), base, colors)

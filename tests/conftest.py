@@ -1,8 +1,11 @@
-"""Shared brute-force oracles and instance generators.
+"""Shared brute-force oracles, instance generators and test-only helpers.
 
 The oracles enumerate every candidate map and filter, independent of the
 search engine's pruning and ordering, so engine results can be checked
-against them set-for-set.
+against them set-for-set.  The helpers below them (the brute-force base
+classifier, structure-map mutants, the strong copy-map check and the orbit
+form of the digraph classes) serve only tests, so they live here and not in
+the library.
 """
 
 from __future__ import annotations
@@ -13,7 +16,21 @@ import random
 import sys
 from pathlib import Path
 
-from slicecat.core import Digraph, Graph, SliceObject, is_homomorphism
+from slicecat.arrow import ArrowResult, Arc
+from slicecat.core import (
+    Digraph,
+    Graph,
+    SliceObject,
+    Vertex,
+    build_cycle,
+    build_path,
+    build_star,
+    is_homomorphism,
+    path_order,
+)
+from slicecat.gadgets import Gadget, GadgetCounterexample, GadgetReport, verify_gadget_exhaustive
+from slicecat.homsearch import check_digraph_size, digraph_masks, least_masks
+from slicecat.universality import BaseVerdict
 
 
 def naive_homs(A: Graph, B: Graph) -> set[tuple[tuple[str, str], ...]]:
@@ -62,6 +79,16 @@ def naive_injective_subgraph(pattern: Graph, host: Graph) -> bool:
         if all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges):
             return True
     return False
+
+
+def naive_base_verdict(G: Graph) -> BaseVerdict:
+    """The base classification by subgraph search: universal exactly when a
+    triangle, a 4-cycle, a path with four edges or a 3-leaf star is a
+    (non-induced) subgraph of G, each tried over every injective vertex map."""
+    patterns = (build_cycle(3), build_cycle(4), build_path(4), build_star(3))
+    if any(naive_injective_subgraph(pattern, G) for pattern in patterns):
+        return BaseVerdict.UNIVERSAL
+    return BaseVerdict.NOT_UNIVERSAL
 
 
 def graph_variable_order(pattern: Graph) -> list[str]:
@@ -127,3 +154,97 @@ def load_workloads():
         sys.modules[name] = module  # its dataclasses look their module up there
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def random_connected_surjective_slice(base: Graph, rng: random.Random, *, max_vertices: int = 8) -> SliceObject:
+    """A random connected slice object over a path ``base`` whose structure map is onto.
+
+    Starts from a section of the base path (guaranteeing surjectivity),
+    attaches every further vertex to a compatible existing one (guaranteeing
+    connectivity), then sprinkles extra compatible edges.
+    """
+    base_ord = path_order(base, base.vertices)
+    m = len(base_ord)
+    n = rng.randint(m, max_vertices)
+    vs = [f"v{i}" for i in range(n)]
+    colors: dict[Vertex, Vertex] = {}
+    edges: list[tuple[Vertex, Vertex]] = []
+    for i in range(m):
+        colors[vs[i]] = base_ord[i]
+        if i:
+            edges.append((vs[i - 1], vs[i]))
+    for i in range(m, n):
+        colors[vs[i]] = rng.choice(base.vertices)
+        anchors = [w for w in vs[:i] if base.has_edge(colors[w], colors[vs[i]])]
+        if not anchors:
+            # on a path base every color has an adjacent one among the section's vertices
+            raise RuntimeError("no compatible anchor for a fresh vertex")
+        edges.append((rng.choice(anchors), vs[i]))
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            if base.has_edge(colors[u], colors[v]) and rng.random() < 0.35:
+                edges.append((u, v))
+    return SliceObject(Graph(vs, edges), base, colors)
+
+
+def structure_map_mutations(gadget: Gadget):
+    """All single-point structure-map rewrites (vertex, new base image)."""
+    f = gadget.slice.structure_map
+    for v in gadget.carrier.vertices:
+        for t in gadget.base.vertices:
+            if t != f(v):
+                yield v, t
+
+
+def verify_mutated_gadget(gadget: Gadget, vertex: Vertex, new_target: Vertex, max_n: int = 2) -> GadgetReport:
+    """Apply one structure-map rewrite, then validate and sweep.
+
+    A rewrite that breaks the homomorphism property or the distinguished-pair
+    invariants fails immediately with an "invalid-gadget" counterexample; a
+    rewrite that still builds a gadget is swept like any other.
+    """
+    mutated = dict(gadget.slice.structure_map.mapping)
+    mutated[vertex] = new_target
+    try:
+        candidate = Gadget(SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b)
+    except ValueError as exc:
+        ce = GadgetCounterexample(digraph=None, kind="invalid-gadget", reason=str(exc))
+        return GadgetReport(0, max_n, False, ce)
+    return verify_gadget_exhaustive(candidate, max_n)
+
+
+def phi_is_strong(res: ArrowResult, arc: Arc) -> tuple[bool, tuple[Vertex, Vertex] | None]:
+    """Edge reflection check for one copy map.
+
+    On a non-loop arc the copy map must reflect edges exactly: the images of
+    s, t are adjacent in the product iff {s, t} is a gadget edge.  On a loop
+    arc a and b share an image, so the check is performed on vertex pairs with
+    distinct images and treats edges at a and b as interchangeable.
+    """
+    copy = res.copy_map(arc)
+    g = res.gadget_graph
+    is_loop = arc[0] == arc[1]
+    swap = {res.a: res.b, res.b: res.a}
+    for i, s in enumerate(g.vertices):
+        for t in g.vertices[i + 1 :]:
+            if copy[s] == copy[t]:
+                continue
+            gadget_edge = g.has_edge(s, t)
+            if is_loop:
+                gadget_edge = gadget_edge or g.has_edge(swap.get(s, s), t) or g.has_edge(s, swap.get(t, t))
+            if res.product.has_edge(copy[s], copy[t]) != gadget_edge:
+                return False, (s, t)
+    return True, None
+
+
+def digraph_classes(n: int, require_no_isolated: bool) -> list[tuple[int, frozenset[int]]]:
+    """The isomorphism classes of the digraphs of ``digraph_masks``, ascending
+    by least mask: per class its least arc mask and its orbit, the masks of
+    the n!/|Aut| labeled digraphs isomorphic to it, read from the library's
+    ``least_masks``."""
+    check_digraph_size(n)
+    least = least_masks(n, True)
+    orbits: dict[int, set[int]] = {}
+    for mask in digraph_masks(n, require_no_isolated):
+        orbits.setdefault(least[mask], set()).add(mask)
+    return [(mask, frozenset(orbit)) for mask, orbit in orbits.items()]

@@ -7,16 +7,14 @@ random sweeps are seeded and deterministic.
 
 import random
 
-from slicecat.arrow import arrow_graph, arrow_morphism, phi, phi_is_strong, product_structure_map
+from slicecat.arrow import arrow_graph, arrow_morphism, phi, product_structure_map
 from slicecat.core import build_path
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     builtin_gadget,
     build_gk,
     check_strong_replacement,
-    structure_map_mutations,
     verify_gadget_exhaustive,
-    verify_mutated_gadget,
 )
 from slicecat.homsearch import (
     EndoVerdict,
@@ -30,15 +28,21 @@ from slicecat.universality import (
     RetractionPlan,
     RigidPathCertificate,
     classify_slice_base,
-    classify_slice_base_by_subgraph,
     dichotomy_sweep,
     full_embedding_check,
     full_embedding_spot_check,
-    random_connected_surjective_slice,
     retract_slice_to_path,
 )
 
-from conftest import random_digraph, random_graph
+from conftest import (
+    naive_base_verdict,
+    phi_is_strong,
+    random_connected_surjective_slice,
+    random_digraph,
+    random_graph,
+    structure_map_mutations,
+    verify_mutated_gadget,
+)
 
 SEED = 20260808
 
@@ -117,17 +121,12 @@ def test_criterion_4_classifier_equivalence():
     exhaustive = 0
     for n in range(6):
         for g in enumerate_graphs(n):
-            assert (
-                classify_slice_base(g).verdict
-                == classify_slice_base_by_subgraph(g).verdict
-            ), g.to_dict()
+            assert classify_slice_base(g).verdict == naive_base_verdict(g), g.to_dict()
             exhaustive += 1
     rng = random.Random(SEED)
     for _ in range(1000):
         g = random_graph(rng, 9, edge_probability=rng.choice([0.1, 0.2, 0.35, 0.5]))
-        assert (
-            classify_slice_base(g).verdict == classify_slice_base_by_subgraph(g).verdict
-        ), g.to_dict()
+        assert classify_slice_base(g).verdict == naive_base_verdict(g), g.to_dict()
     print(
         f"ACCEPTANCE 4 classifier-equivalence: PASS ({exhaustive} labeled graphs "
         f"through 5 vertices exhaustively, 1000 random graphs through 9 vertices)"

@@ -9,15 +9,14 @@ from slicecat.arrow import (
     arrow_slice,
     interior_id,
     phi,
-    phi_is_strong,
+    product_slice,
     product_structure_map,
-    slice_phi,
 )
 from slicecat.core import Digraph, Graph, Morphism, SliceMorphism, SliceObject
 from slicecat.gadgets import BUILTIN_GADGET_NAMES, Gadget, builtin_gadget, verify_gadget
 from slicecat.homsearch import enumerate_digraph_homs, enumerate_digraphs
 
-from conftest import random_digraph
+from conftest import phi_is_strong, random_digraph
 
 C3_GADGET = builtin_gadget("C3")
 SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
@@ -307,7 +306,7 @@ class TestArrowSlice:
 
     def test_slice_phi_validates(self):
         res = arrow_graph(SINGLE_ARC, C3_GADGET.carrier, "a", "d")
-        sm = slice_phi(res, C3_GADGET, ("u", "v"))
+        sm = SliceMorphism(C3_GADGET.slice, product_slice(res, C3_GADGET), phi(res, ("u", "v")))
         assert sm.source == C3_GADGET.slice
 
 

@@ -29,12 +29,10 @@ from slicecat.gadgets import (
     builtin_gadget,
     check_strong_replacement,
     check_strong_replacement_exhaustive,
-    structure_map_mutations,
     verify_gadget_exhaustive,
 )
 from slicecat.homsearch import (
     class_sweep,
-    digraph_classes,
     digraph_masks,
     enumerate_digraphs,
     enumerate_graphs,
@@ -52,6 +50,8 @@ from slicecat.universality import (
     full_embedding_check,
     random_slice_object,
 )
+
+from conftest import digraph_classes, structure_map_mutations
 
 
 def _gadget_building_mutants() -> dict:
@@ -396,7 +396,7 @@ def test_progress_reports_labeled_units():
 
 
 # ---------------------------------------------------------------------------
-# digraph_classes
+# digraph classes: the orbits read from least_masks, and the canonical enumeration
 
 
 def _brute_force_least_masks(n: int, require_no_isolated: bool) -> list[int]:
@@ -432,21 +432,27 @@ def test_orbit_size_is_n_factorial_over_automorphisms(n, require_no_isolated):
 @pytest.mark.parametrize("require_no_isolated", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_least_masks_match_the_brute_force_filter(n, require_no_isolated):
-    least = [mask for mask, _ in digraph_classes(n, require_no_isolated)]
-    assert least == _brute_force_least_masks(n, require_no_isolated)
+    canonical = [_mask(D) for D in enumerate_digraphs(n, require_no_isolated, canonical=True)]
+    assert canonical == _brute_force_least_masks(n, require_no_isolated)
 
 
 def test_classes_respect_the_cap():
     for n in (0, 5):
         with pytest.raises(ValueError):
-            digraph_classes(n, True)
+            next(enumerate_digraphs(n, True, canonical=True))
         with pytest.raises(ValueError):
             next(labeled_digraph_classes(n, True))
 
 
+# classes without an isolated vertex: A000595(n) - A000595(n - 1), since
+# dropping one isolated vertex leaves any digraph on n - 1 vertices
+WITHOUT_ISOLATED = {1: 1, 2: 8, 3: 94, 4: 2_940}
+
+
 @pytest.mark.parametrize("n, classes", [(1, 2), (2, 10), (3, 104), (4, 3_044)])
 def test_class_counts_are_oeis_a000595(n, classes):
-    assert len(digraph_classes(n, False)) == classes
+    assert sum(1 for _ in enumerate_digraphs(n, False, canonical=True)) == classes
+    assert sum(1 for _ in enumerate_digraphs(n, True, canonical=True)) == WITHOUT_ISOLATED[n]
 
 
 # ---------------------------------------------------------------------------

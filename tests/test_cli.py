@@ -240,11 +240,12 @@ class TestHoms:
         payload = json.loads(out)
         assert code == 0 and len(payload["homs"]) == 2
 
-    @pytest.mark.parametrize("mode", ["count", "list"])
+    @pytest.mark.parametrize("mode", ["count", "exists", "list"])
     def test_max_solutions_below_one_exits_two(self, capsys, tmp_path, c3_file, mode):
         k2 = write(tmp_path / "k2.json", build_path(1).to_dict())
-        code, out = run(capsys, ["homs", k2, c3_file, "--mode", mode, "--max-solutions", "0"])
-        assert code == 2 and "limit" in json.loads(out)["error"]
+        for limit in ("0", "-5"):
+            code, out = run(capsys, ["homs", k2, c3_file, "--mode", mode, "--max-solutions", limit])
+            assert code == 2 and "limit" in json.loads(out)["error"]
 
 
 class TestEndosRetractDichotomy:

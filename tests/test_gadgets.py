@@ -15,20 +15,18 @@ from slicecat.gadgets import (
     build_gk,
     check_strong_replacement,
     check_strong_replacement_exhaustive,
-    structure_map_mutations,
     verify_gadget,
     verify_gadget_exhaustive,
-    verify_mutated_gadget,
 )
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
-    digraph_classes,
-    digraph_from_mask,
     enumerate_digraphs,
     enumerate_homs,
 )
 from slicecat.universality import full_embedding_check
+
+from conftest import structure_map_mutations, verify_mutated_gadget
 
 SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
 TWO_CYCLE = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
@@ -302,8 +300,7 @@ class TestStrongReplacement:
         H, a, b = STRONG_CARRIERS[name]
         no_isolated = regime == "no-isolated"
         for n in (1, 2, 3):
-            for mask, _ in digraph_classes(n, no_isolated):
-                D = digraph_from_mask(n, mask)
+            for D in enumerate_digraphs(n, no_isolated, canonical=True):
                 if no_isolated or not D.has_loop():
                     expected = validated_strong_replacement(H, a, b, D).to_dict()
                     assert check_strong_replacement(H, a, b, D, regime=regime).to_dict() == expected

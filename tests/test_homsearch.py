@@ -6,7 +6,6 @@ from slicecat.core import Digraph, Graph, SliceObject, build_cycle, build_path
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
-    contains_subgraph,
     digraph_hom_leaves,
     enumerate_digraph_homs,
     enumerate_digraphs,
@@ -23,7 +22,6 @@ from conftest import (
     naive_digraph_homs,
     naive_endo_counts,
     naive_homs,
-    naive_injective_subgraph,
     naive_slice_homs,
     random_digraph,
     random_graph,
@@ -226,31 +224,6 @@ class TestEndomorphismClassification:
         report = classify_endomorphisms(build_cycle(4))
         # the 4-cycle folds onto an edge, so proper endomorphisms exist
         assert report.verdict is EndoVerdict.HAS_PROPER_ENDOMORPHISM
-
-
-class TestContainsSubgraph:
-    def test_triangle_in_itself(self):
-        hit = contains_subgraph(build_cycle(3), build_cycle(3))
-        assert hit is not None and hit.is_injective()
-
-    def test_p4_in_c5(self):
-        assert contains_subgraph(build_path(4), build_cycle(5)) is not None
-
-    def test_star_not_in_path(self):
-        from slicecat.core import build_star
-
-        assert contains_subgraph(build_star(3), build_path(12)) is None
-
-    def test_against_naive_permutations(self):
-        rng = random.Random(59)
-        patterns = [build_path(2), build_path(3), build_cycle(3), build_cycle(4)]
-        for _ in range(40):
-            host = random_graph(rng, 6)
-            for pattern in patterns:
-                found = contains_subgraph(pattern, host)
-                assert (found is not None) == naive_injective_subgraph(pattern, host)
-                if found is not None:
-                    assert found.is_injective()
 
 
 class TestDigraphEnumeration:

@@ -79,12 +79,10 @@ def random_slice(rng: random.Random, base: Graph, max_vertices: int) -> SliceObj
 def random_network(rng: random.Random, kind: str):
     """The (variables, domains, constraints) of one random search of ``kind``."""
     if kind == "graph":
-        return _hom_search(random_graph(rng, 7), random_graph(rng, 7, 0.5), False)
-    if kind == "injective":
-        return _hom_search(random_graph(rng, 5), random_graph(rng, 7, 0.6), True)
+        return _hom_search(random_graph(rng, 7), random_graph(rng, 7, 0.5))
     if kind == "slice":
         base = rng.choice([build_path(2), build_path(3)])
-        return _hom_search(random_slice(rng, base, 7), random_slice(rng, base, 8), False)
+        return _hom_search(random_slice(rng, base, 7), random_slice(rng, base, 8))
     return _digraph_search(random_digraph(rng, 5), random_digraph(rng, 5, 0.45))
 
 
@@ -100,7 +98,7 @@ def assert_same_narrowing(doms, changed, constraints):
     assert got == want
 
 
-@pytest.mark.parametrize("kind", ["graph", "injective", "slice", "digraph"])
+@pytest.mark.parametrize("kind", ["graph", "slice", "digraph"])
 @pytest.mark.parametrize("seed", range(5))
 def test_union_tables_narrow_like_the_bitwise_revision(kind, seed):
     rng = random.Random(f"{kind}:{seed}")
@@ -142,7 +140,7 @@ def test_live_searches_keep_their_own_unions():
 
     def fresh():
         """A new search: its variables, raw stream, host vertices and the oracle's sequence."""
-        kind = rng.choice(["graph", "injective", "slice", "digraph"])
+        kind = rng.choice(["graph", "slice", "digraph"])
         if kind == "digraph":
             d1, d2 = random_digraph(rng, 4), random_digraph(rng, 4, 0.5)
             want = static_order_sequence(naive_digraph_homs(d1, d2), digraph_variable_order(d1))
@@ -152,11 +150,8 @@ def test_live_searches_keep_their_own_unions():
             want = static_order_sequence(naive_slice_homs(x, y), graph_variable_order(x.carrier))
             return (*hom_leaves(x, y), y.carrier.vertices, want)
         a, b = random_graph(rng, 4), random_graph(rng, 5, 0.6)
-        homs = naive_homs(a, b)
-        if kind == "injective":
-            homs = {key for key in homs if len({w for _, w in key}) == len(key)}
-        want = static_order_sequence(homs, graph_variable_order(a))
-        return (*hom_leaves(a, b, injective=kind == "injective"), b.vertices, want)
+        want = static_order_sequence(naive_homs(a, b), graph_variable_order(a))
+        return (*hom_leaves(a, b), b.vertices, want)
 
     live = [(*fresh(), []) for _ in range(6)]
     finished = 0
