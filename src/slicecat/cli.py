@@ -86,7 +86,14 @@ def _load_slice(path: str) -> SliceObject:
 def _load_gadget(name_or_path: str) -> Gadget:
     if name_or_path.upper() in BUILTIN_GADGET_NAMES:
         return builtin_gadget(name_or_path)
-    return Gadget.from_dict(json.loads(_read_text(name_or_path)))
+    try:
+        text = _read_text(name_or_path)
+    except OSError as exc:
+        raise ValueError(
+            f"{name_or_path!r} is neither a built-in gadget ({', '.join(BUILTIN_GADGET_NAMES)}) "
+            f"nor a readable file: {exc.strerror or exc}"
+        ) from exc
+    return Gadget.from_dict(json.loads(text))
 
 
 def cmd_classify(args) -> int:

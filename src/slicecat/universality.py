@@ -20,9 +20,10 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import prod
 from typing import Optional
 
 from . import arrow
@@ -45,7 +46,7 @@ from .homsearch import (
     class_sweep,
     classify_endomorphisms,
     digraph_from_mask,
-    digraph_hom_count,
+    digraph_hom_leaves,
     digraph_masks,
     endomorphism_verdict,
     enumerate_homs,
@@ -604,44 +605,86 @@ class EmbeddingReport:
 
 
 def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Optional[EmbeddingViolation]]:
-    """Counts and violation of gluing h -> glued(h) being a bijection Hom(D1, D2) -> Hom(F1, F2).
+    """Counts and violation of gluing h -> glued(h) being a bijection Hom(D1, D2) -> Hom(F(D1), F(D2)).
 
-    Each slice hom (raw: singleton bitsets over F2's vertices) must carry every
-    arc copy of D1 onto the glued copy of an arc of D2.  As D1 has no isolated
-    vertex, it then restricts to a digraph hom h and equals glued(h), so
-    restriction is injective and lands in Hom(D1, D2): equal counts make it a
-    bijection inverse to gluing.  No two digraph homs share a glued map.
+    ``first[0]`` is D1, which must have no isolated vertex; ``second`` is the
+    ``_target_record`` of D2.  F(D1) is the union of its arc copies, which
+    meet only in D1's vertices (the arrow construction, Hell & Nešetřil,
+    *Graphs and Homomorphisms*, 2004, ch. 4).  So a slice hom F(D1) -> F(D2)
+    is a choice of images x of D1's vertices and, per arc (u, v), a slice hom
+    gadget -> F(D2) with a -> x_u and b -> x_v, and
+
+        |Hom(F(D1), F(D2))| = sum over x of prod over arcs (u, v) of N(x_u, x_v),
+
+    where N(p, q) counts the slice homs gadget -> F(D2) with a -> p and
+    b -> q.  As every vertex of D1 lies on an arc, the x with a nonzero
+    product are the digraph homs D1 -> S, S the support of N.
+
+    Every digraph hom h must glue to slice homs the engine found: for each arc
+    (u, v) the gadget copy on (h(u), h(v)) is one of them.  Gluing is
+    injective, so equal counts make it a bijection.  F(D1) is never built; its
+    build checks only that no product id collides, and the sweeps' digraphs
+    have ids ``v0``..``v3``, which no interior id ``(u,v)::w`` equals (a
+    gadget's a and b are not adjacent, so no loop arc makes a loop either).
     """
-    (D1, res1, F1), (D2, res2, F2) = first, second
-    interior = [w for w in gadget.carrier.vertices if w not in (gadget.a, gadget.b)]
-    bit = {w: 1 << i for i, w in enumerate(F2.carrier.vertices)}
-    glued = {(bit[x], bit[y]): [bit[copy[w]] for w in interior] for (x, y), copy in res2.copies.items()}
-    variables, leaves = hom_leaves(F1, F2)
+    D1 = first[0]
+    D2, glued, support, weights = second
+    variables, leaves = digraph_hom_leaves(D1, D2)
     at = {v: i for i, v in enumerate(variables)}
-    copies = [(at[u], at[v], [at[copy[w]] for w in interior]) for (u, v), copy in res1.copies.items()]
-    slice_homs = 0
+    arcs = [(at[u], at[v]) for u, v in D1.arcs]
+    digraph_homs = 0
     stray = None
     for leaf in leaves:
-        slice_homs += 1
-        if stray is None and not all(
-            glued.get((leaf[i], leaf[j])) == [leaf[k] for k in ks] for i, j, ks in copies
-        ):
+        digraph_homs += 1
+        if stray is None and not all((leaf[i], leaf[j]) in glued for i, j in arcs):
             stray = leaf
-    digraph_homs = digraph_hom_count(D1, D2)
+    # the variable order depends on D1 alone, so ``arcs`` indexes these leaves too
+    slice_homs = sum(
+        prod(weights[leaf[i], leaf[j]] for i, j in arcs) for leaf in digraph_hom_leaves(D1, support)[1]
+    )
     if digraph_homs != slice_homs:
         detail = f"{digraph_homs} digraph homs vs {slice_homs} slice homs"
         return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "count-mismatch", detail)
     if stray is not None:
-        # equal counts: some glued map is then not a slice hom
-        m = {v: F2.carrier.vertices[d.bit_length() - 1] for v, d in zip(variables, stray)}
-        detail = f"slice hom {dict(sorted(m.items()))} is not the glued image of a digraph hom"
+        # equal counts, yet some glued map is not among the slice homs counted
+        h = [D2.vertices[d.bit_length() - 1] for d in stray]
+        p, q = next((h[i], h[j]) for i, j in arcs if (stray[i], stray[j]) not in glued)
+        detail = (
+            f"digraph hom {dict(sorted(zip(variables, h)))} does not glue to slice homs the search found: "
+            f"the gadget copy with {gadget.a} -> {p}, {gadget.b} -> {q} is not among them"
+        )
         return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "missing-image", detail)
     return digraph_homs, slice_homs, None
 
 
-def _product_triple(gadget: Gadget, D: Digraph) -> tuple[Digraph, arrow.ArrowResult, SliceObject]:
+def _target_record(gadget: Gadget, D: Digraph) -> tuple[Digraph, set, Digraph, dict]:
+    """What the pair check reads of F(D), from one search gadget -> F(D): D;
+    the arcs of D whose gadget copy is among the slice homs found; the
+    support S of N as a digraph on F(D)'s vertex ids; and N on S's arcs.
+    Arcs of D and of S are keyed as raw leaves read them: pairs of
+    singleton bitsets over the digraph's vertices."""
     res = arrow.arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
-    return D, res, arrow.product_slice(res, gadget)
+    variables, leaves = hom_leaves(gadget.slice, arrow.product_slice(res, gadget))
+    vertices = res.product.vertices
+    bit = {w: 1 << i for i, w in enumerate(vertices)}
+    copies = {tuple([bit[copy[x]] for x in variables]): arc for arc, copy in res.copies.items()}
+    i, j = variables.index(gadget.a), variables.index(gadget.b)
+    tally: Counter = Counter()
+    glued = set()
+    for leaf in leaves:
+        tally[vertices[leaf[i].bit_length() - 1], vertices[leaf[j].bit_length() - 1]] += 1
+        arc = copies.get(tuple(leaf))
+        if arc is not None:
+            glued.add(arc)
+    support = Digraph({x for pair in tally for x in pair}, tally)
+    at_d = {w: 1 << k for k, w in enumerate(D.vertices)}
+    at_s = {w: 1 << k for k, w in enumerate(support.vertices)}
+    return (
+        D,
+        {(at_d[x], at_d[y]) for x, y in glued},
+        support,
+        {(at_s[x], at_s[y]): k for (x, y), k in tally.items()},
+    )
 
 
 def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> EmbeddingReport:
@@ -652,10 +695,15 @@ def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> Embedd
     at this size (otherwise fullness can fail and will be reported).
     Relabeling D1 and D2 separately keeps the verdict and both hom counts,
     so each pair of isomorphism classes is checked once (``class_sweep``).
+    With no isolated vertex in D1, |Hom(F(D1), F(D2))| is the sum over maps
+    x of D1's vertices of the product over arcs (u, v) of N(x_u, x_v), N(p, q)
+    the number of slice homs gadget -> F(D2) with a -> p and b -> q; so each
+    pair is counted from one search gadget -> F(D2) per target class, and no
+    F(D1) is built (``_check_embedding_pair``).
     """
     labeled = list(labeled_digraph_classes(max_n, True))
-    triples = {key: _product_triple(gadget, digraph_from_mask(*key)) for key in dict.fromkeys(labeled)}
-    return _embedding_sweep(gadget, triples, ((x, y) for x in labeled for y in labeled), progress)
+    digraphs = {key: digraph_from_mask(*key) for key in dict.fromkeys(labeled)}
+    return _embedding_sweep(gadget, digraphs, ((x, y) for x in labeled for y in labeled), progress)
 
 
 @functools.cache
@@ -680,15 +728,21 @@ def full_embedding_spot_check(
         {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
     )
     needed = sorted({i for p in chosen_idx for i in p})
-    triples = {i: _product_triple(gadget, digraph_from_mask(n, masks[i])) for i in needed}
-    return _embedding_sweep(gadget, triples, chosen_idx, None)
+    digraphs = {i: digraph_from_mask(n, masks[i]) for i in needed}
+    return _embedding_sweep(gadget, digraphs, chosen_idx, None)
 
 
-def _embedding_sweep(gadget: Gadget, triples: dict, pairs, progress) -> EmbeddingReport:
-    """Sweep ``pairs`` of keys of ``triples`` in order, checking each distinct pair once."""
+def _embedding_sweep(gadget: Gadget, digraphs: dict, pairs, progress) -> EmbeddingReport:
+    """Sweep ``pairs`` of keys of ``digraphs`` in order, checking each distinct
+    pair once.  A key's target record is made at the first pair with that key
+    as its target, so only targets have their product built and searched."""
+    targets: dict = {}
 
     def check(pair):
-        nd, ns, violation = _check_embedding_pair(gadget, triples[pair[0]], triples[pair[1]])
+        source, target = pair
+        if target not in targets:
+            targets[target] = _target_record(gadget, digraphs[target])
+        nd, ns, violation = _check_embedding_pair(gadget, (digraphs[source],), targets[target])
         return (1, nd, ns), violation
 
     (checked, total_d, total_s), violation = class_sweep(pairs, check, (0, 0, 0), progress, 50)

@@ -18,6 +18,7 @@ from math import factorial
 import pytest
 
 from slicecat import gadgets, universality
+from slicecat.arrow import arrow_slice
 from slicecat.cli import main
 from slicecat.core import Digraph, Graph, SliceObject, build_path, disjoint_union
 from slicecat.gadgets import (
@@ -33,6 +34,7 @@ from slicecat.gadgets import (
 )
 from slicecat.homsearch import (
     class_sweep,
+    digraph_hom_count,
     digraph_masks,
     enumerate_digraphs,
     enumerate_graphs,
@@ -40,6 +42,7 @@ from slicecat.homsearch import (
     graph_from_mask,
     labeled_digraph_classes,
     least_masks,
+    slice_hom_count,
 )
 from slicecat.universality import (
     DichotomyReport,
@@ -105,12 +108,12 @@ def labeled_verify(gadget, max_n) -> GadgetReport:
 
 
 def labeled_embed(gadget, max_n) -> EmbeddingReport:
-    triples = [
-        universality._product_triple(gadget, D) for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True)
+    records = [
+        universality._target_record(gadget, D) for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True)
     ]
     checked = total_d = total_s = 0
-    for first in triples:
-        for second in triples:
+    for first in records:
+        for second in records:
             nd, ns, violation = universality._check_embedding_pair(gadget, first, second)
             checked += 1
             total_d += nd
@@ -203,6 +206,20 @@ def test_embed_matches_labeled_sweep(name):
     gadget = GADGETS[name]
     for max_n in (1, 2):
         assert full_embedding_check(gadget, max_n).to_dict() == labeled_embed(gadget, max_n).to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_pair_counts_match_the_product_to_product_count(name):
+    # the pair check counts through the gluing; the check it replaced searched
+    # the slice homs between the two built products, counted here directly
+    gadget = GADGETS[name]
+    digraphs = [D for n in (1, 2) for D in enumerate_digraphs(n, True)]
+    products = [arrow_slice(D, gadget) for D in digraphs]
+    records = [universality._target_record(gadget, D) for D in digraphs]
+    for D1, F1 in zip(digraphs, products):
+        for D2, F2, record in zip(digraphs, products, records):
+            nd, ns, _ = universality._check_embedding_pair(gadget, (D1,), record)
+            assert (nd, ns) == (digraph_hom_count(D1, D2), slice_hom_count(F1, F2)), (D1, D2)
 
 
 @pytest.mark.parametrize("regime", ["irreflexive", "no-isolated"])

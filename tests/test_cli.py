@@ -304,6 +304,15 @@ class TestEmbedAndEnumerate:
         assert payload["pairs_checked"] == 196
         assert payload["digraph_homs"] == payload["slice_homs"]
 
+    def test_unknown_gadget_names_the_built_ins(self, capsys, tmp_path):
+        missing = str(tmp_path / "zz")
+        code, out = run(capsys, ["embed-check", "--gadget", missing, "--max-size", "1"])
+        assert code == 2
+        assert json.loads(out) == {
+            "error": f"{missing!r} is neither a built-in gadget (C3, C4, P4, Y) "
+            "nor a readable file: No such file or directory"
+        }
+
     def test_enumerate_digraphs(self, capsys):
         code, out = run(capsys, ["enumerate-digraphs", "--size", "2"])
         payload = json.loads(out)

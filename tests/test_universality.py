@@ -18,7 +18,7 @@ from slicecat.core import (
     disjoint_union,
 )
 from slicecat.arrow import arrow_slice
-from slicecat.gadgets import builtin_gadget
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
@@ -450,7 +450,7 @@ class TestFullEmbedding:
         report = full_embedding_spot_check(builtin_gadget("C3"), 3, 25, seed=11)
         assert report.verdict and report.pairs_checked >= 20
 
-    @pytest.mark.parametrize("name", ["C3", "Y"])
+    @pytest.mark.parametrize("name", BUILTIN_GADGET_NAMES)
     def test_spot_check_samples_the_same_pairs(self, name):
         # reference: draw over the list of built digraphs, count both
         # hom-sets through the validated public enumerators
@@ -475,8 +475,8 @@ class TestFullEmbedding:
             }
 
     def test_slice_hom_that_is_not_glued_is_reported(self, monkeypatch):
-        # equal counts do not suffice: every slice hom must be a glued map.
-        # Reversing each raw solution keeps the count but breaks gluing.
+        # reversing each raw solution gadget -> F(D2) breaks every copy map:
+        # at n = 1 no reversed leaf commutes, so the counts differ
         import slicecat.universality as universality
 
         engine = universality.hom_leaves
@@ -487,8 +487,35 @@ class TestFullEmbedding:
 
         monkeypatch.setattr(universality, "hom_leaves", reversed_leaves)
         report = full_embedding_check(builtin_gadget("C3"), 1)
+        assert not report.verdict and report.violation.kind == "count-mismatch"
+        assert (report.digraph_homs, report.slice_homs) == (1, 0)
+
+    def test_glued_map_that_is_not_a_slice_hom_is_reported(self, monkeypatch):
+        # equal counts do not suffice: every glued map must be among the
+        # slice homs found.  Swapping the images of a and b in each solution
+        # gadget -> F(D2) transposes N, which keeps the counts of the first
+        # 16 pairs but sends the arc v0 -> v1 to a copy that is not found.
+        import slicecat.universality as universality
+
+        engine = universality.hom_leaves
+        g = builtin_gadget("C3")
+
+        def swapped_leaves(gadget_slice, product):
+            variables, leaves = engine(gadget_slice, product)
+            i, j = variables.index(g.a), variables.index(g.b)
+
+            def swap(leaf):
+                leaf = list(leaf)
+                leaf[i], leaf[j] = leaf[j], leaf[i]
+                return leaf
+
+            return variables, map(swap, leaves)
+
+        monkeypatch.setattr(universality, "hom_leaves", swapped_leaves)
+        report = full_embedding_check(g, 2)
         assert not report.verdict and report.violation.kind == "missing-image"
-        assert report.digraph_homs == report.slice_homs == 1
+        assert report.digraph_homs == report.slice_homs == 17
+        assert report.pairs_checked == 16
 
     def test_unverified_gadget_fails_embedding(self):
         # a foldable slice admits non-copy morphisms, breaking fullness
