@@ -17,6 +17,11 @@ copy maps it stores are not validated there.  A copy map is validated as a
 inherited map as a ``Morphism``, and ``arrow_morphism`` validates its result
 as a ``SliceMorphism``.  The verifiers read the stored copy maps unvalidated
 and validate only the counterexamples they return.
+
+``product_rows`` lays the same product out unnamed, as the adjacency rows
+and colour fibers of a search host indexed by arithmetic, for the embedding
+checks, which never return a product vertex.  It builds no id, ``Graph`` or
+structure map and validates nothing; its docstring says why no check is lost.
 """
 
 from __future__ import annotations
@@ -155,6 +160,48 @@ def product_slice(res: ArrowResult, gadget: "Gadget") -> SliceObject:
 def arrow_slice(D: Digraph, gadget: "Gadget") -> SliceObject:
     """The product as a slice object over the gadget's base."""
     return product_slice(arrow_graph(D, gadget.carrier, gadget.a, gadget.b), gadget)
+
+
+def product_rows(D: Digraph, gadget: "Gadget") -> tuple[list[int], dict[Vertex, int], list[dict[Vertex, int]]]:
+    """The product ``arrow_slice(D, gadget)`` unnamed, as a search host: its
+    adjacency rows, its colour fibers and every arc's copy map as singleton
+    bits, from one pass over D's arcs.
+
+    D's i-th vertex is index i.  With the interior gadget vertices in carrier
+    order, m of them, the one in slot s of the k-th arc's copy is index
+    n + k*m + s.  Row i is the bitset of index i's neighbours, the copy
+    images of every gadget edge; ``fibers[c]`` is the bitset of the indices
+    over base vertex c: f(a) for D's vertices, f(w) for a copy of w.  The
+    copy maps come in arc order, gadget vertex -> bit.
+
+    Nothing is validated here, and no check of ``arrow_slice`` is lost:
+    ``Gadget`` validated its structure map as a ``Morphism`` and refuses
+    adjacent a and b, so no edge becomes a loop, not even on a loop arc;
+    ``Digraph`` validated D's arcs; every copy vertex takes its gadget
+    vertex's colour, so the inherited map is a homomorphism by construction;
+    and indices are distinct by construction, so no id can collide.
+    """
+    H, a, b = gadget.carrier, gadget.a, gadget.b
+    f = gadget.slice.structure_map.as_dict()
+    interior = [w for w in H.vertices if w not in (a, b)]
+    n, m = D.vertex_count, len(interior)
+    at = {v: i for i, v in enumerate(D.vertices)}
+    rows = [0] * (n + m * D.arc_count)
+    copies = []
+    for k, (u, v) in enumerate(D.arcs):
+        index = dict(zip(interior, range(n + k * m, n + k * m + m)))
+        index[a], index[b] = at[u], at[v]
+        for s, t in H.edges:
+            i, j = index[s], index[t]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        copies.append({w: 1 << i for w, i in index.items()})
+    # slot 0 of every copy: shifted by s it gives slot s of every copy
+    slot_zero = sum(1 << (n + k * m) for k in range(D.arc_count))
+    fibers = {f[a]: (1 << n) - 1}
+    for s, w in enumerate(interior):
+        fibers[f[w]] = fibers.get(f[w], 0) | slot_zero << s
+    return rows, fibers, copies
 
 
 def arrow_morphism(

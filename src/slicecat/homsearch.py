@@ -28,7 +28,8 @@ bijection is left, and walks the rest.  ``endomorphism_verdict`` gives the
 same verdict without counts, from at most n + 1 existence searches.
 
 Validation happens once, where results leave the library.  ``hom_leaves``
-and ``digraph_hom_leaves`` give the raw stream; the public ``enumerate_*``
+and ``digraph_hom_leaves`` give the raw stream, and ``hom_leaves_into`` the
+one into a host its caller laid out as rows; the public ``enumerate_*``
 functions wrap it and yield validated morphisms (dicts for digraphs).  The
 internal verifiers count and compare raw solutions and validate only the
 witnesses and counterexamples they return.
@@ -284,32 +285,60 @@ def hom_leaves(
     return variables, islice(_solve(domains, constraints), limit)
 
 
+def hom_leaves_into(
+    X: SliceObject, rows: Sequence[int], fibers: Mapping[Vertex, int]
+) -> tuple[list[Vertex], Iterator[list[int]]]:
+    """The raw solutions of ``hom_leaves`` from X into a host given only by
+    its rows: host vertex i is bit i, ``rows[i]`` the bitset of its
+    neighbours and ``fibers[c]`` the bitset of the host vertices over base
+    vertex c (a missing colour has none).
+
+    The host is not validated: the caller vouches that the rows are
+    symmetric and loop-free, the fibers disjoint, and that every edge lies
+    over a base edge, so that the host is a slice object over X's base.
+    """
+    variables, domains, constraints = _pattern_search(X.carrier, rows, X.structure_map.as_dict(), fibers)
+    return variables, _solve(domains, constraints)
+
+
 def _hom_search(A: Graph | SliceObject, B: Graph | SliceObject) -> tuple[list[Vertex], list[int], Constraints]:
-    """The variable order, starting domains and constraints of ``hom_leaves``."""
-    colors = None
+    """The variable order, starting domains and constraints of ``hom_leaves``:
+    B encoded as rows and fibers over its vertex index, searched by
+    ``_pattern_search``."""
+    colors = fibers = None
     if isinstance(A, SliceObject):
         if A.base != B.base:
             raise ValueError("slice objects live over different bases")
-        source = A.structure_map.as_dict()
-        colors = (source, source if B is A else B.structure_map.as_dict())
+        colors = A.structure_map.as_dict()
+        target = colors if B is A else B.structure_map.as_dict()
         A, B = A.carrier, B.carrier
     index = {w: i for i, w in enumerate(B.vertices)}
-    domain = dict.fromkeys(A.vertices, (1 << len(index)) - 1)
+    # an edge is listed once, so a neighbour is an out- or an in-neighbour along the list
+    rows = [o | i for o, i in zip(*_adjacency_masks(index, B.edges))]
     if colors is not None:
-        fibers: dict[Vertex, int] = {}
-        for w, c in colors[1].items():
+        fibers = {}
+        for w, c in target.items():
             fibers[c] = fibers.get(c, 0) | 1 << index[w]
-        domain = {v: fibers.get(colors[0][v], 0) for v in domain}
+    return _pattern_search(A, rows, colors, fibers)
+
+
+def _pattern_search(
+    A: Graph, rows: Sequence[int], colors: Optional[Mapping[Vertex, Vertex]], fibers: Optional[Mapping[Vertex, int]]
+) -> tuple[list[Vertex], list[int], Constraints]:
+    """The variable order, starting domains and constraints of a search A ->
+    host, the host given by its adjacency rows and, with ``colors`` (A's
+    colours), by its fibers: A's vertex v may take only the values in
+    ``fibers[colors[v]]``."""
     # the vertices are sorted by id and the sort is stable: descending degree, then id
     variables = sorted(A.vertices, key=A.degree, reverse=True)
     position = {v: i for i, v in enumerate(variables)}
-    # an edge is listed once, so a neighbour is an out- or an in-neighbour along the list
-    adjacency = [o | i for o, i in zip(*_adjacency_masks(index, B.edges))]
-    unions = _Unions(adjacency)
-    constraints: Constraints = [
-        [(adjacency, unions, [position[w] for w in A.neighbors(v)])] for v in variables
-    ]
-    return variables, [domain[v] for v in variables], constraints
+    unions = _Unions(rows)
+    constraints: Constraints = [[(rows, unions, [position[w] for w in A.neighbors(v)])] for v in variables]
+    if colors is None:
+        domains = [(1 << len(rows)) - 1] * len(variables)
+    else:
+        domains = [fibers.get(colors[v], 0) for v in variables]
+    return variables, domains, constraints
 
 
 def enumerate_homs(A: Graph, B: Graph, limit: Optional[int] = None) -> Iterator[Morphism]:

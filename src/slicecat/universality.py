@@ -51,7 +51,7 @@ from .homsearch import (
     endomorphism_verdict,
     enumerate_homs,
     graph_from_mask,
-    hom_leaves,
+    hom_leaves_into,
     labeled_digraph_classes,
     least_masks,
 )
@@ -622,10 +622,11 @@ def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Opti
 
     Every digraph hom h must glue to slice homs the engine found: for each arc
     (u, v) the gadget copy on (h(u), h(v)) is one of them.  Gluing is
-    injective, so equal counts make it a bijection.  F(D1) is never built; its
-    build checks only that no product id collides, and the sweeps' digraphs
-    have ids ``v0``..``v3``, which no interior id ``(u,v)::w`` equals (a
-    gadget's a and b are not adjacent, so no loop arc makes a loop either).
+    injective, so equal counts make it a bijection.  No product of either
+    side is built: F(D1) is counted through its arcs, and F(D2) is searched
+    as ``arrow.product_rows`` lays it out by index, whose docstring says why
+    the checks of a named build (no id collides, no loop arc makes a loop,
+    the inherited map is a homomorphism) hold by construction.
     """
     D1 = first[0]
     D2, glued, support, weights = second
@@ -660,31 +661,25 @@ def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Opti
 def _target_record(gadget: Gadget, D: Digraph) -> tuple[Digraph, set, Digraph, dict]:
     """What the pair check reads of F(D), from one search gadget -> F(D): D;
     the arcs of D whose gadget copy is among the slice homs found; the
-    support S of N as a digraph on F(D)'s vertex ids; and N on S's arcs.
-    Arcs of D and of S are keyed as raw leaves read them: pairs of
-    singleton bitsets over the digraph's vertices."""
-    res = arrow.arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
-    variables, leaves = hom_leaves(gadget.slice, arrow.product_slice(res, gadget))
-    vertices = res.product.vertices
-    bit = {w: 1 << i for i, w in enumerate(vertices)}
-    copies = {tuple([bit[copy[x]] for x in variables]): arc for arc, copy in res.copies.items()}
+    support S of N as a digraph; and N on S's arcs.  F(D) is searched as
+    ``arrow.product_rows`` lays it out, so D's i-th vertex is bit i of a
+    raw leaf.  Arcs of D and of S are keyed as raw leaves read them: pairs
+    of singleton bitsets over the digraph's vertices.  S's vertex ids are
+    F(D)'s bitsets in decimal, as only counts read them."""
+    rows, fibers, copies = arrow.product_rows(D, gadget)
+    variables, leaves = hom_leaves_into(gadget.slice, rows, fibers)
+    copy_leaves = {tuple([copy[x] for x in variables]) for copy in copies}
     i, j = variables.index(gadget.a), variables.index(gadget.b)
     tally: Counter = Counter()
     glued = set()
     for leaf in leaves:
-        tally[vertices[leaf[i].bit_length() - 1], vertices[leaf[j].bit_length() - 1]] += 1
-        arc = copies.get(tuple(leaf))
-        if arc is not None:
-            glued.add(arc)
-    support = Digraph({x for pair in tally for x in pair}, tally)
-    at_d = {w: 1 << k for k, w in enumerate(D.vertices)}
-    at_s = {w: 1 << k for k, w in enumerate(support.vertices)}
-    return (
-        D,
-        {(at_d[x], at_d[y]) for x, y in glued},
-        support,
-        {(at_s[x], at_s[y]): k for (x, y), k in tally.items()},
-    )
+        ends = leaf[i], leaf[j]
+        tally[ends] += 1
+        if tuple(leaf) in copy_leaves:
+            glued.add(ends)
+    support = Digraph({str(x) for pair in tally for x in pair}, [(str(p), str(q)) for p, q in tally])
+    at_s = {int(w): 1 << k for k, w in enumerate(support.vertices)}
+    return D, glued, support, {(at_s[p], at_s[q]): k for (p, q), k in tally.items()}
 
 
 def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> EmbeddingReport:
@@ -698,8 +693,9 @@ def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> Embedd
     With no isolated vertex in D1, |Hom(F(D1), F(D2))| is the sum over maps
     x of D1's vertices of the product over arcs (u, v) of N(x_u, x_v), N(p, q)
     the number of slice homs gadget -> F(D2) with a -> p and b -> q; so each
-    pair is counted from one search gadget -> F(D2) per target class, and no
-    F(D1) is built (``_check_embedding_pair``).
+    pair is counted from one search gadget -> F(D2) per target class, F(D2)
+    laid out as engine rows, and no product of either side is built
+    (``_check_embedding_pair``).
     """
     labeled = list(labeled_digraph_classes(max_n, True))
     digraphs = {key: digraph_from_mask(*key) for key in dict.fromkeys(labeled)}
@@ -735,7 +731,7 @@ def full_embedding_spot_check(
 def _embedding_sweep(gadget: Gadget, digraphs: dict, pairs, progress) -> EmbeddingReport:
     """Sweep ``pairs`` of keys of ``digraphs`` in order, checking each distinct
     pair once.  A key's target record is made at the first pair with that key
-    as its target, so only targets have their product built and searched."""
+    as its target, so only targets have their product laid out and searched."""
     targets: dict = {}
 
     def check(pair):

@@ -14,9 +14,10 @@ import importlib.util
 import itertools
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
-from slicecat.arrow import ArrowResult, Arc
+from slicecat.arrow import Arc, ArrowResult, arrow_graph, product_slice
 from slicecat.core import (
     Digraph,
     Graph,
@@ -28,8 +29,15 @@ from slicecat.core import (
     is_homomorphism,
     path_order,
 )
-from slicecat.gadgets import Gadget, GadgetCounterexample, GadgetReport, verify_gadget_exhaustive
-from slicecat.homsearch import check_digraph_size, digraph_masks, least_masks
+from slicecat.gadgets import (
+    BUILTIN_GADGET_NAMES,
+    Gadget,
+    GadgetCounterexample,
+    GadgetReport,
+    builtin_gadget,
+    verify_gadget_exhaustive,
+)
+from slicecat.homsearch import check_digraph_size, digraph_masks, hom_leaves, least_masks
 from slicecat.universality import BaseVerdict
 
 
@@ -196,6 +204,23 @@ def structure_map_mutations(gadget: Gadget):
                 yield v, t
 
 
+def gadget_building_mutants() -> dict:
+    """The single-point structure-map rewrites of the built-in gadgets that
+    still build a gadget, by (built-in name, vertex, new image)."""
+    building = {}
+    for name in BUILTIN_GADGET_NAMES:
+        gadget = builtin_gadget(name)
+        for vertex, target in structure_map_mutations(gadget):
+            mutated = dict(gadget.slice.structure_map.as_dict(), **{vertex: target})
+            try:
+                building[name, vertex, target] = Gadget(
+                    SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b
+                )
+            except ValueError:
+                continue
+    return building
+
+
 def verify_mutated_gadget(gadget: Gadget, vertex: Vertex, new_target: Vertex, max_n: int = 2) -> GadgetReport:
     """Apply one structure-map rewrite, then validate and sweep.
 
@@ -211,6 +236,35 @@ def verify_mutated_gadget(gadget: Gadget, vertex: Vertex, new_target: Vertex, ma
         ce = GadgetCounterexample(digraph=None, kind="invalid-gadget", reason=str(exc))
         return GadgetReport(0, max_n, False, ce)
     return verify_gadget_exhaustive(candidate, max_n)
+
+
+def named_target_record(gadget: Gadget, D: Digraph) -> tuple[Digraph, set, Digraph, dict]:
+    """The embedding pair check's target record read off the named product:
+    the ``_target_record`` that built F(D) as an ``ArrowResult`` and searched
+    the validated slice object.  The same fields, except that S's vertex ids
+    are F(D)'s product ids."""
+    res = arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
+    variables, leaves = hom_leaves(gadget.slice, product_slice(res, gadget))
+    vertices = res.product.vertices
+    bit = {w: 1 << i for i, w in enumerate(vertices)}
+    copies = {tuple([bit[copy[x]] for x in variables]): arc for arc, copy in res.copies.items()}
+    i, j = variables.index(gadget.a), variables.index(gadget.b)
+    tally: Counter = Counter()
+    glued = set()
+    for leaf in leaves:
+        tally[vertices[leaf[i].bit_length() - 1], vertices[leaf[j].bit_length() - 1]] += 1
+        arc = copies.get(tuple(leaf))
+        if arc is not None:
+            glued.add(arc)
+    support = Digraph({x for pair in tally for x in pair}, tally)
+    at_d = {w: 1 << k for k, w in enumerate(D.vertices)}
+    at_s = {w: 1 << k for k, w in enumerate(support.vertices)}
+    return (
+        D,
+        {(at_d[x], at_d[y]) for x, y in glued},
+        support,
+        {(at_s[x], at_s[y]): k for (x, y), k in tally.items()},
+    )
 
 
 def phi_is_strong(res: ArrowResult, arc: Arc) -> tuple[bool, tuple[Vertex, Vertex] | None]:

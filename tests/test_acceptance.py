@@ -7,6 +7,8 @@ random sweeps are seeded and deterministic.
 
 import random
 
+import pytest
+
 from slicecat.arrow import arrow_graph, arrow_morphism, phi, product_structure_map
 from slicecat.core import build_path
 from slicecat.gadgets import (
@@ -91,9 +93,10 @@ def test_criterion_1_gadget_verification_at_four_vertices():
     print(f"ACCEPTANCE 1b gadget-verification at 4: PASS (64060 digraphs, {arcs} homs)")
 
 
-def test_criterion_2_full_embedding_at_three_vertices():
+@pytest.mark.parametrize("name", BUILTIN_GADGET_NAMES)
+def test_criterion_2_full_embedding_at_three_vertices(name):
     """Hom-set bijection for all 483^2 ordered pairs up to size 3 (figures of a labeled sweep)."""
-    report = full_embedding_check(builtin_gadget("C3"), 3)
+    report = full_embedding_check(builtin_gadget(name), 3)
     assert report.to_dict() == {
         "pairs_checked": 483 * 483,
         "digraph_homs": 1_030_472,
@@ -101,7 +104,7 @@ def test_criterion_2_full_embedding_at_three_vertices():
         "verdict": "pass",
         "violation": None,
     }
-    print("ACCEPTANCE 2b full-embedding at 3: PASS (233289 exhaustive pairs, 1030472 homs per side)")
+    print(f"ACCEPTANCE 2b full-embedding at 3, {name}: PASS (233289 exhaustive pairs, 1030472 homs per side)")
 
 
 def test_criterion_3_dichotomy():

@@ -18,12 +18,11 @@ from math import factorial
 import pytest
 
 from slicecat import gadgets, universality
-from slicecat.arrow import arrow_slice
+from slicecat.arrow import arrow_graph, arrow_slice, product_rows
 from slicecat.cli import main
 from slicecat.core import Digraph, Graph, SliceObject, build_path, disjoint_union
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
-    Gadget,
     GadgetCounterexample,
     GadgetReport,
     ReplacementReport,
@@ -54,26 +53,11 @@ from slicecat.universality import (
     random_slice_object,
 )
 
-from conftest import digraph_classes, structure_map_mutations
-
-
-def _gadget_building_mutants() -> dict:
-    out = {}
-    for name in BUILTIN_GADGET_NAMES:
-        gadget = builtin_gadget(name)
-        for vertex, target in structure_map_mutations(gadget):
-            mutated = dict(gadget.slice.structure_map.as_dict(), **{vertex: target})
-            try:
-                out[f"{name}:{vertex}->{target}"] = Gadget(
-                    SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b
-                )
-            except ValueError:
-                continue
-    return out
+from conftest import digraph_classes, gadget_building_mutants, named_target_record
 
 
 BUILTINS = {name: builtin_gadget(name) for name in BUILTIN_GADGET_NAMES}
-MUTANTS = _gadget_building_mutants()
+MUTANTS = {f"{name}:{vertex}->{target}": g for (name, vertex, target), g in gadget_building_mutants().items()}
 GADGETS = {**BUILTINS, **MUTANTS}
 
 
@@ -220,6 +204,30 @@ def test_pair_counts_match_the_product_to_product_count(name):
         for D2, F2, record in zip(digraphs, products, records):
             nd, ns, _ = universality._check_embedding_pair(gadget, (D1,), record)
             assert (nd, ns) == (digraph_hom_count(D1, D2), slice_hom_count(F1, F2)), (D1, D2)
+
+
+def _n_by_ids(record, name) -> dict:
+    """N of a target record on pairs of S's vertex ids, each renamed by ``name``."""
+    _, _, support, weights = record
+    ids = {1 << k: name(w) for k, w in enumerate(support.vertices)}
+    return {(ids[p], ids[q]): count for (p, q), count in weights.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_target_record_matches_the_named_reference(name):
+    # the record searches F(D) laid out by index, the reference the named
+    # product; the copy maps of both layouts translate indices to product ids
+    gadget = GADGETS[name]
+    for D in (D for n in (1, 2, 3) for D in enumerate_digraphs(n, True)):
+        record, reference = universality._target_record(gadget, D), named_target_record(gadget, D)
+        res = arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
+        product_id = {
+            bit: ids[w]
+            for bits, ids in zip(product_rows(D, gadget)[2], res.copies.values())
+            for w, bit in bits.items()
+        }
+        assert record[1] == reference[1], D
+        assert _n_by_ids(record, lambda w: product_id[int(w)]) == _n_by_ids(reference, str), D
 
 
 @pytest.mark.parametrize("regime", ["irreflexive", "no-isolated"])

@@ -4,7 +4,7 @@ import pytest
 
 from slicecat import gadgets, homsearch
 from slicecat.arrow import arrow_graph, phi, product_slice
-from slicecat.core import Digraph, Graph, SliceObject, build_path, is_homomorphism
+from slicecat.core import Digraph, Graph, build_path, is_homomorphism
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
@@ -26,28 +26,12 @@ from slicecat.homsearch import (
 )
 from slicecat.universality import full_embedding_check
 
-from conftest import structure_map_mutations, verify_mutated_gadget
+from conftest import gadget_building_mutants, structure_map_mutations, verify_mutated_gadget
 
 SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
 TWO_CYCLE = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
 LOOP = Digraph(["u"], [("u", "u")])
 TWO_ARC_PATH = Digraph(["x", "y", "z"], [("x", "y"), ("y", "z")])
-
-
-def gadget_building_mutants() -> dict:
-    """The single-point structure-map rewrites that still build a gadget, by
-    (built-in name, vertex, new image)."""
-    building = {}
-    for name in BUILTIN_GADGET_NAMES:
-        gadget = builtin_gadget(name)
-        for vertex, target in structure_map_mutations(gadget):
-            mutated = dict(gadget.slice.structure_map.as_dict(), **{vertex: target})
-            try:
-                candidate = Gadget(SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b)
-            except ValueError:
-                continue
-            building[(name, vertex, target)] = candidate
-    return building
 
 
 def validated_verify_gadget(gadget, D) -> GadgetReport:

@@ -479,13 +479,13 @@ class TestFullEmbedding:
         # at n = 1 no reversed leaf commutes, so the counts differ
         import slicecat.universality as universality
 
-        engine = universality.hom_leaves
+        engine = universality.hom_leaves_into
 
-        def reversed_leaves(F1, F2, **kwargs):
-            variables, leaves = engine(F1, F2, **kwargs)
+        def reversed_leaves(gadget_slice, rows, fibers):
+            variables, leaves = engine(gadget_slice, rows, fibers)
             return variables, (leaf[::-1] for leaf in leaves)
 
-        monkeypatch.setattr(universality, "hom_leaves", reversed_leaves)
+        monkeypatch.setattr(universality, "hom_leaves_into", reversed_leaves)
         report = full_embedding_check(builtin_gadget("C3"), 1)
         assert not report.verdict and report.violation.kind == "count-mismatch"
         assert (report.digraph_homs, report.slice_homs) == (1, 0)
@@ -497,11 +497,11 @@ class TestFullEmbedding:
         # 16 pairs but sends the arc v0 -> v1 to a copy that is not found.
         import slicecat.universality as universality
 
-        engine = universality.hom_leaves
+        engine = universality.hom_leaves_into
         g = builtin_gadget("C3")
 
-        def swapped_leaves(gadget_slice, product):
-            variables, leaves = engine(gadget_slice, product)
+        def swapped_leaves(gadget_slice, rows, fibers):
+            variables, leaves = engine(gadget_slice, rows, fibers)
             i, j = variables.index(g.a), variables.index(g.b)
 
             def swap(leaf):
@@ -511,7 +511,7 @@ class TestFullEmbedding:
 
             return variables, map(swap, leaves)
 
-        monkeypatch.setattr(universality, "hom_leaves", swapped_leaves)
+        monkeypatch.setattr(universality, "hom_leaves_into", swapped_leaves)
         report = full_embedding_check(g, 2)
         assert not report.verdict and report.violation.kind == "missing-image"
         assert report.digraph_homs == report.slice_homs == 17
