@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 
@@ -162,10 +162,13 @@ def arrow_slice(D: Digraph, gadget: "Gadget") -> SliceObject:
     return product_slice(arrow_graph(D, gadget.carrier, gadget.a, gadget.b), gadget)
 
 
-def product_rows(D: Digraph, gadget: "Gadget") -> tuple[list[int], dict[Vertex, int], list[dict[Vertex, int]]]:
+def product_rows(
+    n: int, arcs: Sequence[tuple[int, int]], gadget: "Gadget"
+) -> tuple[list[int], dict[Vertex, int], list[dict[Vertex, int]]]:
     """The product ``arrow_slice(D, gadget)`` unnamed, as a search host: its
     adjacency rows, its colour fibers and every arc's copy map as singleton
-    bits, from one pass over D's arcs.
+    bits, from one pass over D's arcs.  D is given by its vertex count n and
+    its ``arcs`` as pairs of vertex indices, in ``Digraph.arcs`` order.
 
     D's i-th vertex is index i.  With the interior gadget vertices in carrier
     order, m of them, the one in slot s of the k-th arc's copy is index
@@ -177,27 +180,28 @@ def product_rows(D: Digraph, gadget: "Gadget") -> tuple[list[int], dict[Vertex, 
     Nothing is validated here, and no check of ``arrow_slice`` is lost:
     ``Gadget`` validated its structure map as a ``Morphism`` and refuses
     adjacent a and b, so no edge becomes a loop, not even on a loop arc;
-    ``Digraph`` validated D's arcs; every copy vertex takes its gadget
-    vertex's colour, so the inherited map is a homomorphism by construction;
-    and indices are distinct by construction, so no id can collide.
+    the caller vouches for the arcs, which are distinct index pairs below n
+    when they are the bits of an arc mask; every copy vertex takes its
+    gadget vertex's colour, so the inherited map is a homomorphism by
+    construction; and indices are distinct by construction, so no id can
+    collide.
     """
     H, a, b = gadget.carrier, gadget.a, gadget.b
     f = gadget.slice.structure_map.as_dict()
     interior = [w for w in H.vertices if w not in (a, b)]
-    n, m = D.vertex_count, len(interior)
-    at = {v: i for i, v in enumerate(D.vertices)}
-    rows = [0] * (n + m * D.arc_count)
+    m = len(interior)
+    rows = [0] * (n + m * len(arcs))
     copies = []
-    for k, (u, v) in enumerate(D.arcs):
+    for k, (u, v) in enumerate(arcs):
         index = dict(zip(interior, range(n + k * m, n + k * m + m)))
-        index[a], index[b] = at[u], at[v]
+        index[a], index[b] = u, v
         for s, t in H.edges:
             i, j = index[s], index[t]
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         copies.append({w: 1 << i for w, i in index.items()})
     # slot 0 of every copy: shifted by s it gives slot s of every copy
-    slot_zero = sum(1 << (n + k * m) for k in range(D.arc_count))
+    slot_zero = sum(1 << (n + k * m) for k in range(len(arcs)))
     fibers = {f[a]: (1 << n) - 1}
     for s, w in enumerate(interior):
         fibers[f[w]] = fibers.get(f[w], 0) | slot_zero << s

@@ -28,8 +28,9 @@ bijection is left, and walks the rest.  ``endomorphism_verdict`` gives the
 same verdict without counts, from at most n + 1 existence searches.
 
 Validation happens once, where results leave the library.  ``hom_leaves``
-and ``digraph_hom_leaves`` give the raw stream, and ``hom_leaves_into`` the
-one into a host its caller laid out as rows; the public ``enumerate_*``
+and ``digraph_hom_leaves`` give the raw stream, and ``hom_leaves_into`` and
+``digraph_hom_leaves_into`` the one into a host its caller laid out as rows
+(a digraph pattern given by index arcs); the public ``enumerate_*``
 functions wrap it and yield validated morphisms (dicts for digraphs).  The
 internal verifiers count and compare raw solutions and validate only the
 witnesses and counterexamples they return.
@@ -630,22 +631,70 @@ def digraph_hom_leaves(
     return variables, islice(_solve(domains, constraints), limit)
 
 
+def digraph_hom_leaves_into(
+    n: int, arcs: Sequence[tuple[int, int]], out: Sequence[int], inn: Sequence[int]
+) -> tuple[list[int], Iterator[list[int]]]:
+    """The raw solutions of ``digraph_hom_leaves`` from the pattern on indices
+    0..n-1 with the given index ``arcs`` into a host given only by its rows:
+    host vertex i is bit i, ``out[i]`` and ``inn[i]`` the bitsets of its out-
+    and in-neighbours.  The variables are pattern indices, in the order
+    ``digraph_hom_leaves`` gives a digraph whose i-th vertex is index i.
+
+    Nothing is validated: the caller vouches that the arcs are distinct pairs
+    of indices below n and that ``inn`` is the transpose of ``out``.
+    """
+    variables, domains, constraints = _arc_pattern(n, arcs, out, inn)
+    return variables, _solve(domains, constraints)
+
+
 def _digraph_search(D1: Digraph, D2: Digraph) -> tuple[list[Vertex], list[int], Constraints]:
-    """The variable order, starting domains and constraints of ``digraph_hom_leaves``."""
-    variables = sorted(D1.vertices, key=lambda v: (-len(D1.out_neighbors(v)) - len(D1.in_neighbors(v)), v))
-    index = {w: i for i, w in enumerate(D2.vertices)}
-    position = {v: i for i, v in enumerate(variables)}
-    out, inn = _adjacency_masks(index, D2.arcs)
+    """The variable order, starting domains and constraints of
+    ``digraph_hom_leaves``: D2 encoded as out/in rows over its vertex index,
+    D1 as arcs over its own, searched by ``_arc_pattern``."""
+    out, inn = _adjacency_masks({w: i for i, w in enumerate(D2.vertices)}, D2.arcs)
+    at = {v: i for i, v in enumerate(D1.vertices)}
+    order, domains, constraints = _arc_pattern(D1.vertex_count, [(at[u], at[v]) for u, v in D1.arcs], out, inn)
+    return [D1.vertices[i] for i in order], domains, constraints
+
+
+def _arc_pattern(
+    n: int, arcs: Sequence[tuple[int, int]], out: Sequence[int], inn: Sequence[int]
+) -> tuple[list[int], list[int], Constraints]:
+    """The variable order, starting domains and constraints of a digraph
+    search from the pattern on indices 0..n-1 with the given arcs into the
+    host with rows ``out`` and ``inn``.
+
+    Variables go by descending out-degree plus in-degree (a loop counts
+    twice), ties by index, which for a ``Digraph`` (its vertices sorted by id)
+    is its id.  A loop is a unary filter onto the host's looped vertices.
+    """
+    degree = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    loops = set()
+    for u, v in arcs:
+        degree[u] += 1
+        degree[v] += 1
+        if u == v:
+            loops.add(u)
+        else:
+            succ[u].append(v)
+            pred[v].append(u)
+    # the sort is stable: descending degree, then index
+    variables = sorted(range(n), key=lambda v: -degree[v])
+    position = [0] * n
+    for i, v in enumerate(variables):
+        position[v] = i
     out_unions, in_unions = _Unions(out), _Unions(inn)
     constraints: Constraints = [
         [
-            (out, out_unions, [position[w] for w in D1.out_neighbors(v) if w != v]),
-            (inn, in_unions, [position[w] for w in D1.in_neighbors(v) if w != v]),
+            (out, out_unions, [position[w] for w in succ[v]]),
+            (inn, in_unions, [position[w] for w in pred[v]]),
         ]
         for v in variables
     ]
     looped = sum(1 << i for i, m in enumerate(out) if m >> i & 1)
-    domains = [looped if D1.has_arc(v, v) else (1 << len(index)) - 1 for v in variables]
+    domains = [looped if v in loops else (1 << len(out)) - 1 for v in variables]
     return variables, domains, constraints
 
 

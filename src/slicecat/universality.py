@@ -20,11 +20,11 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import arrow
 from .core import (
@@ -46,7 +46,7 @@ from .homsearch import (
     class_sweep,
     classify_endomorphisms,
     digraph_from_mask,
-    digraph_hom_leaves,
+    digraph_hom_leaves_into,
     digraph_masks,
     endomorphism_verdict,
     enumerate_homs,
@@ -604,15 +604,39 @@ class EmbeddingReport:
         }
 
 
-def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Optional[EmbeddingViolation]]:
+class _Target(NamedTuple):
+    """What the pair check reads of F(D2), D2 the digraph of arc mask ``mask``
+    on n vertices.  Vertices are F(D2)'s indices as ``arrow.product_rows``
+    lays it out (D2's i-th vertex is index i), and pairs of them are pairs of
+    singleton bits, as raw leaves read them."""
+
+    n: int
+    mask: int
+    weights: dict  # N on its support S: (p, q) -> slice homs gadget -> F(D2) with a -> p, b -> q
+    glued: set  # the arcs of D2 whose gadget copy is among those slice homs
+    arcs: set  # every arc of D2
+    out: list[int]  # the out-rows of the host S ∪ D2
+    inn: list[int]  # its in-rows
+
+
+def _mask_arcs(n: int, mask: int) -> list[tuple[int, int]]:
+    """The arcs of the digraph of ``mask`` on n vertices as index pairs: bit k
+    is the arc (k // n, k % n).  For n <= 4 ascending bits are in
+    ``Digraph.arcs`` order on v0..v(n-1), and a mask's bits are arcs by construction."""
+    return [(k // n, k % n) for k in range(n * n) if mask >> k & 1]
+
+
+def _check_embedding_pair(
+    gadget: Gadget, source: tuple[int, int], target: _Target
+) -> tuple[int, int, Optional[EmbeddingViolation]]:
     """Counts and violation of gluing h -> glued(h) being a bijection Hom(D1, D2) -> Hom(F(D1), F(D2)).
 
-    ``first[0]`` is D1, which must have no isolated vertex; ``second`` is the
-    ``_target_record`` of D2.  F(D1) is the union of its arc copies, which
-    meet only in D1's vertices (the arrow construction, Hell & Nešetřil,
-    *Graphs and Homomorphisms*, 2004, ch. 4).  So a slice hom F(D1) -> F(D2)
-    is a choice of images x of D1's vertices and, per arc (u, v), a slice hom
-    gadget -> F(D2) with a -> x_u and b -> x_v, and
+    ``source`` is D1 as (n, mask), which must have no isolated vertex;
+    ``target`` is the ``_target_record`` of D2.  F(D1) is the union of its arc
+    copies, which meet only in D1's vertices (the arrow construction, Hell &
+    Nešetřil, *Graphs and Homomorphisms*, 2004, ch. 4).  So a slice hom
+    F(D1) -> F(D2) is a choice of images x of D1's vertices and, per arc
+    (u, v), a slice hom gadget -> F(D2) with a -> x_u and b -> x_v, and
 
         |Hom(F(D1), F(D2))| = sum over x of prod over arcs (u, v) of N(x_u, x_v),
 
@@ -620,66 +644,82 @@ def _check_embedding_pair(gadget: Gadget, first, second) -> tuple[int, int, Opti
     b -> q.  As every vertex of D1 lies on an arc, the x with a nonzero
     product are the digraph homs D1 -> S, S the support of N.
 
+    Both counts come from one search D1 -> H, H = S ∪ D2 on F(D2)'s indices.
+    Hom(D1, D2) and Hom(D1, S) both lie inside Hom(D1, H), and every other
+    leaf adds 0 to both counts: a leaf adds its product of N (0 off S), and
+    it is a digraph hom D1 -> D2 when every arc lands on an arc of D2.  Loops
+    of D1 stay a unary filter onto the looped vertices of H.  Leaves stream
+    in lexicographic order over F(D2)'s index order, in which D2's vertices
+    are 0..n-1, so the homs D1 -> D2 keep the order a search D1 -> D2 gives
+    them, and the first that does not glue, the one a missing-image
+    violation names, is the same.
+
     Every digraph hom h must glue to slice homs the engine found: for each arc
     (u, v) the gadget copy on (h(u), h(v)) is one of them.  Gluing is
     injective, so equal counts make it a bijection.  No product of either
     side is built: F(D1) is counted through its arcs, and F(D2) is searched
     as ``arrow.product_rows`` lays it out by index, whose docstring says why
     the checks of a named build (no id collides, no loop arc makes a loop,
-    the inherited map is a homomorphism) hold by construction.
+    the inherited map is a homomorphism) hold by construction.  A
+    ``Digraph`` is built only for the D1 and D2 of a violation.
     """
-    D1 = first[0]
-    D2, glued, support, weights = second
-    variables, leaves = digraph_hom_leaves(D1, D2)
+    weights, glued, d2_arcs = target.weights, target.glued, target.arcs
+    arcs = _mask_arcs(*source)
+    variables, leaves = digraph_hom_leaves_into(source[0], arcs, target.out, target.inn)
     at = {v: i for i, v in enumerate(variables)}
-    arcs = [(at[u], at[v]) for u, v in D1.arcs]
-    digraph_homs = 0
+    arcs = [(at[u], at[v]) for u, v in arcs]
+    digraph_homs = slice_homs = 0
     stray = None
     for leaf in leaves:
-        digraph_homs += 1
-        if stray is None and not all((leaf[i], leaf[j]) in glued for i, j in arcs):
-            stray = leaf
-    # the variable order depends on D1 alone, so ``arcs`` indexes these leaves too
-    slice_homs = sum(
-        prod(weights[leaf[i], leaf[j]] for i, j in arcs) for leaf in digraph_hom_leaves(D1, support)[1]
-    )
+        ends = [(leaf[i], leaf[j]) for i, j in arcs]
+        slice_homs += prod([weights.get(e, 0) for e in ends])
+        if d2_arcs.issuperset(ends):
+            digraph_homs += 1
+            if stray is None and not glued.issuperset(ends):
+                stray = leaf
+    if digraph_homs == slice_homs and stray is None:
+        return digraph_homs, slice_homs, None
+    D1, D2 = digraph_from_mask(*source), digraph_from_mask(target.n, target.mask)
     if digraph_homs != slice_homs:
         detail = f"{digraph_homs} digraph homs vs {slice_homs} slice homs"
         return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "count-mismatch", detail)
-    if stray is not None:
-        # equal counts, yet some glued map is not among the slice homs counted
-        h = [D2.vertices[d.bit_length() - 1] for d in stray]
-        p, q = next((h[i], h[j]) for i, j in arcs if (stray[i], stray[j]) not in glued)
-        detail = (
-            f"digraph hom {dict(sorted(zip(variables, h)))} does not glue to slice homs the search found: "
-            f"the gadget copy with {gadget.a} -> {p}, {gadget.b} -> {q} is not among them"
-        )
-        return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "missing-image", detail)
-    return digraph_homs, slice_homs, None
+    # equal counts, yet some glued map is not among the slice homs counted
+    h = [D2.vertices[d.bit_length() - 1] for d in stray]
+    p, q = next((h[i], h[j]) for i, j in arcs if (stray[i], stray[j]) not in glued)
+    names = [D1.vertices[v] for v in variables]
+    detail = (
+        f"digraph hom {dict(sorted(zip(names, h)))} does not glue to slice homs the search found: "
+        f"the gadget copy with {gadget.a} -> {p}, {gadget.b} -> {q} is not among them"
+    )
+    return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "missing-image", detail)
 
 
-def _target_record(gadget: Gadget, D: Digraph) -> tuple[Digraph, set, Digraph, dict]:
-    """What the pair check reads of F(D), from one search gadget -> F(D): D;
-    the arcs of D whose gadget copy is among the slice homs found; the
-    support S of N as a digraph; and N on S's arcs.  F(D) is searched as
-    ``arrow.product_rows`` lays it out, so D's i-th vertex is bit i of a
-    raw leaf.  Arcs of D and of S are keyed as raw leaves read them: pairs
-    of singleton bitsets over the digraph's vertices.  S's vertex ids are
-    F(D)'s bitsets in decimal, as only counts read them."""
-    rows, fibers, copies = arrow.product_rows(D, gadget)
+def _target_record(gadget: Gadget, n: int, mask: int) -> _Target:
+    """What the pair check reads of F(D), D the digraph of ``mask`` on n
+    vertices, from one search gadget -> F(D) laid out by
+    ``arrow.product_rows``: N and the glued arcs, tallied from the leaves'
+    own (a, b) bits, D's arcs, and the rows of the host S ∪ D over F(D)'s
+    indices.  No ``Digraph`` is built and no id is formatted."""
+    arcs = _mask_arcs(n, mask)
+    rows, fibers, copies = arrow.product_rows(n, arcs, gadget)
     variables, leaves = hom_leaves_into(gadget.slice, rows, fibers)
     copy_leaves = {tuple([copy[x] for x in variables]) for copy in copies}
     i, j = variables.index(gadget.a), variables.index(gadget.b)
-    tally: Counter = Counter()
+    weights: dict = {}
     glued = set()
     for leaf in leaves:
         ends = leaf[i], leaf[j]
-        tally[ends] += 1
+        weights[ends] = weights.get(ends, 0) + 1
         if tuple(leaf) in copy_leaves:
             glued.add(ends)
-    support = Digraph({str(x) for pair in tally for x in pair}, [(str(p), str(q)) for p, q in tally])
-    at_s = {int(w): 1 << k for k, w in enumerate(support.vertices)}
-    return D, glued, support, {(at_s[p], at_s[q]): k for (p, q), k in tally.items()}
+    d_arcs = {(1 << u, 1 << v) for u, v in arcs}
+    # every copy is a slice hom, so S holds D's arcs when the search finds
+    # them all; the union keeps the digraph count independent of that search
+    out, inn = [0] * len(rows), [0] * len(rows)
+    for p, q in d_arcs.union(weights):
+        out[p.bit_length() - 1] |= q
+        inn[q.bit_length() - 1] |= p
+    return _Target(n, mask, weights, glued, d_arcs, out, inn)
 
 
 def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> EmbeddingReport:
@@ -689,17 +729,18 @@ def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> Embedd
     ``max_n`` vertices.  Assumes the gadget itself has already been verified
     at this size (otherwise fullness can fail and will be reported).
     Relabeling D1 and D2 separately keeps the verdict and both hom counts,
-    so each pair of isomorphism classes is checked once (``class_sweep``).
-    With no isolated vertex in D1, |Hom(F(D1), F(D2))| is the sum over maps
-    x of D1's vertices of the product over arcs (u, v) of N(x_u, x_v), N(p, q)
-    the number of slice homs gadget -> F(D2) with a -> p and b -> q; so each
+    so each pair of isomorphism classes is checked once (``class_sweep``),
+    each digraph keyed by its size and least arc mask.  With no isolated
+    vertex in D1, |Hom(F(D1), F(D2))| is the sum over maps x of D1's
+    vertices of the product over arcs (u, v) of N(x_u, x_v), N(p, q) the
+    number of slice homs gadget -> F(D2) with a -> p and b -> q; so each
     pair is counted from one search gadget -> F(D2) per target class, F(D2)
-    laid out as engine rows, and no product of either side is built
-    (``_check_embedding_pair``).
+    laid out as engine rows, and one search per pair from D1 into S ∪ D2, S
+    the support of N (``_check_embedding_pair``).  No product of either side
+    is built, and no ``Digraph`` but the two of a violation.
     """
     labeled = list(labeled_digraph_classes(max_n, True))
-    digraphs = {key: digraph_from_mask(*key) for key in dict.fromkeys(labeled)}
-    return _embedding_sweep(gadget, digraphs, ((x, y) for x in labeled for y in labeled), progress)
+    return _embedding_sweep(gadget, ((x, y) for x in labeled for y in labeled), progress)
 
 
 @functools.cache
@@ -714,8 +755,8 @@ def full_embedding_spot_check(
     pair_count: int,
     seed: int,
 ) -> EmbeddingReport:
-    """Check randomly sampled ordered pairs of n-vertex digraphs; only the
-    sampled digraphs are built, from their arc masks."""
+    """Check randomly sampled ordered pairs of n-vertex digraphs, each held as
+    its arc mask."""
     if pair_count < 1:  # no pairs would pass vacuously
         raise ValueError(f"pair_count must be at least 1, got {pair_count}")
     masks = _isolation_free_masks(n)
@@ -723,22 +764,21 @@ def full_embedding_spot_check(
     chosen_idx = sorted(
         {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
     )
-    needed = sorted({i for p in chosen_idx for i in p})
-    digraphs = {i: digraph_from_mask(n, masks[i]) for i in needed}
-    return _embedding_sweep(gadget, digraphs, chosen_idx, None)
+    return _embedding_sweep(gadget, [((n, masks[i]), (n, masks[j])) for i, j in chosen_idx], None)
 
 
-def _embedding_sweep(gadget: Gadget, digraphs: dict, pairs, progress) -> EmbeddingReport:
-    """Sweep ``pairs`` of keys of ``digraphs`` in order, checking each distinct
-    pair once.  A key's target record is made at the first pair with that key
-    as its target, so only targets have their product laid out and searched."""
+def _embedding_sweep(gadget: Gadget, pairs, progress) -> EmbeddingReport:
+    """Sweep ``pairs`` of digraphs, each given as its (n, mask) key, in order,
+    checking each distinct pair once.  A key's target record is made at the
+    first pair with that key as its target, so only targets have their
+    product laid out and searched."""
     targets: dict = {}
 
     def check(pair):
         source, target = pair
         if target not in targets:
-            targets[target] = _target_record(gadget, digraphs[target])
-        nd, ns, violation = _check_embedding_pair(gadget, (digraphs[source],), targets[target])
+            targets[target] = _target_record(gadget, *target)
+        nd, ns, violation = _check_embedding_pair(gadget, source, targets[target])
         return (1, nd, ns), violation
 
     (checked, total_d, total_s), violation = class_sweep(pairs, check, (0, 0, 0), progress, 50)

@@ -3,15 +3,17 @@
 The oracles enumerate every candidate map and filter, independent of the
 search engine's pruning and ordering, so engine results can be checked
 against them set-for-set.  The helpers below them (the brute-force base
-classifier, structure-map mutants, the strong copy-map check and the orbit
-form of the digraph classes) serve only tests, so they live here and not in
-the library.
+classifier, structure-map mutants, the embedding pair check on named
+products and ``Digraph``s, the strong copy-map check and the orbit form of
+the digraph classes) serve only tests, so they live here and not in the
+library.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -37,8 +39,8 @@ from slicecat.gadgets import (
     builtin_gadget,
     verify_gadget_exhaustive,
 )
-from slicecat.homsearch import check_digraph_size, digraph_masks, hom_leaves, least_masks
-from slicecat.universality import BaseVerdict
+from slicecat.homsearch import check_digraph_size, digraph_hom_leaves, digraph_masks, hom_leaves, least_masks
+from slicecat.universality import BaseVerdict, EmbeddingViolation
 
 
 def naive_homs(A: Graph, B: Graph) -> set[tuple[tuple[str, str], ...]]:
@@ -265,6 +267,38 @@ def named_target_record(gadget: Gadget, D: Digraph) -> tuple[Digraph, set, Digra
         support,
         {(at_s[x], at_s[y]): k for (x, y), k in tally.items()},
     )
+
+
+def reference_embedding_pair(gadget: Gadget, D1: Digraph, record) -> tuple[int, int, EmbeddingViolation | None]:
+    """The embedding pair check on ``Digraph``s, with a record of
+    ``named_target_record``: one search D1 -> D2 for the digraph homs and
+    their gluing, and one D1 -> S, weighted by N, for the slice homs."""
+    D2, glued, support, weights = record
+    variables, leaves = digraph_hom_leaves(D1, D2)
+    at = {v: i for i, v in enumerate(variables)}
+    arcs = [(at[u], at[v]) for u, v in D1.arcs]
+    digraph_homs = 0
+    stray = None
+    for leaf in leaves:
+        digraph_homs += 1
+        if stray is None and not all((leaf[i], leaf[j]) in glued for i, j in arcs):
+            stray = leaf
+    # the variable order depends on D1 alone, so ``arcs`` indexes these leaves too
+    slice_homs = sum(
+        math.prod(weights[leaf[i], leaf[j]] for i, j in arcs) for leaf in digraph_hom_leaves(D1, support)[1]
+    )
+    if digraph_homs != slice_homs:
+        detail = f"{digraph_homs} digraph homs vs {slice_homs} slice homs"
+        return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "count-mismatch", detail)
+    if stray is not None:
+        h = [D2.vertices[d.bit_length() - 1] for d in stray]
+        p, q = next((h[i], h[j]) for i, j in arcs if (stray[i], stray[j]) not in glued)
+        detail = (
+            f"digraph hom {dict(sorted(zip(variables, h)))} does not glue to slice homs the search found: "
+            f"the gadget copy with {gadget.a} -> {p}, {gadget.b} -> {q} is not among them"
+        )
+        return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "missing-image", detail)
+    return digraph_homs, slice_homs, None
 
 
 def phi_is_strong(res: ArrowResult, arc: Arc) -> tuple[bool, tuple[Vertex, Vertex] | None]:

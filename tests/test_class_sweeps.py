@@ -33,6 +33,7 @@ from slicecat.gadgets import (
 )
 from slicecat.homsearch import (
     class_sweep,
+    digraph_from_mask,
     digraph_hom_count,
     digraph_masks,
     enumerate_digraphs,
@@ -53,7 +54,7 @@ from slicecat.universality import (
     random_slice_object,
 )
 
-from conftest import digraph_classes, gadget_building_mutants, named_target_record
+from conftest import digraph_classes, gadget_building_mutants, named_target_record, reference_embedding_pair
 
 
 BUILTINS = {name: builtin_gadget(name) for name in BUILTIN_GADGET_NAMES}
@@ -92,11 +93,10 @@ def labeled_verify(gadget, max_n) -> GadgetReport:
 
 
 def labeled_embed(gadget, max_n) -> EmbeddingReport:
-    records = [
-        universality._target_record(gadget, D) for n in range(1, max_n + 1) for D in enumerate_digraphs(n, True)
-    ]
+    keys = [(n, mask) for n in range(1, max_n + 1) for mask in digraph_masks(n, True)]
+    records = [universality._target_record(gadget, *key) for key in keys]
     checked = total_d = total_s = 0
-    for first in records:
+    for first in keys:
         for second in records:
             nd, ns, violation = universality._check_embedding_pair(gadget, first, second)
             checked += 1
@@ -197,19 +197,49 @@ def test_pair_counts_match_the_product_to_product_count(name):
     # the pair check counts through the gluing; the check it replaced searched
     # the slice homs between the two built products, counted here directly
     gadget = GADGETS[name]
-    digraphs = [D for n in (1, 2) for D in enumerate_digraphs(n, True)]
+    keys = [(n, mask) for n in (1, 2) for mask in digraph_masks(n, True)]
+    digraphs = [digraph_from_mask(*key) for key in keys]
     products = [arrow_slice(D, gadget) for D in digraphs]
-    records = [universality._target_record(gadget, D) for D in digraphs]
-    for D1, F1 in zip(digraphs, products):
+    records = [universality._target_record(gadget, *key) for key in keys]
+    for key, D1, F1 in zip(keys, digraphs, products):
         for D2, F2, record in zip(digraphs, products, records):
-            nd, ns, _ = universality._check_embedding_pair(gadget, (D1,), record)
+            nd, ns, _ = universality._check_embedding_pair(gadget, key, record)
             assert (nd, ns) == (digraph_hom_count(D1, D2), slice_hom_count(F1, F2)), (D1, D2)
 
 
-def _n_by_ids(record, name) -> dict:
-    """N of a target record on pairs of S's vertex ids, each renamed by ``name``."""
-    _, _, support, weights = record
-    ids = {1 << k: name(w) for k, w in enumerate(support.vertices)}
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_pair_check_matches_the_two_search_reference(name):
+    # one search into S ∪ D2 against a search into D2 and one into S; the
+    # mutants' hosts have arcs and vertices outside D2
+    gadget = GADGETS[name]
+    small = [(n, mask) for n in (1, 2) for mask in digraph_masks(n, True)]
+    rng = random.Random(name)
+    three = [(3, mask) for mask in digraph_masks(3, True)]
+    pairs = [(x, y) for x in small for y in small] + [(rng.choice(three), rng.choice(three)) for _ in range(40)]
+    targets = dict.fromkeys(key for _, key in pairs)
+    records = {key: universality._target_record(gadget, *key) for key in targets}
+    references = {key: named_target_record(gadget, digraph_from_mask(*key)) for key in targets}
+    for source, target in pairs:
+        record, (D2, glued, support, weights) = records[target], references[target]
+        cases = [(record, (D2, glued, support, weights))]
+        if glued:
+            # with one glued arc taken out, the first digraph hom through it is reported
+            lost = min(glued)
+            cases.append((record._replace(glued=glued - {lost}), (D2, glued - {lost}, support, weights)))
+        for got_record, reference in cases:
+            got = universality._check_embedding_pair(gadget, source, got_record)
+            expected = reference_embedding_pair(gadget, digraph_from_mask(*source), reference)
+            assert _pair_doc(got) == _pair_doc(expected), (source, target)
+
+
+def _pair_doc(result) -> tuple:
+    """A pair check's counts and its violation as a document, or None."""
+    nd, ns, violation = result
+    return nd, ns, violation and violation.to_dict()
+
+
+def _n_by_ids(weights, ids) -> dict:
+    """N on pairs of bits, each renamed to a product id by ``ids``."""
     return {(ids[p], ids[q]): count for (p, q), count in weights.items()}
 
 
@@ -219,15 +249,28 @@ def test_target_record_matches_the_named_reference(name):
     # product; the copy maps of both layouts translate indices to product ids
     gadget = GADGETS[name]
     for D in (D for n in (1, 2, 3) for D in enumerate_digraphs(n, True)):
-        record, reference = universality._target_record(gadget, D), named_target_record(gadget, D)
+        n, mask = D.vertex_count, _mask(D)
+        record, reference = universality._target_record(gadget, n, mask), named_target_record(gadget, D)
         res = arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
+        arcs = [(k // n, k % n) for k in range(n * n) if mask >> k & 1]
         product_id = {
             bit: ids[w]
-            for bits, ids in zip(product_rows(D, gadget)[2], res.copies.values())
+            for bits, ids in zip(product_rows(n, arcs, gadget)[2], res.copies.values())
             for w, bit in bits.items()
         }
-        assert record[1] == reference[1], D
-        assert _n_by_ids(record, lambda w: product_id[int(w)]) == _n_by_ids(reference, str), D
+        support_id = {1 << k: w for k, w in enumerate(reference[2].vertices)}
+        assert record.glued == reference[1], D
+        assert _n_by_ids(record.weights, product_id) == _n_by_ids(reference[3], support_id), D
+        assert record.arcs == {(1 << u, 1 << v) for u, v in arcs}, D
+        # the host's rows hold exactly the arcs of S and of D, read from both ends
+        host = set(record.weights) | record.arcs
+        assert {(1 << i, q & -q) for i, row in enumerate(record.out) for q in _bits(row)} == host, D
+        assert {(p & -p, 1 << j) for j, row in enumerate(record.inn) for p in _bits(row)} == host, D
+
+
+def _bits(mask: int) -> list[int]:
+    """The singleton bitsets of ``mask``."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @pytest.mark.parametrize("regime", ["irreflexive", "no-isolated"])
@@ -324,11 +367,12 @@ def test_embed_fails_inside_a_size_like_the_labeled_sweep(monkeypatch):
     first, second = _late_class(2, 2), _late_class(2, 1)
     real = universality._check_embedding_pair
 
-    def liar(gadget, x, y):
-        nd, ns, violation = real(gadget, x, y)
-        D1, D2 = x[0], y[0]
-        if D1.vertex_count == D2.vertex_count == 2 and _mask(D1) in classes[first] and _mask(D2) in classes[second]:
-            return nd, ns, EmbeddingViolation(D1, D2, "missing-image", "planted")
+    def liar(gadget, source, target):
+        nd, ns, violation = real(gadget, source, target)
+        (n1, m1), (n2, m2) = source, (target.n, target.mask)
+        if n1 == n2 == 2 and m1 in classes[first] and m2 in classes[second]:
+            D1, D2 = digraph_from_mask(n1, m1), digraph_from_mask(n2, m2)
+            violation = EmbeddingViolation(D1, D2, "missing-image", "planted")
         return nd, ns, violation
 
     monkeypatch.setattr(universality, "_check_embedding_pair", liar)

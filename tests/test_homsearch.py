@@ -7,6 +7,7 @@ from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
     digraph_hom_leaves,
+    digraph_hom_leaves_into,
     enumerate_digraph_homs,
     enumerate_digraphs,
     enumerate_graphs,
@@ -299,3 +300,19 @@ class TestDigraphHoms:
             d2 = random_digraph(rng, 3)
             got = {tuple(sorted(m.items())) for m in enumerate_digraph_homs(d1, d2)}
             assert got == naive_digraph_homs(d1, d2)
+
+    def test_rows_entry_matches_the_digraph_entry(self):
+        # every ordered pair on at most 2 vertices, loops and isolated vertices
+        # included: the pattern as index arcs, the host as rows built from D2
+        digraphs = [d for n in (1, 2) for d in enumerate_digraphs(n, False)]
+        for d1 in digraphs:
+            at1 = {v: i for i, v in enumerate(d1.vertices)}
+            arcs = [(at1[u], at1[v]) for u, v in d1.arcs]
+            for d2 in digraphs:
+                at2 = {v: i for i, v in enumerate(d2.vertices)}
+                out = [sum(1 << at2[w] for w in d2.out_neighbors(v)) for v in d2.vertices]
+                inn = [sum(1 << at2[w] for w in d2.in_neighbors(v)) for v in d2.vertices]
+                variables, leaves = digraph_hom_leaves_into(d1.vertex_count, arcs, out, inn)
+                expected_variables, expected_leaves = digraph_hom_leaves(d1, d2)
+                assert [d1.vertices[i] for i in variables] == expected_variables, (d1, d2)
+                assert list(map(list, leaves)) == list(map(list, expected_leaves)), (d1, d2)
