@@ -38,7 +38,6 @@ from .arrow import (
     arrow_graph,
     arrow_morphism,
     arrow_slice,
-    interior_id,
     phi,
     product_slice,
     product_structure_map,

@@ -12,11 +12,12 @@ inherits one: D-vertices go to f(a) and interior vertices to f(w).
 ``ArrowResult`` builds the product in one pass over the arcs and validates
 only what it builds from outside input: the distinguished vertices, every
 product id against all earlier ones, and the product ``Graph`` itself.  The
-copy maps it stores are not validated there.  A copy map is validated as a
-``Morphism`` when ``phi`` returns it; ``product_structure_map`` validates the
-inherited map as a ``Morphism``, and ``arrow_morphism`` validates its result
-as a ``SliceMorphism``.  The verifiers read the stored copy maps unvalidated
-and validate only the counterexamples they return.
+copy maps it stores are not validated there.  ``ArrowResult.copies`` is the
+one reader of a copy map.  ``phi`` validates one as a ``Morphism``;
+``product_structure_map`` validates the inherited map as a ``Morphism``, and
+``arrow_morphism`` validates its result as a ``SliceMorphism``.  The
+verifiers read the stored copy maps unvalidated and validate only the
+counterexamples they return.
 
 ``product_rows`` lays the same product out unnamed, as the adjacency rows
 and colour fibers of a search host indexed by arithmetic, for the embedding
@@ -36,16 +37,6 @@ if TYPE_CHECKING:  # circular only at type-check time
     from .gadgets import Gadget
 
 Arc = tuple[Vertex, Vertex]
-
-
-def _copy_prefix(u: Vertex, v: Vertex) -> str:
-    """What every interior id of the copy glued to arc (u, v) starts with."""
-    return f"({u},{v})::"
-
-
-def interior_id(u: Vertex, v: Vertex, w: Vertex) -> Vertex:
-    """Stable product id of gadget vertex w in the copy glued to arc (u, v)."""
-    return _copy_prefix(u, v) + w
 
 
 @dataclass(frozen=True, init=False)
@@ -74,10 +65,10 @@ class ArrowResult:
         edges = []
         for arc in digraph.arcs:
             u, v = arc
-            prefix = _copy_prefix(u, v)
+            prefix = f"({u},{v})::"
             copy = {}
             for w in interior:
-                pid = prefix + w  # interior_id(u, v, w)
+                pid = prefix + w
                 if pid in used:
                     raise ValueError(f"interior id {pid!r} collides with another product vertex id")
                 used.add(pid)
@@ -106,21 +97,10 @@ class ArrowResult:
 
     @property
     def copies(self) -> Mapping[Arc, Mapping[Vertex, Vertex]]:
-        """Every arc's copy map, in arc order.  The maps are the stored ones,
-        shared by every reader: never change them (``copy_map`` gives a copy)."""
+        """Every arc's copy map, in arc order: a to u, b to v and every
+        interior vertex w to "(u,v)::w".  The maps are the stored ones, shared
+        by every reader: never change them."""
         return MappingProxyType(self._copies)  # type: ignore[attr-defined]
-
-    def interior(self, arc: Arc, w: Vertex) -> Vertex:
-        """The product id of interior gadget vertex ``w`` in the copy of ``arc``."""
-        if w in (self.a, self.b):
-            raise KeyError(w)
-        return self._copies[tuple(arc)][w]  # type: ignore[attr-defined]
-
-    def copy_map(self, arc: Arc) -> dict[Vertex, Vertex]:
-        """The copy map of one digraph arc (u, v) as a plain dict: a to u, b to
-        v, and every interior vertex w to ``interior((u, v), w)``."""
-        u, v = arc
-        return dict(self._copies[(u, v)])  # type: ignore[attr-defined]
 
 
 def arrow_graph(D: Digraph, H: Graph, a: Vertex, b: Vertex) -> ArrowResult:
@@ -137,7 +117,7 @@ def phi(res: ArrowResult, arc: Arc) -> Morphism:
     arc = (arc[0], arc[1])
     if not res.digraph.has_arc(*arc):
         raise ValueError(f"{arc!r} is not an arc of the digraph")
-    return Morphism(res.gadget_graph, res.product, res.copy_map(arc))
+    return Morphism(res.gadget_graph, res.product, res.copies[arc])
 
 
 def product_structure_map(res: ArrowResult, gadget: "Gadget") -> Morphism:

@@ -97,13 +97,7 @@ def _load_gadget(name_or_path: str) -> Gadget:
 
 
 def cmd_classify(args) -> int:
-    result = classify_slice_base(_load_graph(args.graph))
-    _emit(result.to_dict())
-    return 0 if result.verdict is BaseVerdict.UNIVERSAL else 1
-
-
-def cmd_cone_classify(args) -> int:
-    result = classify_cone_base(_load_graph(args.graph))
+    result = args.classifier(_load_graph(args.graph))
     _emit(result.to_dict())
     return 0 if result.verdict is BaseVerdict.UNIVERSAL else 1
 
@@ -245,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="decide whether the slice category over a graph is universal")
     p.add_argument("graph")
-    p.set_defaults(fn=cmd_classify)
+    p.set_defaults(fn=cmd_classify, classifier=classify_slice_base)
 
     p = sub.add_parser("cone-classify", help="decide universality of the graphs mapping into a base")
     p.add_argument("graph")
-    p.set_defaults(fn=cmd_cone_classify)
+    p.set_defaults(fn=cmd_classify, classifier=classify_cone_base)
 
     p = sub.add_parser("arrow", help="glue a gadget along every arc of a digraph")
     p.add_argument("digraph")

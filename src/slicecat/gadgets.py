@@ -160,19 +160,19 @@ def build_gk(k: int) -> ReplacementGadget:
 
 @dataclass(frozen=True)
 class GadgetCounterexample:
-    """What broke: a digraph plus either a stray/missing morphism or a reason."""
+    """What broke on a digraph: a slice morphism into its product that is no
+    copy map, or a copy map the search did not find."""
 
-    digraph: Optional[Digraph]
-    kind: str  # "extra-hom" | "missing-copy-map" | "invalid-gadget"
-    mapping: Optional[dict[Vertex, Vertex]] = None
-    reason: Optional[str] = None
+    digraph: Digraph
+    kind: str  # "extra-hom" | "missing-copy-map"
+    mapping: dict[Vertex, Vertex]
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "digraph": self.digraph.to_dict() if self.digraph else None,
-            "map": dict(sorted(self.mapping.items())) if self.mapping else None,
-            "reason": self.reason,
+            "digraph": self.digraph.to_dict(),
+            "map": dict(sorted(self.mapping.items())),
+            "reason": None,  # kept, so the JSON of a failing verification keeps its keys
         }
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, permutations
 from operator import add, or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -547,16 +548,24 @@ def labeled_digraph_classes(max_n: int, require_no_isolated: bool) -> Iterator[t
         yield from ((n, least[mask]) for mask in digraph_masks(n, require_no_isolated))
 
 
+@cache
+def _labels(n: int) -> tuple[Vertex, ...]:
+    """The ids v0..v(n-1), one tuple per size.  Every graph built from a mask
+    shares these string objects: dict lookups keyed by shared ids take the
+    identity fast path, which the classifier measurably relies on."""
+    return tuple(f"v{i}" for i in range(n))
+
+
 def digraph_from_mask(n: int, mask: int) -> Digraph:
     """The digraph on v0..v(n-1) whose arcs are the set bits of ``mask``."""
-    vs = [f"v{i}" for i in range(n)]
+    vs = _labels(n)
     return Digraph(vs, [(vs[k // n], vs[k % n]) for k in range(n * n) if mask >> k & 1])
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph on v0..v(n-1) whose edges are the set bits of ``mask``, the
     edges i < j numbered in lexicographic order."""
-    vs = [f"v{i}" for i in range(n)]
+    vs = _labels(n)
     return Graph(vs, [(vs[i], vs[j]) for k, (i, j) in enumerate(_cells(n, False)) if mask >> k & 1])
 
 
@@ -607,10 +616,8 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All labeled simple graphs on vertices v0..v(n-1), ascending edge mask."""
     if n < 0:
         raise ValueError(f"need a non-negative vertex count, got {n}")
-    vs = [f"v{i}" for i in range(n)]
-    pairs = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
-        yield Graph(vs, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+    for mask in range(1 << n * (n - 1) // 2):
+        yield graph_from_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------

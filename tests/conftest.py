@@ -17,6 +17,7 @@ import math
 import random
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 from slicecat.arrow import Arc, ArrowResult, arrow_graph, product_slice
@@ -34,7 +35,6 @@ from slicecat.core import (
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
-    GadgetCounterexample,
     GadgetReport,
     builtin_gadget,
     verify_gadget_exhaustive,
@@ -223,11 +223,21 @@ def gadget_building_mutants() -> dict:
     return building
 
 
+@dataclass(frozen=True)
+class InvalidGadget:
+    """The counterexample of a rewrite that builds no gadget: why ``Gadget``
+    refused it.  No digraph was checked."""
+
+    reason: str
+    kind: str = "invalid-gadget"
+    digraph: None = None
+
+
 def verify_mutated_gadget(gadget: Gadget, vertex: Vertex, new_target: Vertex, max_n: int = 2) -> GadgetReport:
     """Apply one structure-map rewrite, then validate and sweep.
 
     A rewrite that breaks the homomorphism property or the distinguished-pair
-    invariants fails immediately with an "invalid-gadget" counterexample; a
+    invariants fails immediately with an ``InvalidGadget`` counterexample; a
     rewrite that still builds a gadget is swept like any other.
     """
     mutated = dict(gadget.slice.structure_map.mapping)
@@ -235,8 +245,7 @@ def verify_mutated_gadget(gadget: Gadget, vertex: Vertex, new_target: Vertex, ma
     try:
         candidate = Gadget(SliceObject(gadget.carrier, gadget.base, mutated), gadget.a, gadget.b)
     except ValueError as exc:
-        ce = GadgetCounterexample(digraph=None, kind="invalid-gadget", reason=str(exc))
-        return GadgetReport(0, max_n, False, ce)
+        return GadgetReport(0, max_n, False, InvalidGadget(str(exc)))  # type: ignore[arg-type]
     return verify_gadget_exhaustive(candidate, max_n)
 
 
@@ -309,7 +318,7 @@ def phi_is_strong(res: ArrowResult, arc: Arc) -> tuple[bool, tuple[Vertex, Verte
     arc a and b share an image, so the check is performed on vertex pairs with
     distinct images and treats edges at a and b as interchangeable.
     """
-    copy = res.copy_map(arc)
+    copy = res.copies[arc]
     g = res.gadget_graph
     is_loop = arc[0] == arc[1]
     swap = {res.a: res.b, res.b: res.a}

@@ -127,6 +127,22 @@ def _gadget_documents() -> dict[str, dict]:
     return {"c4_mutant_c0": Gadget(SliceObject(c4.carrier, c4.base, mutated), c4.a, c4.b).to_dict()}
 
 
+def _digraph_documents() -> dict[str, Digraph]:
+    """Named digraph files for ``arrow`` and ``phi``, kept apart from
+    ``_documents`` so no ``endos`` case is made for them.  ``odd_arcs`` has
+    ids holding the separators of the interior-id format without a clash;
+    in ``clash`` two arcs format to the same interior id."""
+    return {
+        "digraph_two_cycle": Digraph(["u", "v"], [("u", "v"), ("v", "u")]),
+        "digraph_loop_arc": Digraph(["u", "v"], [("u", "u"), ("u", "v")]),
+        "digraph_out_star": Digraph(["u", "v", "w"], [("u", "v"), ("u", "w")]),
+        "digraph_odd_arcs": Digraph(
+            ["a,b", "c", "(x)", "y::z"], [("a,b", "c"), ("c", "(x)"), ("(x)", "y::z"), ("y::z", "a,b")]
+        ),
+        "digraph_clash": Digraph(["a,b", "c", "a", "b,c"], [("a,b", "c"), ("a", "b,c")]),
+    }
+
+
 HOMS_PAIRS = [
     ("p2", "c4"),
     ("c4", "p1"),
@@ -146,6 +162,16 @@ HOMS_PAIRS = [
     ("p3_folded", "p3_folded"),
 ]
 
+# (gadget, digraph file): the product in both output formats and the copy
+# map of every arc; the last gadget is read from a file
+ARROW_CASES = [
+    ("C3", "digraph_two_cycle"),
+    ("C4", "digraph_odd_arcs"),
+    ("P4", "digraph_loop_arc"),
+    ("Y", "digraph_out_star"),
+    ("c4_mutant_c0", "digraph_two_cycle"),
+]
+
 # C3, C4, P4 and Y witnesses, the P4 inside longer cycles, and a decomposition
 CLASSIFY_GRAPHS = ["c3", "c4", "p5", "star3", "c6", "c6_scrambled", "scattered"]
 # a retraction plan and a rigid-path certificate over each of P1, P2 and P3
@@ -154,7 +180,7 @@ RETRACT_SLICES = [
 ]
 
 
-def _cases(docs: dict[str, dict]) -> dict[str, list]:
+def _cases(docs: dict[str, dict], digraphs: dict[str, Digraph]) -> dict[str, list]:
     """Case name -> argv, with input files as ``inputs/<name>.json``."""
     cases: dict[str, list] = {}
     for src, dst in HOMS_PAIRS:
@@ -214,6 +240,21 @@ def _cases(docs: dict[str, dict]) -> dict[str, list]:
     cases["enumerate_digraphs_3_canonical_all"] = [
         "enumerate-digraphs", "--size", "3", "--canonical", "--all"
     ]
+    for g, name in ARROW_CASES:
+        gadget = g if g in BUILTIN_GADGET_NAMES else f"inputs/{g}.json"
+        label = f"{g}_{name.removeprefix('digraph_')}"
+        argv = ["arrow", f"inputs/{name}.json", "--gadget", gadget]
+        cases[f"arrow_{label}"] = argv
+        cases[f"arrow_{label}_edgelist"] = argv + ["--format", "edgelist"]
+        for k, (u, v) in enumerate(digraphs[name].arcs):
+            cases[f"phi_{label}_{k}"] = ["phi", f"inputs/{name}.json", "--gadget", gadget, "--arc", u, v]
+    cases["arrow_C3_clash"] = ["arrow", "inputs/digraph_clash.json", "--gadget", "C3"]
+    cases["phi_C3_clash"] = ["phi", "inputs/digraph_clash.json", "--gadget", "C3", "--arc", "a", "b,c"]
+    cases["phi_C3_two_cycle_not_an_arc"] = [
+        "phi", "inputs/digraph_two_cycle.json", "--gadget", "C3", "--arc", "u", "u"
+    ]
+    for name in CLASSIFY_GRAPHS:
+        cases[f"cone_classify_{name}"] = ["cone-classify", f"inputs/{name}.json"]
     return cases
 
 
@@ -228,11 +269,13 @@ def run_case(argv: list[str], root: Path) -> tuple[int, str]:
 
 def write_corpus(root: Path = HERE) -> int:
     docs = _documents()
+    digraphs = _digraph_documents()
     (root / "inputs").mkdir(exist_ok=True)
     (root / "expected").mkdir(exist_ok=True)
-    for name, doc in {**docs, **_gadget_documents()}.items():
+    files = {**docs, **_gadget_documents(), **{name: D.to_dict() for name, D in digraphs.items()}}
+    for name, doc in files.items():
         (root / "inputs" / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    cases = _cases(docs)
+    cases = _cases(docs, digraphs)
     manifest = {}
     for name, argv in cases.items():
         code, out = run_case(argv, root)

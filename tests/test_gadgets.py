@@ -184,7 +184,7 @@ class TestVerifyGadget:
         assert not report.verdict and report.hom_count == 1
         assert report.counterexample.kind == "missing-copy-map"
         res = arrow_graph(TWO_CYCLE, gadget.carrier, gadget.a, gadget.b)
-        assert report.counterexample.mapping in [res.copy_map(arc) for arc in TWO_CYCLE.arcs]
+        assert report.counterexample.mapping in [res.copies[arc] for arc in TWO_CYCLE.arcs]
         assert report.to_dict() == validated_verify_gadget(gadget, TWO_CYCLE).to_dict()
 
     def test_exhaustive_c3_max2(self):

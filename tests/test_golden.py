@@ -7,9 +7,12 @@ the output), ``endos`` on objects of at most 12 vertices,
 and for a gadget-building mutant of C4, ``verify-gadget --max-size 3`` for
 the built-ins, passing and failing ``strong-replacement --max-size 3``
 sweeps in both regimes and one that the no-isolated regime refuses,
-``classify`` witnesses and decompositions, ``retract`` plans and
-certificates over P1, P2 and P3, two ``dichotomy`` sweeps and
-``enumerate-digraphs --canonical`` at sizes 2 and 3.
+``classify`` and ``cone-classify`` witnesses and decompositions,
+``retract`` plans and certificates over P1, P2 and P3, two ``dichotomy`` sweeps,
+``enumerate-digraphs --canonical`` at sizes 2 and 3, and ``arrow`` products
+(JSON and edge lists) and ``phi`` copy maps of every arc, for built-in and
+file gadgets, on digraphs with loops and with ids that hold the interior-id
+separators, plus an id collision and an arc that is not in the digraph.
 ``tests/golden/make_corpus.py`` regenerates it.
 """
 

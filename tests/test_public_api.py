@@ -58,7 +58,6 @@ PUBLIC_NAMES = [
     "gadgets",
     "hom_count",
     "homsearch",
-    "interior_id",
     "is_homomorphism",
     "phi",
     "product_slice",
