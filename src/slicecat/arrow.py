@@ -161,10 +161,10 @@ def product_rows(
     ``Gadget`` validated its structure map as a ``Morphism`` and refuses
     adjacent a and b, so no edge becomes a loop, not even on a loop arc;
     the caller vouches for the arcs, which are distinct index pairs below n
-    when they are the bits of an arc mask; every copy vertex takes its
-    gadget vertex's colour, so the inherited map is a homomorphism by
-    construction; and indices are distinct by construction, so no id can
-    collide.
+    when ``homsearch.mask_pairs`` decodes them from an arc mask; every copy
+    vertex takes its gadget vertex's colour, so the inherited map is a
+    homomorphism by construction; and indices are distinct by construction,
+    so no id can collide.
     """
     H, a, b = gadget.carrier, gadget.a, gadget.b
     f = gadget.slice.structure_map.as_dict()

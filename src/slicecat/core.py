@@ -163,13 +163,19 @@ class Graph:
         return len(self.components()) <= 1
 
     def relabel(self, mapping: Mapping[Vertex, Vertex]) -> "Graph":
-        """Rename vertices through an injective mapping."""
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("relabeling map is not injective")
-        return Graph(
-            (mapping[v] for v in self.vertices),
-            ((mapping[u], mapping[v]) for u, v in self.edges),
-        )
+        """Rename vertices through a mapping that is total and injective on
+        them and names no other vertex."""
+        extra = set(mapping) - set(self.vertices)
+        if extra:
+            raise ValueError(f"relabeling map renames vertices outside the graph: {sorted(extra, key=str)}")
+        renamed: dict[Vertex, Vertex] = {}  # new id -> the vertex renamed to it
+        for v in self.vertices:
+            if v not in mapping:
+                raise ValueError(f"relabeling map is not total: no image for vertex {v!r}")
+            w = str(mapping[v])
+            if renamed.setdefault(w, v) != v:
+                raise ValueError(f"relabeling map is not injective: {renamed[w]!r} and {v!r} both go to {w!r}")
+        return Graph(renamed, ((mapping[u], mapping[v]) for u, v in self.edges))
 
     def induced(self, keep: Iterable[Vertex]) -> "Graph":
         ks = set(keep)

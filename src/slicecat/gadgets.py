@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import arrow
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, document_id
-from .homsearch import class_sweep, digraph_from_mask, hom_leaves, labeled_digraph_classes
+from .homsearch import class_sweep, digraph_from_mask, hom_leaves, labeled_digraph_classes, loop_mask
 
 # per built-in gadget, keyed by its base graph: the base's edges and the
 # colours along the carrier path a, b, c, ...
@@ -335,7 +335,7 @@ def check_strong_replacement_exhaustive(
         )
     keys = labeled_digraph_classes(max_n, no_isolated)
     if not no_isolated:  # a loop is kept by relabeling, so the least mask tells
-        keys = ((n, least) for n, least in keys if not least & sum(1 << (n + 1) * i for i in range(n)))
+        keys = ((n, least) for n, least in keys if not least & loop_mask(n))
 
     def check(key):
         D = digraph_from_mask(*key)

@@ -38,12 +38,14 @@ witnesses and counterexamples they return.
 The bounded sweeps (gadget verification, embedding, strong replacement and
 the dichotomy) search each isomorphism class once, since relabeling keeps
 loops, isolated vertices, connectivity, verdicts and hom counts (isomorph
-rejection after McKay, J. Algorithms 1998).  One class routine,
-``least_masks``, maps every labeled graph or digraph, as a bit mask over
-vertex pairs, to the least mask of its class.  One helper, ``class_sweep``,
-walks the labeled items in sweep order, checks a class at its first item and
-adds the result up per item, so counters, progress and counterexamples keep
-a labeled meaning.
+rejection after McKay, J. Algorithms 1998).  A labeled graph or digraph is
+a bit mask over vertex pairs, and ``_cells`` is the one map from its bits to
+the pairs: every mask this module builds, filters or decodes goes through it
+(``mask_pairs`` decodes), and no other module reads a mask bit.  One class
+routine, ``least_masks``, maps every mask to the least mask of its class.
+One helper, ``class_sweep``, walks the labeled items in sweep order, checks
+a class at its first item and adds the result up per item, so counters,
+progress and counterexamples keep a labeled meaning.
 """
 
 from __future__ import annotations
@@ -494,10 +496,24 @@ def check_digraph_size(n: int) -> None:
         )
 
 
-def _cells(n: int, directed: bool) -> list[tuple[int, int]]:
+@cache
+def _cells(n: int, directed: bool) -> tuple[tuple[int, int], ...]:
     """The vertex pairs behind the bits of a mask on n vertices, bit k for the
-    k-th: the arc (i, j) at bit n*i + j, or the edges i < j in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(n) if directed or i < j]
+    k-th: the arc (i, j) at bit n*i + j, or the edges i < j in lexicographic
+    order.  The one map from mask bits to vertex pairs, built once per size."""
+    return tuple((i, j) for i in range(n) for j in range(n) if directed or i < j)
+
+
+def mask_pairs(n: int, mask: int, directed: bool) -> list[tuple[int, int]]:
+    """The vertex pairs of the set bits of ``mask`` on n vertices, as index
+    pairs in bit order: arcs if ``directed``, else edges i < j.  Bit order is
+    lexicographic, so for n <= 4 it is the ``Digraph.arcs`` order on v0..v(n-1)."""
+    return [c for k, c in enumerate(_cells(n, directed)) if mask >> k & 1]
+
+
+def loop_mask(n: int) -> int:
+    """The arc mask of every loop on n vertices."""
+    return sum(1 << k for k, (i, j) in enumerate(_cells(n, True)) if i == j)
 
 
 def least_masks(n: int, directed: bool) -> list[int]:
@@ -529,13 +545,15 @@ def least_masks(n: int, directed: bool) -> list[int]:
     return least
 
 
-def digraph_masks(n: int, require_no_isolated: bool) -> Iterator[int]:
-    """The arc masks of ``enumerate_digraphs``, in its order; bit n*i + j is the arc (v_i, v_j)."""
+@cache
+def digraph_masks(n: int, require_no_isolated: bool) -> tuple[int, ...]:
+    """The arc masks of ``enumerate_digraphs``, in its order, as a table
+    built once per process; bit n*i + j is the arc (v_i, v_j)."""
     check_digraph_size(n)
-    touching = [sum(1 << (n * i + j) | 1 << (n * j + i) for j in range(n)) for i in range(n)]
-    for mask in range(1 << (n * n)):
-        if not require_no_isolated or all(mask & t for t in touching):
-            yield mask
+    cells = _cells(n, True)
+    # per vertex, the mask of the arcs at it
+    touching = [sum(1 << k for k, c in enumerate(cells) if i in c) for i in range(n)]
+    return tuple(m for m in range(1 << len(cells)) if not require_no_isolated or all(m & t for t in touching))
 
 
 def labeled_digraph_classes(max_n: int, require_no_isolated: bool) -> Iterator[tuple[int, int]]:
@@ -559,14 +577,14 @@ def _labels(n: int) -> tuple[Vertex, ...]:
 def digraph_from_mask(n: int, mask: int) -> Digraph:
     """The digraph on v0..v(n-1) whose arcs are the set bits of ``mask``."""
     vs = _labels(n)
-    return Digraph(vs, [(vs[k // n], vs[k % n]) for k in range(n * n) if mask >> k & 1])
+    return Digraph(vs, [(vs[i], vs[j]) for i, j in mask_pairs(n, mask, True)])
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph on v0..v(n-1) whose edges are the set bits of ``mask``, the
     edges i < j numbered in lexicographic order."""
     vs = _labels(n)
-    return Graph(vs, [(vs[i], vs[j]) for k, (i, j) in enumerate(_cells(n, False)) if mask >> k & 1])
+    return Graph(vs, [(vs[i], vs[j]) for i, j in mask_pairs(n, mask, False)])
 
 
 def class_sweep(keys: Iterable[Hashable], check: Callable, totals: Sequence[int], progress=None, every: int = 1):
@@ -603,7 +621,6 @@ def enumerate_digraphs(n: int, require_no_isolated: bool, *, canonical: bool = F
     some arc are produced.  ``canonical`` keeps one representative per
     isomorphism class, the least arc mask of the class (see ``least_masks``).
     """
-    check_digraph_size(n)
     masks = digraph_masks(n, require_no_isolated)
     if canonical:
         least = least_masks(n, True)
@@ -616,7 +633,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All labeled simple graphs on vertices v0..v(n-1), ascending edge mask."""
     if n < 0:
         raise ValueError(f"need a non-negative vertex count, got {n}")
-    for mask in range(1 << n * (n - 1) // 2):
+    for mask in range(1 << len(_cells(n, False))):
         yield graph_from_mask(n, mask)
 
 

@@ -18,7 +18,6 @@ the labeled sweep.
 from __future__ import annotations
 
 import enum
-import functools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -54,6 +53,7 @@ from .homsearch import (
     hom_leaves_into,
     labeled_digraph_classes,
     least_masks,
+    mask_pairs,
 )
 
 PATTERN_BUILDERS = {
@@ -152,25 +152,23 @@ def classify_cone_base(G: Graph) -> ConeClassification:
     BFS 2-colors each component; a same-color edge closes an odd cycle, which
     is extracted through the two tree paths to their meeting point.
     """
-    color: dict[Vertex, int] = {}
+    # a vertex's colour is the parity of its BFS depth
     parent: dict[Vertex, Optional[Vertex]] = {}
     depth: dict[Vertex, int] = {}
     for comp in G.components():
         root = comp[0]
-        color[root] = 0
         parent[root] = None
         depth[root] = 0
         queue = deque([root])
         while queue:
             x = queue.popleft()
             for y in G.neighbors(x):
-                if y not in color:
-                    color[y] = 1 - color[x]
+                if y not in depth:
                     parent[y] = x
                     depth[y] = depth[x] + 1
                     queue.append(y)
     for u, v in G.edges:
-        if color[u] != color[v]:
+        if (depth[u] - depth[v]) % 2:
             continue
         walk_u, walk_v = [u], [v]
         while depth[walk_u[-1]] > depth[walk_v[-1]]:
@@ -186,8 +184,8 @@ def classify_cone_base(G: Graph) -> ConeClassification:
         if len(cycle) > 1 and cycle[-1] < cycle[1]:
             cycle = [cycle[0]] + list(reversed(cycle[1:]))
         return ConeClassification(BaseVerdict.UNIVERSAL, odd_cycle=tuple(cycle))
-    left = tuple(v for v in G.vertices if color[v] == 0)
-    right = tuple(v for v in G.vertices if color[v] == 1)
+    left = tuple(v for v in G.vertices if depth[v] % 2 == 0)
+    right = tuple(v for v in G.vertices if depth[v] % 2 == 1)
     return ConeClassification(BaseVerdict.NOT_UNIVERSAL, bipartition=(left, right))
 
 
@@ -399,21 +397,14 @@ def compare_components(X: SliceObject, Y: SliceObject) -> SliceMorphism:
     pos = {b: i for i, b in enumerate(base_ord)}
 
     if n == 3 and img_x == img_y == set(base_ord):
-        rx = retract_slice_to_path(X)
-        ry = retract_slice_to_path(Y)
-        path_x = list(rx.path_vertices)
-        path_y = list(ry.path_vertices)
-        retr_x = rx.retraction if isinstance(rx, RetractionPlan) else Morphism.identity(X.carrier)
-        retr_y = ry.retraction if isinstance(ry, RetractionPlan) else Morphism.identity(Y.carrier)
-        if len(path_y) >= len(path_x):
-            fold = _path_fold(len(path_y) - 1, len(path_x) - 1)
-            idx = {v: i for i, v in enumerate(path_y)}
-            mapping = {v: path_x[fold[idx[retr_y(v)]]] for v in Y.carrier.vertices}
-            return SliceMorphism(Y, X, mapping)
-        fold = _path_fold(len(path_x) - 1, len(path_y) - 1)
-        idx = {v: i for i, v in enumerate(path_x)}
-        mapping = {v: path_y[fold[idx[retr_x(v)]]] for v in X.carrier.vertices}
-        return SliceMorphism(X, Y, mapping)
+        # the object with the longer path, Y on a tie, folds onto the other
+        sides = [(X, retract_slice_to_path(X)), (Y, retract_slice_to_path(Y))]
+        (onto, plan_onto), (folded, plan) = sorted(sides, key=lambda side: len(side[1].path_vertices))
+        retract = plan.retraction if isinstance(plan, RetractionPlan) else Morphism.identity(folded.carrier)
+        fold = _path_fold(len(plan.path_vertices) - 1, len(plan_onto.path_vertices) - 1)
+        idx = {v: i for i, v in enumerate(plan.path_vertices)}
+        mapping = {v: plan_onto.path_vertices[fold[idx[retract(v)]]] for v in folded.carrier.vertices}
+        return SliceMorphism(folded, onto, mapping)
 
     positions = sorted(pos[b] for b in img_x)
     if positions != list(range(positions[0], positions[-1] + 1)):
@@ -619,13 +610,6 @@ class _Target(NamedTuple):
     inn: list[int]  # its in-rows
 
 
-def _mask_arcs(n: int, mask: int) -> list[tuple[int, int]]:
-    """The arcs of the digraph of ``mask`` on n vertices as index pairs: bit k
-    is the arc (k // n, k % n).  For n <= 4 ascending bits are in
-    ``Digraph.arcs`` order on v0..v(n-1), and a mask's bits are arcs by construction."""
-    return [(k // n, k % n) for k in range(n * n) if mask >> k & 1]
-
-
 def _check_embedding_pair(
     gadget: Gadget, source: tuple[int, int], target: _Target
 ) -> tuple[int, int, Optional[EmbeddingViolation]]:
@@ -664,7 +648,7 @@ def _check_embedding_pair(
     ``Digraph`` is built only for the D1 and D2 of a violation.
     """
     weights, glued, d2_arcs = target.weights, target.glued, target.arcs
-    arcs = _mask_arcs(*source)
+    arcs = mask_pairs(*source, True)
     variables, leaves = digraph_hom_leaves_into(source[0], arcs, target.out, target.inn)
     at = {v: i for i, v in enumerate(variables)}
     arcs = [(at[u], at[v]) for u, v in arcs]
@@ -700,7 +684,7 @@ def _target_record(gadget: Gadget, n: int, mask: int) -> _Target:
     ``arrow.product_rows``: N and the glued arcs, tallied from the leaves'
     own (a, b) bits, D's arcs, and the rows of the host S ∪ D over F(D)'s
     indices.  No ``Digraph`` is built and no id is formatted."""
-    arcs = _mask_arcs(n, mask)
+    arcs = mask_pairs(n, mask, True)
     rows, fibers, copies = arrow.product_rows(n, arcs, gadget)
     variables, leaves = hom_leaves_into(gadget.slice, rows, fibers)
     copy_leaves = {tuple([copy[x] for x in variables]) for copy in copies}
@@ -743,12 +727,6 @@ def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> Embedd
     return _embedding_sweep(gadget, ((x, y) for x in labeled for y in labeled), progress)
 
 
-@functools.cache
-def _isolation_free_masks(n: int) -> tuple[int, ...]:
-    """``digraph_masks(n, True)`` as a table: a constant of n, built once per process."""
-    return tuple(digraph_masks(n, True))
-
-
 def full_embedding_spot_check(
     gadget: Gadget,
     n: int,
@@ -759,7 +737,7 @@ def full_embedding_spot_check(
     its arc mask."""
     if pair_count < 1:  # no pairs would pass vacuously
         raise ValueError(f"pair_count must be at least 1, got {pair_count}")
-    masks = _isolation_free_masks(n)
+    masks = digraph_masks(n, True)
     rng = random.Random(seed)
     chosen_idx = sorted(
         {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
@@ -883,6 +861,10 @@ def random_slice_object(
     images are adjacent, so the coloring is a homomorphism by construction.
     Carriers may be disconnected.
     """
+    if not base.vertices:
+        raise ValueError("base has no vertices, so no vertex can be coloured")
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
     n = rng.randint(1, max_vertices)
     vs = [f"v{i}" for i in range(n)]
     colors = {v: rng.choice(base.vertices) for v in vs}

@@ -158,6 +158,12 @@ class TestVerifyGadget:
         code, out = run(capsys, ["verify-gadget", "--gadget", "c3", "--digraph", arc_file])
         assert code == 0 and json.loads(out)["hom_count"] == 1
 
+    def test_colliding_ids_exit_two(self, capsys):
+        clash = str(Path(__file__).parent / "golden/inputs/digraph_clash.json")
+        code, out = run(capsys, ["verify-gadget", "--gadget", "c3", "--digraph", clash])
+        assert code == 2
+        assert json.loads(out) == {"error": "interior id '(a,b,c)::b' collides with another product vertex id"}
+
 
 class TestStrongReplacement:
     def test_midpoint_gadget_fails(self, capsys, tmp_path):

@@ -84,6 +84,24 @@ class TestGraphInvariants:
         assert d.is_isolated("b") and not d.is_isolated("a")
         assert d.isolated_vertices() == ("b",)
 
+    def test_relabel_renames_vertices_and_edges(self):
+        g = build_path(2).relabel({"v0": "a", "v1": "b", "v2": "c"})
+        assert g == Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"v0": "a", "v1": "b"}, "not total: no image for vertex 'v2'"),
+            ({"v0": "a", "v1": "b", "v2": "c", "zz": "a"}, r"outside the graph: \['zz'\]"),
+            ({"v0": "a", "v1": "b", "v2": "c", 0: "d", "zz": "e"}, r"outside the graph: \[0, 'zz'\]"),
+            ({"v0": "a", "v1": "a", "v2": "c"}, "not injective: 'v0' and 'v1' both go to 'a'"),
+        ],
+        ids=["partial", "outside-key", "outside-keys-of-two-types", "not-injective"],
+    )
+    def test_relabel_refuses_a_map_that_is_not_a_bijection_of_the_vertices(self, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            build_path(2).relabel(mapping)
+
 
 class TestHomomorphismCheck:
     def test_identity_on_triangle(self):

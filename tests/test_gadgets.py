@@ -1,4 +1,7 @@
+import json
+import re
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +149,14 @@ class TestVerifyGadget:
         with_isolated = Digraph(["u", "v", "w"], [("u", "v")])
         with pytest.raises(ValueError, match="isolated"):
             verify_gadget(builtin_gadget("C3"), with_isolated)
+
+    def test_colliding_ids_are_refused(self):
+        # the copy of arc (a, b,c) names its interior b "(a,b,c)::b", and so
+        # does the copy of (a,b, c): the named product cannot be built, so
+        # verify refuses the digraph rather than pass it
+        doc = json.loads((Path(__file__).parent / "golden/inputs/digraph_clash.json").read_text())
+        with pytest.raises(ValueError, match=re.escape("interior id '(a,b,c)::b' collides")):
+            verify_gadget(builtin_gadget("C3"), Digraph.from_dict(doc))
 
     def test_hom_count_equals_arc_count_per_digraph(self):
         for name in BUILTIN_GADGET_NAMES:

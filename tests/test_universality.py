@@ -384,6 +384,22 @@ class TestDichotomySweep:
         with pytest.raises(ValueError, match=r"capped at 7 vertices \(requested 8\)"):
             dichotomy_sweep(P3, cap + 1, samples=5)
 
+    @pytest.mark.parametrize(
+        "base, max_vertices, message",
+        [
+            (Graph([]), 6, "base has no vertices"),
+            (P3, 0, "max_vertices must be at least 1, got 0"),
+            (P3, -2, "max_vertices must be at least 1, got -2"),
+        ],
+        ids=["empty-base", "no-vertices", "negative"],
+    )
+    def test_random_slice_object_refuses_before_drawing(self, base, max_vertices, message):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=message):
+            random_slice_object(base, rng, max_vertices=max_vertices)
+        assert rng.getstate() == state
+
     def test_exhaustive_small_plus_samples(self):
         report = dichotomy_sweep(P3, 3, samples=60, seed=5)
         assert report.verdict
