@@ -200,6 +200,9 @@ def arrow_morphism(
     interior of (h(u), h(v)).  The result is validated as a slice morphism
     from arrow_slice(D1) to arrow_slice(D2).
     """
+    extra = set(h) - set(D1.vertices)
+    if extra:
+        raise ValueError(f"map assigns vertices outside the domain: {sorted(extra, key=str)}")
     for v in D1.vertices:
         if v not in h:
             raise ValueError(f"map is not total: no image for vertex {v!r}")

@@ -303,7 +303,7 @@ class Morphism:
     def __init__(self, domain: Graph, codomain: Graph, mapping: Mapping[Vertex, Vertex]):
         extra = set(mapping) - set(domain.vertices)
         if extra:
-            raise ValueError(f"map assigns vertices outside the domain: {sorted(extra)}")
+            raise ValueError(f"map assigns vertices outside the domain: {sorted(extra, key=str)}")
         ok, witness = is_homomorphism(mapping, domain, codomain)
         if not ok:
             u, v = witness  # type: ignore[misc]

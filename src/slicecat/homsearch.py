@@ -137,21 +137,16 @@ def _root(domains: list[int], constraints: Constraints) -> Optional[list[int]]:
     return _propagate(list(domains), range(len(domains)), constraints) if all(domains) else None
 
 
-def _solve(domains: list[int], constraints: Constraints, cut: Cut = None) -> Iterator[list[int]]:
+def _solve(domains: list[int], constraints: Constraints) -> Iterator[list[int]]:
     """Yield every assignment within the domain bitsets that satisfies the
     constraints (each listed from both ends), assigning variables in list
     order and values in ascending order.  A solution is yielded as its list of
     singleton domains, which may be one of the search's frames: never mutate it.
     It runs only as far as its consumer reads; no variables give one empty solution.
-
-    ``cut``, when given, is called on every node that an assignment and its
-    propagation make above the leaves (not on the root, and not where the
-    value was forced already); the search does not descend below a node it
-    returns True for.
     """
     root = _root(domains, constraints)
     if root is not None:
-        yield from _dfs(root, constraints, cut)
+        yield from _dfs(root, constraints)
 
 
 def _dfs(node: list[int], constraints: Constraints, cut: Cut = None) -> Iterator[list[int]]:
@@ -159,7 +154,12 @@ def _dfs(node: list[int], constraints: Constraints, cut: Cut = None) -> Iterator
     yielding every solution there in the same order.
 
     A depth whose domain is a singleton gets no frame: its value was
-    propagated when it was forced, so the search steps over it."""
+    propagated when it was forced, so the search steps over it.
+
+    ``cut``, when given, is called on every node that an assignment and its
+    propagation make above the leaves (not on the root, and not where the
+    value was forced already); the search does not descend below a node it
+    returns True for."""
     n = len(node)
     # one frame per depth with a choice: the domains there, the depth and the values left to try
     stack: list[list] = []
@@ -429,7 +429,8 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
 
     every_vertex = (1 << carrier.vertex_count) - 1
     auto_count = 0
-    for leaf in _solve(domains, constraints, non_bijective):
+    root = _root(domains, constraints)  # never None: the identity is a solution
+    for leaf in _dfs(root, constraints, non_bijective):
         # n distinct singletons sum to all n bits; a repeated one carries and
         # leaves fewer bits set, so the sum tells bijections apart
         if sum(leaf) == every_vertex:

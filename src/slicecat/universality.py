@@ -272,58 +272,59 @@ def _bfs_distance(graph: Graph, sources: list[Vertex]) -> dict[Vertex, int]:
     return dist
 
 
-def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertificate:
-    """Retract a connected surjective slice over a path of length at most 3.
-
-    For bases of length up to 2 the carrier contains a section of the base
-    (a connected copy on which the structure map is an isomorphism) and is
-    folded onto it.  For length 3 a shortest end-to-end path is selected
-    (lexicographically least among shortest), every vertex is sent to the
-    unique path vertex of its color whose index is nearest to its distance
-    from the starting fiber, and the resulting fold is re-validated.  The
-    carrier being the selected path itself certifies rigidity.
-    """
-    if not X.carrier.is_connected():
-        raise ValueError("carrier must be connected")
-    base_ord = path_order(X.base, X.base.vertices)
+def _path_base(base: Graph) -> tuple[tuple[Vertex, ...], dict[Vertex, int]]:
+    """The order of a path ``base`` of length at most 3 and each base
+    vertex's position in it; ValueError for any other base."""
+    base_ord = path_order(base, base.vertices)
     n = len(base_ord) - 1
     if n > 3:
         raise ValueError(f"base path has length {n}; only lengths 0..3 are supported")
+    return base_ord, {b: i for i, b in enumerate(base_ord)}
+
+
+def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertificate:
+    """Retract a connected surjective slice over a path of length at most 3.
+
+    The base length only chooses the path.  For lengths up to 2 it is a
+    section of the base (a connected copy on which the structure map is an
+    isomorphism, lexicographically least); for length 3 it is the
+    lexicographically least shortest end-to-end path, a zigzag.  A carrier
+    that is that path itself is certified rigid.  Otherwise every vertex is
+    sent to a path vertex of its color: the one at its color's position over
+    a short base, and over length 3 the one whose index is nearest to its
+    distance from the starting fiber, a fold that is then re-validated.
+    """
+    if not X.carrier.is_connected():
+        raise ValueError("carrier must be connected")
+    base_ord, pos = _path_base(X.base)
     if set(X.image()) != set(base_ord):
         raise ValueError("structure map must be surjective onto the base path")
     f = X.structure_map
-    pos = {b: i for i, b in enumerate(base_ord)}
+    n = len(base_ord) - 1
+    pre0 = list(X.fiber(base_ord[0]))
 
     if n <= 2:
-        section = _find_section(X, base_ord)
-        mapping = {v: section[pos[f(v)]] for v in X.carrier.vertices}
-        if set(section) == set(X.carrier.vertices):
-            return RigidPathCertificate(tuple(section))
-        tau = _bfs_distance(X.carrier, list(X.fiber(base_ord[0])))
-        return RetractionPlan(
-            base_path=tuple(base_ord),
-            path_vertices=tuple(section),
-            tau=tuple(sorted(tau.items())),
-            retraction=Morphism(X.carrier, X.carrier, mapping),
-        )
+        path = _find_section(X, base_ord)
+    else:
+        sigma = _bfs_distance(X.carrier, list(X.fiber(base_ord[3])))
+        k = min(sigma[s] for s in pre0)
+        path = [min(s for s in pre0 if sigma[s] == k)]
+        while sigma[path[-1]] > 0:
+            path.append(min(w for w in X.carrier.neighbors(path[-1]) if sigma[w] == sigma[path[-1]] - 1))
+        if len(path) != k + 1 or k % 2 == 0 or k < 3:
+            raise RuntimeError(f"shortest end-to-end path has impossible length {k}")
+    # a carrier that is a shortest zigzag has each vertex at its index's distance
+    # from the starting fiber, so the length-3 parity checks below cannot fail on it
+    if set(path) == set(X.carrier.vertices):
+        return RigidPathCertificate(tuple(path))
 
-    pre0 = list(X.fiber(base_ord[0]))
-    pre3 = list(X.fiber(base_ord[3]))
     tau = _bfs_distance(X.carrier, pre0)
-    sigma = _bfs_distance(X.carrier, pre3)
-    k = min(sigma[s] for s in pre0)
-    start = min(s for s in pre0 if sigma[s] == k)
-    path = [start]
-    while sigma[path[-1]] > 0:
-        path.append(min(w for w in X.carrier.neighbors(path[-1]) if sigma[w] == sigma[path[-1]] - 1))
-    if len(path) != k + 1 or k % 2 == 0 or k < 3:
-        raise RuntimeError(f"shortest end-to-end path has impossible length {k}")
 
     def target_index(v: Vertex) -> int:
         c = pos[f(v)]
         t = tau[v]
-        if c == 0:
-            return 0
+        if n <= 2 or c == 0:
+            return c
         if c == 3:
             return k
         if c == 1:
@@ -338,16 +339,14 @@ def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertifica
             )
         return min(t, k - 1)
 
-    mapping = {v: path[target_index(v)] for v in X.carrier.vertices}
-    if set(path) == set(X.carrier.vertices):
-        return RigidPathCertificate(tuple(path))
     plan = RetractionPlan(
-        base_path=tuple(base_ord),
+        base_path=base_ord,
         path_vertices=tuple(path),
         tau=tuple(sorted(tau.items())),
-        retraction=Morphism(X.carrier, X.carrier, mapping),
+        retraction=Morphism(X.carrier, X.carrier, {v: path[target_index(v)] for v in X.carrier.vertices}),
     )
-    plan.validate(X)
+    if n == 3:
+        plan.validate(X)
     return plan
 
 
@@ -387,16 +386,12 @@ def compare_components(X: SliceObject, Y: SliceObject) -> SliceMorphism:
         raise ValueError("both carriers must be connected")
     if not X.carrier.vertices:  # an empty image is no subpath to map into
         raise ValueError("the carrier of X is empty")
-    base_ord = path_order(X.base, X.base.vertices)
-    n = len(base_ord) - 1
-    if n > 3:
-        raise ValueError(f"base path has length {n}; only lengths 0..3 are supported")
+    base_ord, pos = _path_base(X.base)
     img_x, img_y = set(X.image()), set(Y.image())
     if not img_x <= img_y:
         raise ValueError("image containment precondition does not hold")
-    pos = {b: i for i, b in enumerate(base_ord)}
 
-    if n == 3 and img_x == img_y == set(base_ord):
+    if len(base_ord) == 4 and img_x == img_y == set(base_ord):
         # the object with the longer path, Y on a tie, folds onto the other
         sides = [(X, retract_slice_to_path(X)), (Y, retract_slice_to_path(Y))]
         (onto, plan_onto), (folded, plan) = sorted(sides, key=lambda side: len(side[1].path_vertices))

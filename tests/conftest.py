@@ -24,6 +24,8 @@ from slicecat.arrow import Arc, ArrowResult, arrow_graph, product_slice
 from slicecat.core import (
     Digraph,
     Graph,
+    Morphism,
+    SliceMorphism,
     SliceObject,
     Vertex,
     build_cycle,
@@ -40,7 +42,16 @@ from slicecat.gadgets import (
     verify_gadget_exhaustive,
 )
 from slicecat.homsearch import check_digraph_size, digraph_hom_leaves, digraph_masks, hom_leaves, least_masks
-from slicecat.universality import BaseVerdict, EmbeddingViolation
+from slicecat.universality import (
+    BaseVerdict,
+    EmbeddingViolation,
+    RetractionPlan,
+    RetractionTieError,
+    RigidPathCertificate,
+    _bfs_distance,
+    _find_section,
+    _path_fold,
+)
 
 
 def naive_homs(A: Graph, B: Graph) -> set[tuple[tuple[str, str], ...]]:
@@ -195,6 +206,114 @@ def random_connected_surjective_slice(base: Graph, rng: random.Random, *, max_ve
             if base.has_edge(colors[u], colors[v]) and rng.random() < 0.35:
                 edges.append((u, v))
     return SliceObject(Graph(vs, edges), base, colors)
+
+
+def reference_retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertificate:
+    """The retraction with one branch per base length, each with its own
+    certificate and plan: the reference for ``retract_slice_to_path``."""
+    if not X.carrier.is_connected():
+        raise ValueError("carrier must be connected")
+    base_ord = path_order(X.base, X.base.vertices)
+    n = len(base_ord) - 1
+    if n > 3:
+        raise ValueError(f"base path has length {n}; only lengths 0..3 are supported")
+    if set(X.image()) != set(base_ord):
+        raise ValueError("structure map must be surjective onto the base path")
+    f = X.structure_map
+    pos = {b: i for i, b in enumerate(base_ord)}
+
+    if n <= 2:
+        section = _find_section(X, base_ord)
+        mapping = {v: section[pos[f(v)]] for v in X.carrier.vertices}
+        if set(section) == set(X.carrier.vertices):
+            return RigidPathCertificate(tuple(section))
+        tau = _bfs_distance(X.carrier, list(X.fiber(base_ord[0])))
+        return RetractionPlan(
+            base_path=tuple(base_ord),
+            path_vertices=tuple(section),
+            tau=tuple(sorted(tau.items())),
+            retraction=Morphism(X.carrier, X.carrier, mapping),
+        )
+
+    pre0 = list(X.fiber(base_ord[0]))
+    pre3 = list(X.fiber(base_ord[3]))
+    tau = _bfs_distance(X.carrier, pre0)
+    sigma = _bfs_distance(X.carrier, pre3)
+    k = min(sigma[s] for s in pre0)
+    start = min(s for s in pre0 if sigma[s] == k)
+    path = [start]
+    while sigma[path[-1]] > 0:
+        path.append(min(w for w in X.carrier.neighbors(path[-1]) if sigma[w] == sigma[path[-1]] - 1))
+    if len(path) != k + 1 or k % 2 == 0 or k < 3:
+        raise RuntimeError(f"shortest end-to-end path has impossible length {k}")
+
+    def target_index(v: Vertex) -> int:
+        c = pos[f(v)]
+        t = tau[v]
+        if c == 0:
+            return 0
+        if c == 3:
+            return k
+        if c == 1:
+            if t % 2 != 1:
+                raise RetractionTieError(
+                    f"distance parity broken at {v!r}: color 1 with even distance {t}"
+                )
+            return min(t, k - 2)
+        if t % 2 != 0 or t == 0:
+            raise RetractionTieError(
+                f"distance parity broken at {v!r}: color 2 with distance {t}"
+            )
+        return min(t, k - 1)
+
+    mapping = {v: path[target_index(v)] for v in X.carrier.vertices}
+    if set(path) == set(X.carrier.vertices):
+        return RigidPathCertificate(tuple(path))
+    plan = RetractionPlan(
+        base_path=tuple(base_ord),
+        path_vertices=tuple(path),
+        tau=tuple(sorted(tau.items())),
+        retraction=Morphism(X.carrier, X.carrier, mapping),
+    )
+    plan.validate(X)
+    return plan
+
+
+def reference_compare_components(X: SliceObject, Y: SliceObject) -> SliceMorphism:
+    """``compare_components`` with its own base check, folding through
+    ``reference_retract_slice_to_path``: the reference for the library's."""
+    if X.base != Y.base:
+        raise ValueError("objects live over different bases")
+    if not X.carrier.is_connected() or not Y.carrier.is_connected():
+        raise ValueError("both carriers must be connected")
+    if not X.carrier.vertices:
+        raise ValueError("the carrier of X is empty")
+    base_ord = path_order(X.base, X.base.vertices)
+    n = len(base_ord) - 1
+    if n > 3:
+        raise ValueError(f"base path has length {n}; only lengths 0..3 are supported")
+    img_x, img_y = set(X.image()), set(Y.image())
+    if not img_x <= img_y:
+        raise ValueError("image containment precondition does not hold")
+    pos = {b: i for i, b in enumerate(base_ord)}
+
+    if n == 3 and img_x == img_y == set(base_ord):
+        sides = [(X, reference_retract_slice_to_path(X)), (Y, reference_retract_slice_to_path(Y))]
+        (onto, plan_onto), (folded, plan) = sorted(sides, key=lambda side: len(side[1].path_vertices))
+        retract = plan.retraction if isinstance(plan, RetractionPlan) else Morphism.identity(folded.carrier)
+        fold = _path_fold(len(plan.path_vertices) - 1, len(plan_onto.path_vertices) - 1)
+        idx = {v: i for i, v in enumerate(plan.path_vertices)}
+        mapping = {v: plan_onto.path_vertices[fold[idx[retract(v)]]] for v in folded.carrier.vertices}
+        return SliceMorphism(folded, onto, mapping)
+
+    positions = sorted(pos[b] for b in img_x)
+    if positions != list(range(positions[0], positions[-1] + 1)):
+        raise RuntimeError("image of a connected carrier is not a contiguous subpath")
+    sub = [base_ord[i] for i in positions]
+    copy = _find_section(Y, sub)
+    offset = positions[0]
+    mapping = {v: copy[pos[X.structure_map(v)] - offset] for v in X.carrier.vertices}
+    return SliceMorphism(X, Y, mapping)
 
 
 def structure_map_mutations(gadget: Gadget):

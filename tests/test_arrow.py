@@ -326,6 +326,8 @@ class TestArrowMorphism:
             arrow_morphism(SINGLE_ARC, SINGLE_ARC, {"u": "u"}, C3_GADGET)
         with pytest.raises(ValueError, match="not a codomain vertex"):
             arrow_morphism(SINGLE_ARC, SINGLE_ARC, {"u": "u", "v": "zz"}, C3_GADGET)
+        with pytest.raises(ValueError, match=r"outside the domain: \[0, 'zz'\]"):
+            arrow_morphism(SINGLE_ARC, SINGLE_ARC, {"u": "u", "v": "v", "zz": "u", 0: "v"}, C3_GADGET)
 
     def test_functoriality_on_all_two_vertex_digraphs(self):
         digraphs = [d for n in (1, 2) for d in enumerate_digraphs(n, True)]

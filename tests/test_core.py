@@ -135,6 +135,9 @@ class TestHomomorphismCheck:
         k2 = build_path(1)
         with pytest.raises(ValueError):
             Morphism(k2, k2, {"v0": "v0", "v1": "v0"})
+        # outside keys of two types are named, not compared with each other
+        with pytest.raises(ValueError, match=r"outside the domain: \[0, 'zz'\]"):
+            Morphism(k2, k2, {"v0": "v0", "v1": "v1", 0: "v0", "zz": "v1"})
 
     def test_morphism_roundtrip_with_checker(self):
         rng = random.Random(11)

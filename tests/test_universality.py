@@ -11,6 +11,7 @@ from slicecat.core import (
     Digraph,
     Graph,
     Morphism,
+    SliceMorphism,
     SliceObject,
     build_cycle,
     build_path,
@@ -42,7 +43,14 @@ from slicecat.universality import (
     retract_slice_to_path,
 )
 
-from conftest import load_workloads, naive_base_verdict, random_connected_surjective_slice, random_graph
+from conftest import (
+    load_workloads,
+    naive_base_verdict,
+    random_connected_surjective_slice,
+    random_graph,
+    reference_compare_components,
+    reference_retract_slice_to_path,
+)
 
 P3 = build_path(3)
 
@@ -184,6 +192,10 @@ class TestRetraction:
         with pytest.raises(ValueError, match="surjective"):
             retract_slice_to_path(x)
 
+    def test_base_of_length_four_rejected(self):
+        with pytest.raises(ValueError, match="base path has length 4; only lengths 0..3 are supported"):
+            retract_slice_to_path(identity_slice(build_path(4)))
+
     def test_short_base_section_retraction(self):
         p1 = build_path(1)
         x = SliceObject(
@@ -237,6 +249,11 @@ class TestCompareComponents:
         sm = compare_components(x, y)
         assert sm.source is y and sm.target is x
 
+    def test_base_of_length_four_rejected(self):
+        x = identity_slice(build_path(4))
+        with pytest.raises(ValueError, match="base path has length 4; only lengths 0..3 are supported"):
+            compare_components(x, x)
+
     def test_containment_precondition_enforced(self):
         x = slice_over_p3([("x0", "x1")], {"x0": 0, "x1": 1})
         y = slice_over_p3([("y0", "y1")], {"y0": 2, "y1": 3})
@@ -249,6 +266,49 @@ class TestCompareComponents:
         x = slice_over_p3([], {})
         with pytest.raises(ValueError, match="carrier of X is empty"):
             compare_components(x, y)
+
+
+def _outcome(fn, *objects):
+    """What ``fn(*objects)`` gives: its JSON and, for a slice morphism, whether
+    it runs from the first argument to the last; or the exception's type and text."""
+    try:
+        result = fn(*objects)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, SliceMorphism):
+        return result.to_dict(), result.source is objects[0], result.target is objects[-1]
+    return result.to_dict()
+
+
+@pytest.fixture(scope="module")
+def differential_objects():
+    """Seeded connected surjective slices, 1,500 over each of P1, P2 and P3,
+    after the one-vertex slice over P0, grouped by base."""
+    rng = random.Random(2022)
+    groups = [[identity_slice(build_path(0))]]
+    for length in (1, 2, 3):
+        groups.append([random_connected_surjective_slice(build_path(length), rng) for _ in range(1500)])
+    return groups
+
+
+class TestAgainstReference:
+    """The shared base check and single tail give the outcomes of the
+    retraction with one branch per base length."""
+
+    def test_retractions_match(self, differential_objects):
+        kinds = Counter()
+        for objects in differential_objects:
+            for x in objects:
+                got = _outcome(retract_slice_to_path, x)
+                assert got == _outcome(reference_retract_slice_to_path, x), x.to_dict()
+                kinds[got["kind"] if isinstance(got, dict) else got[0]] += 1
+        assert kinds["retraction"] > 0 and kinds["rigid-path"] > 0
+
+    def test_comparisons_match(self, differential_objects):
+        for objects in differential_objects:
+            for x, y in zip(objects, objects[1:]):
+                got = _outcome(compare_components, x, y)
+                assert got == _outcome(reference_compare_components, x, y), (x.to_dict(), y.to_dict())
 
 
 class TestClassifySliceObject:
