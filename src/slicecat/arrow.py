@@ -23,13 +23,15 @@ counterexamples they return.
 and colour fibers of a search host indexed by arithmetic, for the embedding
 checks, which never return a product vertex.  It builds no id, ``Graph`` or
 structure map and validates nothing; its docstring says why no check is lost.
+What depends on the gadget alone, its ``ProductLayout``, is built once per
+sweep by ``product_layout``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
 
@@ -142,20 +144,49 @@ def arrow_slice(D: Digraph, gadget: "Gadget") -> SliceObject:
     return product_slice(arrow_graph(D, gadget.carrier, gadget.a, gadget.b), gadget)
 
 
-def product_rows(
-    n: int, arcs: Sequence[tuple[int, int]], gadget: "Gadget"
-) -> tuple[list[int], dict[Vertex, int], list[dict[Vertex, int]]]:
-    """The product ``arrow_slice(D, gadget)`` unnamed, as a search host: its
-    adjacency rows, its colour fibers and every arc's copy map as singleton
-    bits, from one pass over D's arcs.  D is given by its vertex count n and
-    its ``arcs`` as pairs of vertex indices, in ``Digraph.arcs`` order.
+class ProductLayout(NamedTuple):
+    """Where ``product_rows`` puts a gadget's copy, laid out once for a
+    search pattern's variable order.  Gadget vertex a is slot 0, b slot 1
+    and the s-th of the m interior vertices, in carrier order, slot 2 + s.
+    The copy on the k-th arc (u, v) of a digraph on n vertices puts slot 0
+    at index u, slot 1 at v and slot 2 + s at n + k*m + s."""
 
-    D's i-th vertex is index i.  With the interior gadget vertices in carrier
-    order, m of them, the one in slot s of the k-th arc's copy is index
-    n + k*m + s.  Row i is the bitset of index i's neighbours, the copy
-    images of every gadget edge; ``fibers[c]`` is the bitset of the indices
-    over base vertex c: f(a) for D's vertices, f(w) for a copy of w.  The
-    copy maps come in arc order, gadget vertex -> bit.
+    slots: list[int]  # per pattern variable, its gadget vertex's slot
+    edges: list[tuple[int, int]]  # the gadget's edges, as pairs of slots
+    fibers: dict[Vertex, int]  # per colour, the bits s of the interior slots 2 + s over it
+    color: Vertex  # f(a) = f(b), the colour of the digraph's vertices
+    interior: int  # m
+
+
+def product_layout(gadget: "Gadget", variables: Sequence[Vertex]) -> ProductLayout:
+    """The ``ProductLayout`` of ``gadget`` for a search pattern whose
+    variables are the gadget's vertices in the order ``variables``."""
+    H, a, b = gadget.carrier, gadget.a, gadget.b
+    f = gadget.slice.structure_map.as_dict()
+    interior = [w for w in H.vertices if w not in (a, b)]
+    slot = {a: 0, b: 1} | {w: 2 + s for s, w in enumerate(interior)}
+    fibers: dict[Vertex, int] = {}
+    for s, w in enumerate(interior):
+        fibers[f[w]] = fibers.get(f[w], 0) | 1 << s
+    edges = [(slot[s], slot[t]) for s, t in H.edges]
+    return ProductLayout([slot[x] for x in variables], edges, fibers, f[a], len(interior))
+
+
+def product_rows(
+    n: int, arcs: Sequence[tuple[int, int]], layout: ProductLayout
+) -> tuple[list[int], dict[Vertex, int], list[list[int]]]:
+    """The product ``arrow_slice(D, gadget)`` unnamed, as a search host: its
+    adjacency rows, its colour fibers and every arc's copy map as the raw
+    leaf it is, from one pass over D's arcs.  D is given by its vertex count
+    n and its ``arcs`` as pairs of vertex indices, in ``Digraph.arcs``
+    order; the gadget by its ``layout``.
+
+    D's i-th vertex is index i, and the copies sit where ``layout`` puts
+    them.  Row i is the bitset of index i's neighbours, the copy images of
+    every gadget edge; ``fibers[c]`` is the bitset of the indices over base
+    vertex c: f(a) for D's vertices, f(w) for a copy of w.  The copy maps
+    come in arc order, each as a raw leaf of the layout's pattern: per
+    variable, the singleton bit of its image.
 
     Nothing is validated here, and no check of ``arrow_slice`` is lost:
     ``Gadget`` validated its structure map as a ``Morphism`` and refuses
@@ -166,25 +197,21 @@ def product_rows(
     homomorphism by construction; and indices are distinct by construction,
     so no id can collide.
     """
-    H, a, b = gadget.carrier, gadget.a, gadget.b
-    f = gadget.slice.structure_map.as_dict()
-    interior = [w for w in H.vertices if w not in (a, b)]
-    m = len(interior)
+    slots, edges, m = layout.slots, layout.edges, layout.interior
     rows = [0] * (n + m * len(arcs))
     copies = []
     for k, (u, v) in enumerate(arcs):
-        index = dict(zip(interior, range(n + k * m, n + k * m + m)))
-        index[a], index[b] = u, v
-        for s, t in H.edges:
+        index = [u, v, *range(n + k * m, n + k * m + m)]
+        for s, t in edges:
             i, j = index[s], index[t]
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        copies.append({w: 1 << i for w, i in index.items()})
-    # slot 0 of every copy: shifted by s it gives slot s of every copy
-    slot_zero = sum(1 << (n + k * m) for k in range(len(arcs)))
-    fibers = {f[a]: (1 << n) - 1}
-    for s, w in enumerate(interior):
-        fibers[f[w]] = fibers.get(f[w], 0) | slot_zero << s
+        copies.append([1 << index[s] for s in slots])
+    # slot 2 of every copy, one bit every m: times the bits s of a colour's
+    # interior slots it gives slot 2 + s of every copy, with no carry
+    slot_two = sum(1 << (n + k * m) for k in range(len(arcs)))
+    fibers = {c: slot_two * bits for c, bits in layout.fibers.items()}
+    fibers[layout.color] = fibers.get(layout.color, 0) | (1 << n) - 1
     return rows, fibers, copies
 
 

@@ -27,13 +27,19 @@ every subtree below an assignment that repeats a fixed value, where no
 bijection is left, and walks the rest.  ``endomorphism_verdict`` gives the
 same verdict without counts, from at most n + 1 existence searches.
 
+A graph search is set up in two parts.  The pattern (the variable order,
+each variable's partner positions and colour) depends on the source alone;
+binding it to a host gives the domains and a new union table.  So one
+pattern, built once by ``slice_pattern``, can be searched into many hosts,
+and no search sees another's table.
+
 Validation happens once, where results leave the library.  ``hom_leaves``
 and ``digraph_hom_leaves`` give the raw stream, and ``hom_leaves_into`` and
 ``digraph_hom_leaves_into`` the one into a host its caller laid out as rows
-(a digraph pattern given by index arcs); the public ``enumerate_*``
-functions wrap it and yield validated morphisms (dicts for digraphs).  The
-internal verifiers count and compare raw solutions and validate only the
-witnesses and counterexamples they return.
+(a prebuilt graph pattern, or a digraph pattern given by index arcs); the
+public ``enumerate_*`` functions wrap it and yield validated morphisms
+(dicts for digraphs).  The internal verifiers count and compare raw
+solutions and validate only the witnesses and counterexamples they return.
 
 The bounded sweeps (gadget verification, embedding, strong replacement and
 the dichotomy) search each isomorphism class once, since relabeling keeps
@@ -73,6 +79,10 @@ Constraints = list[list[tuple[Sequence[int], dict[int, int], list[int]]]]
 # a test on a propagated node and the depth of the variable just assigned
 # there: True keeps the search from descending below the node
 Cut = Optional[Callable[[list[int], int], bool]]
+# the host-independent part of a graph search: the pattern's vertices in
+# variable order, per variable its partners' positions, and per variable its
+# colour (None for an uncoloured pattern)
+Pattern = tuple[list[Vertex], list[list[int]], Optional[list[Vertex]]]
 
 
 def _adjacency_masks(
@@ -290,25 +300,33 @@ def hom_leaves(
 
 
 def hom_leaves_into(
-    X: SliceObject, rows: Sequence[int], fibers: Mapping[Vertex, int]
+    pattern: Pattern, rows: Sequence[int], fibers: Mapping[Vertex, int]
 ) -> tuple[list[Vertex], Iterator[list[int]]]:
-    """The raw solutions of ``hom_leaves`` from X into a host given only by
-    its rows: host vertex i is bit i, ``rows[i]`` the bitset of its
-    neighbours and ``fibers[c]`` the bitset of the host vertices over base
-    vertex c (a missing colour has none).
+    """The raw solutions of ``hom_leaves`` from the slice object of
+    ``slice_pattern`` into a host given only by its rows: host vertex i is
+    bit i, ``rows[i]`` the bitset of its neighbours and ``fibers[c]`` the
+    bitset of the host vertices over base vertex c (a missing colour has
+    none).  One pattern serves any number of hosts; each search binds it to
+    its host with a union table of its own.
 
     The host is not validated: the caller vouches that the rows are
     symmetric and loop-free, the fibers disjoint, and that every edge lies
     over a base edge, so that the host is a slice object over X's base.
     """
-    variables, domains, constraints = _pattern_search(X.carrier, rows, X.structure_map.as_dict(), fibers)
-    return variables, _solve(domains, constraints)
+    return pattern[0], _solve(*_bind(pattern, rows, fibers))
+
+
+def slice_pattern(X: SliceObject) -> Pattern:
+    """The host-independent part of every search from X, for
+    ``hom_leaves_into``: the variables in the engine's order, each one's
+    partner positions and its colour."""
+    return _graph_pattern(X.carrier, X.structure_map.as_dict())
 
 
 def _hom_search(A: Graph | SliceObject, B: Graph | SliceObject) -> tuple[list[Vertex], list[int], Constraints]:
     """The variable order, starting domains and constraints of ``hom_leaves``:
-    B encoded as rows and fibers over its vertex index, searched by
-    ``_pattern_search``."""
+    B encoded as rows and fibers over its vertex index, A's pattern bound to
+    them."""
     colors = fibers = None
     if isinstance(A, SliceObject):
         if A.base != B.base:
@@ -323,26 +341,34 @@ def _hom_search(A: Graph | SliceObject, B: Graph | SliceObject) -> tuple[list[Ve
         fibers = {}
         for w, c in target.items():
             fibers[c] = fibers.get(c, 0) | 1 << index[w]
-    return _pattern_search(A, rows, colors, fibers)
+    pattern = _graph_pattern(A, colors)
+    return (pattern[0], *_bind(pattern, rows, fibers))
 
 
-def _pattern_search(
-    A: Graph, rows: Sequence[int], colors: Optional[Mapping[Vertex, Vertex]], fibers: Optional[Mapping[Vertex, int]]
-) -> tuple[list[Vertex], list[int], Constraints]:
-    """The variable order, starting domains and constraints of a search A ->
-    host, the host given by its adjacency rows and, with ``colors`` (A's
-    colours), by its fibers: A's vertex v may take only the values in
-    ``fibers[colors[v]]``."""
+def _graph_pattern(A: Graph, colors: Optional[Mapping[Vertex, Vertex]]) -> Pattern:
+    """The host-independent part of a search from A: its vertices in
+    variable order (descending degree, then id), per variable the positions
+    of its neighbours and, with ``colors`` (A's colours), its colour."""
     # the vertices are sorted by id and the sort is stable: descending degree, then id
     variables = sorted(A.vertices, key=A.degree, reverse=True)
     position = {v: i for i, v in enumerate(variables)}
+    partners = [[position[w] for w in A.neighbors(v)] for v in variables]
+    return variables, partners, None if colors is None else [colors[v] for v in variables]
+
+
+def _bind(
+    pattern: Pattern, rows: Sequence[int], fibers: Optional[Mapping[Vertex, int]]
+) -> tuple[list[int], Constraints]:
+    """The starting domains and constraints of ``pattern`` searched into the
+    host with adjacency rows ``rows`` and, for a coloured pattern, fibers
+    ``fibers``: a variable of colour c may take only the values in
+    ``fibers[c]``.  The constraints share one union table, new per call."""
+    _, partners, colors = pattern
     unions = _Unions(rows)
-    constraints: Constraints = [[(rows, unions, [position[w] for w in A.neighbors(v)])] for v in variables]
+    constraints: Constraints = [[(rows, unions, p)] for p in partners]
     if colors is None:
-        domains = [(1 << len(rows)) - 1] * len(variables)
-    else:
-        domains = [fibers.get(colors[v], 0) for v in variables]
-    return variables, domains, constraints
+        return [(1 << len(rows)) - 1] * len(partners), constraints
+    return [fibers.get(c, 0) for c in colors], constraints
 
 
 def enumerate_homs(A: Graph, B: Graph, limit: Optional[int] = None) -> Iterator[Morphism]:

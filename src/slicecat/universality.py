@@ -42,6 +42,7 @@ from .gadgets import Gadget
 from .homsearch import (
     CARRIER_ENUMERATION_CAP,
     EndoVerdict,
+    Pattern,
     class_sweep,
     classify_endomorphisms,
     digraph_from_mask,
@@ -54,6 +55,7 @@ from .homsearch import (
     labeled_digraph_classes,
     least_masks,
     mask_pairs,
+    slice_pattern,
 )
 
 PATTERN_BUILDERS = {
@@ -601,7 +603,7 @@ class _Target(NamedTuple):
     weights: dict  # N on its support S: (p, q) -> slice homs gadget -> F(D2) with a -> p, b -> q
     glued: set  # the arcs of D2 whose gadget copy is among those slice homs
     arcs: set  # every arc of D2
-    out: list[int]  # the out-rows of the host S ∪ D2
+    out: list[int]  # the out-rows of the host S ∪ D2 (D2's own n rows on an exact target)
     inn: list[int]  # its in-rows
 
 
@@ -641,10 +643,22 @@ def _check_embedding_pair(
     the checks of a named build (no id collides, no loop arc makes a loop,
     the inherited map is a homomorphism) hold by construction.  A
     ``Digraph`` is built only for the D1 and D2 of a violation.
+
+    An exact target, one whose glued arcs are all of D2's arcs and whose N
+    is 1 on exactly those arcs, is counted as digraph homs.  There S is D2,
+    so H = S ∪ D2 = D2 and every leaf is a digraph hom D1 -> D2.  Its
+    product of N is 1 and each of its arcs lands on a glued arc, so each
+    leaf adds 1 to both counts and no leaf strays: the pair passes with
+    both counts the number of leaves.  Exactness is read off the record's
+    own fields, so a record changed after ``_target_record`` made it takes
+    the full path.
     """
     weights, glued, d2_arcs = target.weights, target.glued, target.arcs
     arcs = mask_pairs(*source, True)
     variables, leaves = digraph_hom_leaves_into(source[0], arcs, target.out, target.inn)
+    if glued == d2_arcs and weights == dict.fromkeys(d2_arcs, 1):
+        count = sum(1 for _ in leaves)
+        return count, count, None
     at = {v: i for i, v in enumerate(variables)}
     arcs = [(at[u], at[v]) for u, v in arcs]
     digraph_homs = slice_homs = 0
@@ -673,28 +687,39 @@ def _check_embedding_pair(
     return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "missing-image", detail)
 
 
-def _target_record(gadget: Gadget, n: int, mask: int) -> _Target:
+def _target_record(pattern: Pattern, layout: arrow.ProductLayout, n: int, mask: int) -> _Target:
     """What the pair check reads of F(D), D the digraph of ``mask`` on n
-    vertices, from one search gadget -> F(D) laid out by
-    ``arrow.product_rows``: N and the glued arcs, tallied from the leaves'
-    own (a, b) bits, D's arcs, and the rows of the host S ∪ D over F(D)'s
-    indices.  No ``Digraph`` is built and no id is formatted."""
+    vertices, from one search of the gadget's ``pattern`` into F(D), laid
+    out by ``arrow.product_rows`` with the gadget's ``layout``.
+
+    The sorted leaves are compared with the sorted copy leaves, as
+    ``gadgets.verify_gadget`` compares the slice homs it finds with the copy
+    maps.  If they are equal the target is exact: N is 1 on D's arcs and 0
+    elsewhere, every arc is glued, S ∪ D is D, and D's own n out- and
+    in-rows are the host, with no tally.  Otherwise N and the glued arcs are
+    tallied from the leaves' own (a, b) bits, and the host is S ∪ D over
+    F(D)'s indices.  No ``Digraph`` is built and no id is formatted."""
     arcs = mask_pairs(n, mask, True)
-    rows, fibers, copies = arrow.product_rows(n, arcs, gadget)
-    variables, leaves = hom_leaves_into(gadget.slice, rows, fibers)
-    copy_leaves = {tuple([copy[x] for x in variables]) for copy in copies}
-    i, j = variables.index(gadget.a), variables.index(gadget.b)
-    weights: dict = {}
-    glued = set()
-    for leaf in leaves:
-        ends = leaf[i], leaf[j]
-        weights[ends] = weights.get(ends, 0) + 1
-        if tuple(leaf) in copy_leaves:
-            glued.add(ends)
+    rows, fibers, copies = arrow.product_rows(n, arcs, layout)
+    _, leaves = hom_leaves_into(pattern, rows, fibers)
+    found = sorted(leaves)
     d_arcs = {(1 << u, 1 << v) for u, v in arcs}
+    if found == sorted(copies):
+        weights, glued, host = dict.fromkeys(d_arcs, 1), set(d_arcs), n
+    else:
+        copy_leaves = set(map(tuple, copies))
+        i, j = layout.slots.index(0), layout.slots.index(1)  # the variables a and b
+        weights = {}
+        glued = set()
+        for leaf in found:
+            ends = leaf[i], leaf[j]
+            weights[ends] = weights.get(ends, 0) + 1
+            if tuple(leaf) in copy_leaves:
+                glued.add(ends)
+        host = len(rows)
     # every copy is a slice hom, so S holds D's arcs when the search finds
     # them all; the union keeps the digraph count independent of that search
-    out, inn = [0] * len(rows), [0] * len(rows)
+    out, inn = [0] * host, [0] * host
     for p, q in d_arcs.union(weights):
         out[p.bit_length() - 1] |= q
         inn[q.bit_length() - 1] |= p
@@ -715,7 +740,9 @@ def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> Embedd
     number of slice homs gadget -> F(D2) with a -> p and b -> q; so each
     pair is counted from one search gadget -> F(D2) per target class, F(D2)
     laid out as engine rows, and one search per pair from D1 into S ∪ D2, S
-    the support of N (``_check_embedding_pair``).  No product of either side
+    the support of N (``_check_embedding_pair``).  On an exact target, where
+    the gadget's slice homs into F(D2) are exactly the arc copies, that
+    search goes into D2 and counts digraph homs.  No product of either side
     is built, and no ``Digraph`` but the two of a violation.
     """
     labeled = list(labeled_digraph_classes(max_n, True))
@@ -729,9 +756,12 @@ def full_embedding_spot_check(
     seed: int,
 ) -> EmbeddingReport:
     """Check randomly sampled ordered pairs of n-vertex digraphs, each held as
-    its arc mask."""
+    its arc mask.  ``pair_count`` is the number of draws; ``pairs_checked``
+    counts the distinct pairs drawn, so it can be smaller.  ``seed`` must be
+    an int, so that a report can be reproduced."""
     if pair_count < 1:  # no pairs would pass vacuously
         raise ValueError(f"pair_count must be at least 1, got {pair_count}")
+    _check_seed(seed)
     masks = digraph_masks(n, True)
     rng = random.Random(seed)
     chosen_idx = sorted(
@@ -740,17 +770,28 @@ def full_embedding_spot_check(
     return _embedding_sweep(gadget, [((n, masks[i]), (n, masks[j])) for i, j in chosen_idx], None)
 
 
+def _check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an int: ``random.Random(None)``
+    draws from OS entropy, and a report drawn so cannot be reproduced."""
+    if not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+
+
 def _embedding_sweep(gadget: Gadget, pairs, progress) -> EmbeddingReport:
     """Sweep ``pairs`` of digraphs, each given as its (n, mask) key, in order,
     checking each distinct pair once.  A key's target record is made at the
     first pair with that key as its target, so only targets have their
-    product laid out and searched."""
+    product laid out and searched.  The gadget's search pattern and copy
+    layout are built once, here, for every record; no state outlives the
+    call."""
+    pattern = slice_pattern(gadget.slice)
+    layout = arrow.product_layout(gadget, pattern[0])
     targets: dict = {}
 
     def check(pair):
         source, target = pair
         if target not in targets:
-            targets[target] = _target_record(gadget, *target)
+            targets[target] = _target_record(pattern, layout, *target)
         nd, ns, violation = _check_embedding_pair(gadget, source, targets[target])
         return (1, nd, ns), violation
 
@@ -808,8 +849,9 @@ def dichotomy_sweep(
     carrier class is searched once, at its least edge mask, the first of its
     carriers the sweep reaches (``class_sweep``); ``instances`` counts labeled
     instances.  Carriers above ``CARRIER_ENUMERATION_CAP`` vertices, a
-    universal or an empty base are a ValueError; the base is classified once,
-    before the first instance.
+    universal or an empty base are a ValueError, and so is a ``seed`` that
+    is not an int, so that every report can be reproduced; the base is
+    classified once, before the first instance.
     """
     if max_carrier < 1:  # a sweep over no carrier sizes would pass vacuously
         raise ValueError(f"max_carrier must be at least 1, got {max_carrier}")
@@ -819,6 +861,7 @@ def dichotomy_sweep(
         )
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
+    _check_seed(seed)
     if not base.vertices:  # no carrier with a vertex maps to it
         raise ValueError("base has no vertices, so the sweep would pass vacuously")
     decomposition = _path_decomposition(base)

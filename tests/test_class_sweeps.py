@@ -18,7 +18,7 @@ from math import factorial
 import pytest
 
 from slicecat import gadgets, universality
-from slicecat.arrow import arrow_graph, arrow_slice, product_rows
+from slicecat.arrow import arrow_graph, arrow_slice, product_layout, product_rows
 from slicecat.cli import main
 from slicecat.core import Digraph, Graph, SliceObject, build_path, disjoint_union
 from slicecat.gadgets import (
@@ -43,6 +43,7 @@ from slicecat.homsearch import (
     labeled_digraph_classes,
     least_masks,
     slice_hom_count,
+    slice_pattern,
 )
 from slicecat.universality import (
     DichotomyReport,
@@ -66,6 +67,19 @@ def _mask(D: Digraph) -> int:
     """The arc mask of a digraph on v0..v(n-1), as ``digraph_masks`` numbers it."""
     n = D.vertex_count
     return sum(1 << (n * int(u[1:]) + int(v[1:])) for u, v in D.arcs)
+
+
+def _plan(gadget) -> tuple:
+    """The gadget's search pattern and copy layout, which ``_embedding_sweep``
+    builds once per sweep for its target records."""
+    pattern = slice_pattern(gadget.slice)
+    return pattern, product_layout(gadget, pattern[0])
+
+
+def _is_exact(record) -> bool:
+    """Whether a target record reads as exact: every arc of D2 glued and N
+    1 on exactly those arcs."""
+    return record.glued == record.arcs and record.weights == dict.fromkeys(record.arcs, 1)
 
 
 def _edge_mask(G: Graph) -> int:
@@ -94,7 +108,8 @@ def labeled_verify(gadget, max_n) -> GadgetReport:
 
 def labeled_embed(gadget, max_n) -> EmbeddingReport:
     keys = [(n, mask) for n in range(1, max_n + 1) for mask in digraph_masks(n, True)]
-    records = [universality._target_record(gadget, *key) for key in keys]
+    plan = _plan(gadget)
+    records = [universality._target_record(*plan, *key) for key in keys]
     checked = total_d = total_s = 0
     for first in keys:
         for second in records:
@@ -200,7 +215,8 @@ def test_pair_counts_match_the_product_to_product_count(name):
     keys = [(n, mask) for n in (1, 2) for mask in digraph_masks(n, True)]
     digraphs = [digraph_from_mask(*key) for key in keys]
     products = [arrow_slice(D, gadget) for D in digraphs]
-    records = [universality._target_record(gadget, *key) for key in keys]
+    plan = _plan(gadget)
+    records = [universality._target_record(*plan, *key) for key in keys]
     for key, D1, F1 in zip(keys, digraphs, products):
         for D2, F2, record in zip(digraphs, products, records):
             nd, ns, _ = universality._check_embedding_pair(gadget, key, record)
@@ -217,7 +233,8 @@ def test_pair_check_matches_the_two_search_reference(name):
     three = [(3, mask) for mask in digraph_masks(3, True)]
     pairs = [(x, y) for x in small for y in small] + [(rng.choice(three), rng.choice(three)) for _ in range(40)]
     targets = dict.fromkeys(key for _, key in pairs)
-    records = {key: universality._target_record(gadget, *key) for key in targets}
+    plan = _plan(gadget)
+    records = {key: universality._target_record(*plan, *key) for key in targets}
     references = {key: named_target_record(gadget, digraph_from_mask(*key)) for key in targets}
     for source, target in pairs:
         record, (D2, glued, support, weights) = records[target], references[target]
@@ -230,6 +247,54 @@ def test_pair_check_matches_the_two_search_reference(name):
             got = universality._check_embedding_pair(gadget, source, got_record)
             expected = reference_embedding_pair(gadget, digraph_from_mask(*source), reference)
             assert _pair_doc(got) == _pair_doc(expected), (source, target)
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_records_of_builtins_are_exact_and_of_mutants_are_not(name):
+    # an exact record's host is D2's own n rows; a tallied one has F(D2)'s
+    gadget = GADGETS[name]
+    plan = _plan(gadget)
+    keys = [(n, mask) for n in (1, 2, 3) for mask in digraph_masks(n, True)]
+    assert len(keys) == 1 + 13 + 469
+    for n, mask in keys:
+        record = universality._target_record(*plan, n, mask)
+        if name in BUILTINS:
+            assert _is_exact(record) and len(record.out) == len(record.inn) == n, (n, mask)
+        else:
+            assert not _is_exact(record) and len(record.out) > n, (n, mask)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_planted_extra_n_entry_takes_the_full_path(name):
+    # one more N entry, off D2's arcs, on an exact record, with its arc in the
+    # host as the tally would put it there: the pair check reads the record
+    # as not exact and must equal the two-search reference, which counts
+    # the extra slice homs
+    gadget = GADGETS[name]
+    plan = _plan(gadget)
+    keys = [(n, mask) for n in (1, 2) for mask in digraph_masks(n, True)]
+    kinds = set()
+    for target in keys[1:]:
+        record = universality._target_record(*plan, *target)
+        D2, glued, support, weights = named_target_record(gadget, digraph_from_mask(*target))
+        assert _is_exact(record) and support.vertices == D2.vertices
+        off = [(1 << i, 1 << j) for i in range(2) for j in range(2) if (1 << i, 1 << j) not in record.arcs]
+        if not off:
+            continue
+        p, q = off[0]
+        out, inn = list(record.out), list(record.inn)
+        out[p.bit_length() - 1] |= q
+        inn[q.bit_length() - 1] |= p
+        planted = record._replace(weights={**record.weights, (p, q): 1}, out=out, inn=inn)
+        names = D2.vertices
+        extra = (names[p.bit_length() - 1], names[q.bit_length() - 1])
+        reference = (D2, glued, Digraph(names, [*support.arcs, extra]), {**weights, (p, q): 1})
+        for source in keys:
+            got = universality._check_embedding_pair(gadget, source, planted)
+            expected = reference_embedding_pair(gadget, digraph_from_mask(*source), reference)
+            assert _pair_doc(got) == _pair_doc(expected), (source, target)
+            kinds.add(got[2] and got[2].kind)
+    assert "count-mismatch" in kinds
 
 
 def _pair_doc(result) -> tuple:
@@ -248,15 +313,17 @@ def test_target_record_matches_the_named_reference(name):
     # the record searches F(D) laid out by index, the reference the named
     # product; the copy maps of both layouts translate indices to product ids
     gadget = GADGETS[name]
+    pattern, layout = _plan(gadget)
     for D in (D for n in (1, 2, 3) for D in enumerate_digraphs(n, True)):
         n, mask = D.vertex_count, _mask(D)
-        record, reference = universality._target_record(gadget, n, mask), named_target_record(gadget, D)
+        record, reference = universality._target_record(pattern, layout, n, mask), named_target_record(gadget, D)
         res = arrow_graph(D, gadget.carrier, gadget.a, gadget.b)
         arcs = [(k // n, k % n) for k in range(n * n) if mask >> k & 1]
+        # each copy comes as a raw leaf: per pattern variable, its image's bit
         product_id = {
             bit: ids[w]
-            for bits, ids in zip(product_rows(n, arcs, gadget)[2], res.copies.values())
-            for w, bit in bits.items()
+            for leaf, ids in zip(product_rows(n, arcs, layout)[2], res.copies.values())
+            for w, bit in zip(pattern[0], leaf)
         }
         support_id = {1 << k: w for k, w in enumerate(reference[2].vertices)}
         assert record.glued == reference[1], D

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from slicecat.arrow import product_layout, product_rows
 from slicecat.core import Digraph, Graph, SliceObject, build_cycle, build_path
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
     digraph_hom_leaves,
     digraph_hom_leaves_into,
+    digraph_masks,
     enumerate_digraph_homs,
     enumerate_digraphs,
     enumerate_graphs,
@@ -15,7 +18,10 @@ from slicecat.homsearch import (
     enumerate_slice_homs,
     hom_count,
     hom_leaves,
+    hom_leaves_into,
+    mask_pairs,
     slice_hom_count,
+    slice_pattern,
 )
 
 from conftest import (
@@ -155,6 +161,28 @@ class TestSliceHoms:
                 if all(fb[m(v)] == fa[v] for v in a.vertices)
             }
             assert {sm.map.mapping for sm in enumerate_slice_homs(x, y)} == filtered
+
+    @pytest.mark.parametrize("name", BUILTIN_GADGET_NAMES)
+    def test_prebuilt_pattern_keeps_no_state_between_hosts(self, name):
+        # one pattern searched into host A, then B, then A again: each search
+        # binds it to a union table of its own, so nothing of B's reaches A
+        gadget = builtin_gadget(name)
+        pattern = slice_pattern(gadget.slice)
+        layout = product_layout(gadget, pattern[0])
+        hosts = [product_rows(2, mask_pairs(2, mask, True), layout)[:2] for mask in digraph_masks(2, True)]
+
+        def stream(pattern, host):
+            variables, leaves = hom_leaves_into(pattern, *host)
+            return variables, list(map(list, leaves))
+
+        assert len(hosts) == 13
+        for a in hosts:
+            fresh = stream(slice_pattern(gadget.slice), a)
+            assert fresh[1], name  # every arc's copy is a solution
+            for b in hosts:
+                first = stream(pattern, a)
+                stream(pattern, b)
+                assert stream(pattern, a) == first == fresh
 
     def test_composition_closure(self):
         p3 = build_path(3)

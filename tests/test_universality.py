@@ -405,6 +405,12 @@ class TestDichotomySweep:
         with pytest.raises(ValueError, match="samples"):
             dichotomy_sweep(P3, 2, samples=-1)
 
+    @pytest.mark.parametrize("seed", [None, "1", 1.0])
+    def test_seed_that_is_not_an_int_is_an_error(self, seed):
+        # random.Random(None) draws from OS entropy: no report could be reproduced
+        with pytest.raises(ValueError, match="seed must be an int"):
+            dichotomy_sweep(P3, 2, samples=5, seed=seed)
+
     @pytest.mark.parametrize("samples", [0, 5])
     def test_empty_base_is_an_error(self, samples):
         # no carrier with a vertex maps to it: the sweep would pass over 0 instances
@@ -516,6 +522,12 @@ class TestFullEmbedding:
     def test_spot_check_of_no_pairs_is_an_error(self):
         with pytest.raises(ValueError, match="pair_count"):
             full_embedding_spot_check(builtin_gadget("C3"), 2, 0, 1)
+
+    @pytest.mark.parametrize("seed", [None, "1", 1.0])
+    def test_spot_check_seed_that_is_not_an_int_is_an_error(self, seed):
+        # random.Random(None) draws from OS entropy: no report could be reproduced
+        with pytest.raises(ValueError, match="seed must be an int"):
+            full_embedding_spot_check(builtin_gadget("C3"), 2, 3, seed)
 
     def test_two_vertex_sweep(self):
         report = full_embedding_check(builtin_gadget("C3"), 2)
