@@ -61,7 +61,6 @@ from .universality import (
     DichotomyResult,
     EmbeddingReport,
     RetractionPlan,
-    RetractionTieError,
     RigidPathCertificate,
     classify_cone_base,
     classify_slice_base,

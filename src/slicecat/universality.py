@@ -195,10 +195,6 @@ def classify_cone_base(G: Graph) -> ConeClassification:
 # retraction over short path bases
 
 
-class RetractionTieError(RuntimeError):
-    """The nearest-index rule produced a tie; parity should rule that out."""
-
-
 @dataclass(frozen=True)
 class RigidPathCertificate:
     """The carrier is itself a minimal end-to-end path, hence rigid."""
@@ -294,7 +290,9 @@ def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertifica
     that is that path itself is certified rigid.  Otherwise every vertex is
     sent to a path vertex of its color: the one at its color's position over
     a short base, and over length 3 the one whose index is nearest to its
-    distance from the starting fiber, a fold that is then re-validated.
+    distance from the starting fiber.  That fold is checked once, by
+    ``RetractionPlan.validate``: a vertex sent to a path vertex of another
+    color fails it as "structure map not preserved".
     """
     if not X.carrier.is_connected():
         raise ValueError("carrier must be connected")
@@ -315,8 +313,6 @@ def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertifica
             path.append(min(w for w in X.carrier.neighbors(path[-1]) if sigma[w] == sigma[path[-1]] - 1))
         if len(path) != k + 1 or k % 2 == 0 or k < 3:
             raise RuntimeError(f"shortest end-to-end path has impossible length {k}")
-    # a carrier that is a shortest zigzag has each vertex at its index's distance
-    # from the starting fiber, so the length-3 parity checks below cannot fail on it
     if set(path) == set(X.carrier.vertices):
         return RigidPathCertificate(tuple(path))
 
@@ -324,22 +320,11 @@ def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertifica
 
     def target_index(v: Vertex) -> int:
         c = pos[f(v)]
-        t = tau[v]
         if n <= 2 or c == 0:
             return c
         if c == 3:
             return k
-        if c == 1:
-            if t % 2 != 1:
-                raise RetractionTieError(
-                    f"distance parity broken at {v!r}: color 1 with even distance {t}"
-                )
-            return min(t, k - 2)
-        if t % 2 != 0 or t == 0:
-            raise RetractionTieError(
-                f"distance parity broken at {v!r}: color 2 with distance {t}"
-            )
-        return min(t, k - 1)
+        return min(tau[v], k - 2 if c == 1 else k - 1)
 
     plan = RetractionPlan(
         base_path=base_ord,
@@ -445,18 +430,15 @@ class DichotomyResult:
         }
 
 
-_CROSS_CHECK_LIMIT = 12
-
-
 def classify_slice_object(X: SliceObject) -> DichotomyResult:
     """Constructive dichotomy over a non-universal base.
 
     Retracting each carrier component over its image subpath either certifies
     the component rigid or yields a proper endomorphism; with all components
     rigid, any two components with nested images fold one into the other.  If
-    neither happens the object is rigid.  Instances of at most
-    ``_CROSS_CHECK_LIMIT`` vertices are cross-checked against the core test
-    (``endomorphism_verdict``).
+    neither happens the object is rigid.  A length-3 retraction is checked by
+    ``RetractionPlan.validate``, and every verdict is cross-checked against
+    the core test (``endomorphism_verdict``); a disagreement is a RuntimeError.
     """
     return _classify_over_paths(X, _path_decomposition(X.base))
 
@@ -496,10 +478,9 @@ def _classify_over_paths(X: SliceObject, decomposition: tuple[tuple[Vertex, ...]
 
     if result is None:
         result = _fold_comparable_components(X, infos) or DichotomyResult(EndoVerdict.RIGID)
-    if X.carrier.vertex_count <= _CROSS_CHECK_LIMIT:
-        problem = _enumeration_disagreement(X, result.verdict)
-        if problem is not None:
-            raise RuntimeError(problem)
+    problem = _enumeration_disagreement(X, result.verdict)
+    if problem is not None:
+        raise RuntimeError(problem)
     return result
 
 
@@ -828,13 +809,15 @@ class DichotomyReport:
 
 def _check_dichotomy_instance(X: SliceObject, decomposition: tuple[tuple[Vertex, ...], ...]) -> Optional[str]:
     """None when the instance satisfies the dichotomy, else a description.
-    Every instance is cross-checked once: small ones inside the classifier."""
+
+    The classifier cross-checks its verdict, and ``RetractionPlan.validate``
+    is the one check of a length-3 retraction; both fail by raising.  Every
+    instance is built by the library, so a ``RuntimeError`` or a
+    ``ValueError`` is a fault of the classifier, reported as a violation."""
     try:
-        constructive = _classify_over_paths(X, decomposition)
-    except RuntimeError as exc:
+        _classify_over_paths(X, decomposition)
+    except (RuntimeError, ValueError) as exc:
         return f"constructive classification failed: {exc}"
-    if X.carrier.vertex_count > _CROSS_CHECK_LIMIT:
-        return _enumeration_disagreement(X, constructive.verdict)
     return None
 
 

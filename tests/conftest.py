@@ -46,7 +46,6 @@ from slicecat.universality import (
     BaseVerdict,
     EmbeddingViolation,
     RetractionPlan,
-    RetractionTieError,
     RigidPathCertificate,
     _bfs_distance,
     _find_section,
@@ -206,6 +205,10 @@ def random_connected_surjective_slice(base: Graph, rng: random.Random, *, max_ve
             if base.has_edge(colors[u], colors[v]) and rng.random() < 0.35:
                 edges.append((u, v))
     return SliceObject(Graph(vs, edges), base, colors)
+
+
+class RetractionTieError(RuntimeError):
+    """The nearest-index rule of the reference retraction produced a tie."""
 
 
 def reference_retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertificate:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicecat import cli, gadgets
+from slicecat import cli, gadgets, universality
 from slicecat.cli import main
 from slicecat.core import build_cycle, build_path
 from slicecat.gadgets import builtin_gadget
@@ -288,6 +288,18 @@ class TestEndosRetractDichotomy:
         code, out = run(capsys, ["dichotomy", p3_file, "--max-carrier", "2", "--samples", "10"])
         payload = json.loads(out)
         assert code == 0 and payload["verdict"] == "pass"
+
+    def test_dichotomy_classifier_fault_exits_one(self, capsys, monkeypatch, p3_file):
+        # a ValueError inside the classifier is a violation, not a malformed input
+        def planted(plan, X):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(universality.RetractionPlan, "validate", planted)
+        code, out = run(capsys, ["dichotomy", p3_file, "--max-carrier", "5"])
+        payload = json.loads(out)
+        assert code == 1 and payload["verdict"] == "fail"
+        assert payload == universality.dichotomy_sweep(build_path(3), 5).to_dict()
+        assert payload["violation"]["detail"] == "constructive classification failed: planted"
 
     def test_dichotomy_over_cap_exits_two(self, capsys, p3_file):
         code, out = run(capsys, ["dichotomy", p3_file, "--max-carrier", "8"])

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "Morphism",
     "ReplacementGadget",
     "RetractionPlan",
-    "RetractionTieError",
     "RigidPathCertificate",
     "SliceMorphism",
     "SliceObject",

@@ -351,21 +351,17 @@ class TestClassifySliceObject:
             assert result.verdict == report.verdict
 
     @pytest.mark.parametrize("lie", [EndoVerdict.HAS_PROPER_ENDOMORPHISM, EndoVerdict.AUTOMORPHISMS_ONLY])
-    @pytest.mark.parametrize("small", [True, False])
-    def test_cross_check_catches_a_wrong_enumeration(self, monkeypatch, lie, small):
+    @pytest.mark.parametrize("vertices", [12, 14])
+    def test_cross_check_catches_a_wrong_enumeration(self, monkeypatch, lie, vertices):
         # the core test reports a verdict the constructive side cannot reach
-        # on a rigid instance; with the limit at 0 every instance lies above
-        # it and only the sweep's own cross-check can catch it
+        # on a rigid zigzag path of any size; the sweep reports the
+        # classifier's failure as a violation
         monkeypatch.setattr(universality, "endomorphism_verdict", lambda X: lie)
-        if small:
-            # a rigid zigzag path with exactly as many vertices as the limit
-            zigzag = [0] + [1, 2] * 5 + [3]
-            x = SliceObject(build_path(11), P3, {f"v{i}": f"v{c}" for i, c in enumerate(zigzag)})
-            assert x.carrier.vertex_count == universality._CROSS_CHECK_LIMIT
-            with pytest.raises(RuntimeError, match=f"core test verdict {lie.value} disagrees with enumeration"):
-                classify_slice_object(x)
-        else:
-            monkeypatch.setattr(universality, "_CROSS_CHECK_LIMIT", 0)
+        zigzag = [0] + [1, 2] * (vertices // 2 - 1) + [3]
+        x = SliceObject(build_path(vertices - 1), P3, {f"v{i}": f"v{c}" for i, c in enumerate(zigzag)})
+        assert x.carrier.vertex_count == vertices
+        with pytest.raises(RuntimeError, match=f"core test verdict {lie.value} disagrees with enumeration"):
+            classify_slice_object(x)
         report = dichotomy_sweep(P3, 1)
         first = SliceObject(Graph(["v0"]), P3, {"v0": "v0"})
         assert not report.verdict and report.instances == 1
@@ -374,12 +370,12 @@ class TestClassifySliceObject:
 
     def test_cross_check_counts_nothing_when_the_verdicts_agree(self, monkeypatch):
         # the full counts only word a failure; the core test alone confirms,
-        # also on a one-colour fiber of 12 vertices (12^12 endomorphisms)
+        # also on a one-colour fiber of 20 vertices (20^20 endomorphisms)
         def counting(X):
             raise AssertionError("the endomorphism monoid was counted")
 
         monkeypatch.setattr(universality, "classify_endomorphisms", counting)
-        vs = [f"x{i:02d}" for i in range(universality._CROSS_CHECK_LIMIT)]
+        vs = [f"x{i:02d}" for i in range(20)]
         x = SliceObject(Graph(vs), build_path(0), {v: "v0" for v in vs})
         assert classify_slice_object(x).verdict is EndoVerdict.HAS_PROPER_ENDOMORPHISM
         assert dichotomy_sweep(P3, 4, samples=40, seed=2).verdict
@@ -483,6 +479,19 @@ class TestDichotomySweep:
         report = dichotomy_sweep(P3, 4, samples=190, seed=3, progress=seen.append)
         assert report.verdict and report.instances == 346 + 190
         assert seen == [200, 400]
+
+    def test_failed_validation_is_a_violation(self, monkeypatch):
+        # every instance is built by the library, so a ValueError from the
+        # classifier is its fault; P3 needs 5 carrier vertices for a length-3 plan
+        def planted(plan, X):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(universality.RetractionPlan, "validate", planted)
+        assert dichotomy_sweep(P3, 4).verdict
+        report = dichotomy_sweep(P3, 5)
+        assert not report.verdict
+        assert report.violation.detail == "constructive classification failed: planted"
+        assert SliceObject.from_dict(report.violation.slice_doc).carrier.vertex_count == 5
 
     def test_sample_failure_reports_its_labeled_position(self, monkeypatch):
         exhaustive = dichotomy_sweep(P3, 3).instances
