@@ -588,6 +588,12 @@ class _Target(NamedTuple):
     inn: list[int]  # its in-rows
 
 
+def _is_exact(target: _Target) -> bool:
+    """Whether a record reads as exact: every arc of D2 glued and N 1 on
+    exactly those arcs."""
+    return target.glued == target.arcs and target.weights == dict.fromkeys(target.arcs, 1)
+
+
 def _check_embedding_pair(
     gadget: Gadget, source: tuple[int, int], target: _Target
 ) -> tuple[int, int, Optional[EmbeddingViolation]]:
@@ -631,13 +637,12 @@ def _check_embedding_pair(
     product of N is 1 and each of its arcs lands on a glued arc, so each
     leaf adds 1 to both counts and no leaf strays: the pair passes with
     both counts the number of leaves.  Exactness is read off the record's
-    own fields, so a record changed after ``_target_record`` made it takes
-    the full path.
+    own fields, so a record changed after it was made takes the full path.
     """
     weights, glued, d2_arcs = target.weights, target.glued, target.arcs
     arcs = mask_pairs(*source, True)
     variables, leaves = digraph_hom_leaves_into(source[0], arcs, target.out, target.inn)
-    if glued == d2_arcs and weights == dict.fromkeys(d2_arcs, 1):
+    if _is_exact(target):
         count = sum(1 for _ in leaves)
         return count, count, None
     at = {v: i for i, v in enumerate(variables)}
@@ -668,6 +673,18 @@ def _check_embedding_pair(
     return digraph_homs, slice_homs, EmbeddingViolation(D1, D2, "missing-image", detail)
 
 
+def _exact_target(n: int, mask: int, arcs: list[tuple[int, int]]) -> _Target:
+    """The record of an exact target D, the digraph of ``mask`` on n vertices
+    with index ``arcs``: N is 1 on D's arcs and 0 elsewhere, every arc is
+    glued, and S ∪ D is D, so D's own n out- and in-rows are the host."""
+    d_arcs = {(1 << u, 1 << v) for u, v in arcs}
+    out, inn = [0] * n, [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return _Target(n, mask, dict.fromkeys(d_arcs, 1), set(d_arcs), d_arcs, out, inn)
+
+
 def _target_record(pattern: Pattern, layout: arrow.ProductLayout, n: int, mask: int) -> _Target:
     """What the pair check reads of F(D), D the digraph of ``mask`` on n
     vertices, from one search of the gadget's ``pattern`` into F(D), laid
@@ -675,32 +692,29 @@ def _target_record(pattern: Pattern, layout: arrow.ProductLayout, n: int, mask: 
 
     The sorted leaves are compared with the sorted copy leaves, as
     ``gadgets.verify_gadget`` compares the slice homs it finds with the copy
-    maps.  If they are equal the target is exact: N is 1 on D's arcs and 0
-    elsewhere, every arc is glued, S ∪ D is D, and D's own n out- and
-    in-rows are the host, with no tally.  Otherwise N and the glued arcs are
-    tallied from the leaves' own (a, b) bits, and the host is S ∪ D over
-    F(D)'s indices.  No ``Digraph`` is built and no id is formatted."""
+    maps.  If they are equal the target is exact (``_exact_target``).
+    Otherwise N and the glued arcs are tallied from the leaves' own (a, b)
+    bits, and the host is S ∪ D over F(D)'s indices.  No ``Digraph`` is
+    built and no id is formatted."""
     arcs = mask_pairs(n, mask, True)
     rows, fibers, copies = arrow.product_rows(n, arcs, layout)
     _, leaves = hom_leaves_into(pattern, rows, fibers)
     found = sorted(leaves)
-    d_arcs = {(1 << u, 1 << v) for u, v in arcs}
     if found == sorted(copies):
-        weights, glued, host = dict.fromkeys(d_arcs, 1), set(d_arcs), n
-    else:
-        copy_leaves = set(map(tuple, copies))
-        i, j = layout.slots.index(0), layout.slots.index(1)  # the variables a and b
-        weights = {}
-        glued = set()
-        for leaf in found:
-            ends = leaf[i], leaf[j]
-            weights[ends] = weights.get(ends, 0) + 1
-            if tuple(leaf) in copy_leaves:
-                glued.add(ends)
-        host = len(rows)
+        return _exact_target(n, mask, arcs)
+    copy_leaves = set(map(tuple, copies))
+    i, j = layout.slots.index(0), layout.slots.index(1)  # the variables a and b
+    weights = {}
+    glued = set()
+    for leaf in found:
+        ends = leaf[i], leaf[j]
+        weights[ends] = weights.get(ends, 0) + 1
+        if tuple(leaf) in copy_leaves:
+            glued.add(ends)
     # every copy is a slice hom, so S holds D's arcs when the search finds
     # them all; the union keeps the digraph count independent of that search
-    out, inn = [0] * host, [0] * host
+    d_arcs = {(1 << u, 1 << v) for u, v in arcs}
+    out, inn = [0] * len(rows), [0] * len(rows)
     for p, q in d_arcs.union(weights):
         out[p.bit_length() - 1] |= q
         inn[q.bit_length() - 1] |= p
@@ -719,15 +733,18 @@ def full_embedding_check(gadget: Gadget, max_n: int, *, progress=None) -> Embedd
     vertex in D1, |Hom(F(D1), F(D2))| is the sum over maps x of D1's
     vertices of the product over arcs (u, v) of N(x_u, x_v), N(p, q) the
     number of slice homs gadget -> F(D2) with a -> p and b -> q; so each
-    pair is counted from one search gadget -> F(D2) per target class, F(D2)
-    laid out as engine rows, and one search per pair from D1 into S ∪ D2, S
-    the support of N (``_check_embedding_pair``).  On an exact target, where
+    pair is counted from one search per pair from D1 into S ∪ D2, S the
+    support of N (``_check_embedding_pair``).  On an exact target, where
     the gadget's slice homs into F(D2) are exactly the arc copies, that
-    search goes into D2 and counts digraph homs.  No product of either side
-    is built, and no ``Digraph`` but the two of a violation.
+    search goes into D2 and counts digraph homs.  Whether every target is
+    exact is decided by one search into F(K_max_n), K_max_n the complete
+    digraph with every loop, when the gadget has an interior vertex
+    (``_embedding_sweep``); otherwise each target class gets its own search
+    gadget -> F(D2), F(D2) laid out as engine rows.  No product of either
+    side is built, and no ``Digraph`` but the two of a violation.
     """
     labeled = list(labeled_digraph_classes(max_n, True))
-    return _embedding_sweep(gadget, ((x, y) for x in labeled for y in labeled), progress)
+    return _embedding_sweep(gadget, max_n, ((x, y) for x in labeled for y in labeled), progress)
 
 
 def full_embedding_spot_check(
@@ -738,8 +755,13 @@ def full_embedding_spot_check(
 ) -> EmbeddingReport:
     """Check randomly sampled ordered pairs of n-vertex digraphs, each held as
     its arc mask.  ``pair_count`` is the number of draws; ``pairs_checked``
-    counts the distinct pairs drawn, so it can be smaller.  ``seed`` must be
-    an int, so that a report can be reproduced."""
+    counts the distinct pairs drawn, so it can be smaller.  ``pair_count``
+    and ``seed`` must be ints (not bools), so that a report can be
+    reproduced.  As in ``full_embedding_check``, one search into F(K_n)
+    decides whether every sampled target is exact, so a gadget with an
+    interior vertex and an exact F(K_n) searches no target of its own."""
+    if not isinstance(pair_count, int) or isinstance(pair_count, bool):
+        raise ValueError(f"pair_count must be an int, got {pair_count!r}")
     if pair_count < 1:  # no pairs would pass vacuously
         raise ValueError(f"pair_count must be at least 1, got {pair_count}")
     _check_seed(seed)
@@ -748,31 +770,52 @@ def full_embedding_spot_check(
     chosen_idx = sorted(
         {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
     )
-    return _embedding_sweep(gadget, [((n, masks[i]), (n, masks[j])) for i, j in chosen_idx], None)
+    return _embedding_sweep(gadget, n, [((n, masks[i]), (n, masks[j])) for i, j in chosen_idx], None)
 
 
 def _check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is an int: ``random.Random(None)``
-    draws from OS entropy, and a report drawn so cannot be reproduced."""
-    if not isinstance(seed, int):
+    """Raise ValueError unless ``seed`` is an int and not a bool:
+    ``random.Random(None)`` draws from OS entropy, and a report drawn so
+    cannot be reproduced; a bool is an int only by accident."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an int, got {seed!r}")
 
 
-def _embedding_sweep(gadget: Gadget, pairs, progress) -> EmbeddingReport:
-    """Sweep ``pairs`` of digraphs, each given as its (n, mask) key, in order,
-    checking each distinct pair once.  A key's target record is made at the
-    first pair with that key as its target, so only targets have their
-    product laid out and searched.  The gadget's search pattern and copy
-    layout are built once, here, for every record; no state outlives the
-    call."""
+def _embedding_sweep(gadget: Gadget, n: int, pairs, progress) -> EmbeddingReport:
+    """Sweep ``pairs`` of digraphs on at most n vertices, each given as its
+    (n, mask) key, in order, checking each distinct pair once.  The gadget's
+    search pattern and copy layout are built once, here; no state outlives
+    the call.
+
+    One record of F(K_n), K_n the complete digraph on n vertices with every
+    loop, decides every target.  Each target D2 is a sub-digraph of K_n on
+    its first vertices, and the inclusion F(D2) -> F(K_n) is an injective
+    slice map.  A slice hom gadget -> F(D2) is thus one into F(K_n) too; if
+    that is the copy on an arc (u, v) of K_n, and the gadget has an interior
+    vertex, its image is an interior vertex of that copy lying in F(D2), so
+    (u, v) is an arc of D2 and the hom is D2's own copy on it.  As K_n is
+    itself an isolation-free digraph on n vertices, F(K_n) is exact exactly
+    when every such target on at most n vertices is; then each record is
+    built from D2's arcs alone (``_exact_target``), with no product laid
+    out and no gadget search per target.  Without an interior vertex a copy
+    in F(K_n) is only its two ends, which F(D2) holds whether or not (u, v)
+    is an arc, so that gadget, like one with a non-exact F(K_n), gets a
+    ``_target_record`` search per target, made at the first pair with that
+    target."""
     pattern = slice_pattern(gadget.slice)
     layout = arrow.product_layout(gadget, pattern[0])
+    if layout.interior and _is_exact(_target_record(pattern, layout, n, (1 << n * n) - 1)):
+        def record(key):
+            return _exact_target(*key, mask_pairs(*key, True))
+    else:
+        def record(key):
+            return _target_record(pattern, layout, *key)
     targets: dict = {}
 
     def check(pair):
         source, target = pair
         if target not in targets:
-            targets[target] = _target_record(pattern, layout, *target)
+            targets[target] = record(target)
         nd, ns, violation = _check_embedding_pair(gadget, source, targets[target])
         return (1, nd, ns), violation
 

@@ -121,10 +121,16 @@ def _documents() -> dict[str, dict]:
 def _gadget_documents() -> dict[str, dict]:
     """Named gadget files, kept apart from ``_documents`` so no ``endos`` case
     is made for them: C4 with c sent to 0, a structure-map rewrite that still
-    builds a gadget and fails both bounded verifiers."""
+    builds a gadget and fails both bounded verifiers; and a and b alone over
+    P0, a gadget with no interior vertex, whose product of the complete
+    digraph is exact although a single arc's is not."""
     c4 = builtin_gadget("C4")
     mutated = dict(c4.slice.structure_map.as_dict(), c="0")
-    return {"c4_mutant_c0": Gadget(SliceObject(c4.carrier, c4.base, mutated), c4.a, c4.b).to_dict()}
+    no_interior = SliceObject(Graph(["a", "b"], []), build_path(0), {"a": "v0", "b": "v0"})
+    return {
+        "c4_mutant_c0": Gadget(SliceObject(c4.carrier, c4.base, mutated), c4.a, c4.b).to_dict(),
+        "no_interior": Gadget(no_interior, "a", "b").to_dict(),
+    }
 
 
 def _digraph_documents() -> dict[str, Digraph]:
@@ -200,6 +206,9 @@ def _cases(docs: dict[str, dict], digraphs: dict[str, Digraph]) -> dict[str, lis
     ]
     cases["embed_check_c4_mutant_c0"] = [
         "embed-check", "--gadget", "inputs/c4_mutant_c0.json", "--max-size", "2"
+    ]
+    cases["embed_check_no_interior"] = [
+        "embed-check", "--gadget", "inputs/no_interior.json", "--max-size", "2"
     ]
     # the length-2 path glued by its ends crosses copies: the sweeps fail at
     # labeled digraph 5 (irreflexive) and 3 (no-isolated); the edge passes

@@ -17,12 +17,13 @@ from math import factorial
 
 import pytest
 
-from slicecat import gadgets, universality
+from slicecat import arrow, gadgets, universality
 from slicecat.arrow import arrow_graph, arrow_slice, product_layout, product_rows
 from slicecat.cli import main
 from slicecat.core import Digraph, Graph, SliceObject, build_path, disjoint_union
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
+    Gadget,
     GadgetCounterexample,
     GadgetReport,
     ReplacementReport,
@@ -52,6 +53,7 @@ from slicecat.universality import (
     EmbeddingViolation,
     dichotomy_sweep,
     full_embedding_check,
+    full_embedding_spot_check,
     random_slice_object,
 )
 
@@ -61,6 +63,8 @@ from conftest import digraph_classes, gadget_building_mutants, named_target_reco
 BUILTINS = {name: builtin_gadget(name) for name in BUILTIN_GADGET_NAMES}
 MUTANTS = {f"{name}:{vertex}->{target}": g for (name, vertex, target), g in gadget_building_mutants().items()}
 GADGETS = {**BUILTINS, **MUTANTS}
+# a and b alone over P0: its copy on an arc is just the arc's two ends
+NO_INTERIOR = Gadget(SliceObject(Graph(["a", "b"], []), build_path(0), {"a": "v0", "b": "v0"}), "a", "b")
 
 
 def _mask(D: Digraph) -> int:
@@ -119,6 +123,24 @@ def labeled_embed(gadget, max_n) -> EmbeddingReport:
             total_s += ns
             if violation is not None:
                 return EmbeddingReport(checked, total_d, total_s, False, violation)
+    return EmbeddingReport(checked, total_d, total_s, True)
+
+
+def labeled_spot(gadget, n, pair_count, seed) -> EmbeddingReport:
+    # the spot check's draw, each distinct pair checked against its own target's record
+    masks = digraph_masks(n, True)
+    rng = random.Random(seed)
+    chosen = sorted({(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)})
+    plan = _plan(gadget)
+    checked = total_d = total_s = 0
+    for i, j in chosen:
+        record = universality._target_record(*plan, n, masks[j])
+        nd, ns, violation = universality._check_embedding_pair(gadget, (n, masks[i]), record)
+        checked += 1
+        total_d += nd
+        total_s += ns
+        if violation is not None:
+            return EmbeddingReport(checked, total_d, total_s, False, violation)
     return EmbeddingReport(checked, total_d, total_s, True)
 
 
@@ -205,6 +227,72 @@ def test_embed_matches_labeled_sweep(name):
     gadget = GADGETS[name]
     for max_n in (1, 2):
         assert full_embedding_check(gadget, max_n).to_dict() == labeled_embed(gadget, max_n).to_dict()
+    for n in (1, 2, 3):
+        for seed in range(6):
+            got = full_embedding_spot_check(gadget, n, 4, seed)
+            assert got.to_dict() == labeled_spot(gadget, n, 4, seed).to_dict(), (n, seed)
+
+
+def _complete_mask(n: int) -> int:
+    """The arc mask of K_n, every arc and every loop on n vertices."""
+    return (1 << n * n) - 1
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_complete_target_is_exact_iff_every_target_is(name):
+    # the sweep builds every record from D2's arcs when F(K_n) reads as exact
+    gadget = GADGETS[name]
+    plan = _plan(gadget)
+    exact = [
+        (n, _is_exact(universality._target_record(*plan, n, mask)))
+        for n in (1, 2, 3)
+        for mask in digraph_masks(n, True)
+    ]
+    for n in (1, 2, 3):
+        complete = universality._target_record(*plan, n, _complete_mask(n))
+        assert _is_exact(complete) == all(e for size, e in exact if size <= n), n
+        assert _is_exact(complete) == (name in BUILTINS), n
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+def test_one_layout_per_sweep_when_the_complete_target_is_exact(monkeypatch, name):
+    # a built-in lays out F(K_n) alone; a mutant lays out F(K_n) and then each
+    # distinct target it checks a pair into, as the per-target sweep did
+    gadget = GADGETS[name]
+    layouts, targets = [], set()
+    real_rows, real_pair = arrow.product_rows, universality._check_embedding_pair
+
+    def rows(*args):
+        layouts.append(args[0])
+        return real_rows(*args)
+
+    def pair(gadget, source, target):
+        targets.add((target.n, target.mask))
+        return real_pair(gadget, source, target)
+
+    monkeypatch.setattr(arrow, "product_rows", rows)
+    monkeypatch.setattr(universality, "_check_embedding_pair", pair)
+    sweeps = [(full_embedding_check, (gadget, max_n)) for max_n in (1, 2)]
+    sweeps += [(full_embedding_spot_check, (gadget, 3, 4, seed)) for seed in range(4)]
+    for sweep, args in sweeps:
+        layouts.clear()
+        targets.clear()
+        sweep(*args)
+        assert targets
+        assert len(layouts) == (1 if name in BUILTINS else 1 + len(targets)), args
+
+
+def test_a_gadget_with_no_interior_vertex_searches_every_target():
+    # F(K_n) reads as exact, yet F(D2) of a single arc has four slice homs from
+    # the gadget and one copy: the sweeps must fail as the per-target reference does
+    plan = _plan(NO_INTERIOR)
+    assert _is_exact(universality._target_record(*plan, 2, _complete_mask(2)))
+    full = full_embedding_check(NO_INTERIOR, 2)
+    assert not full.verdict and full.violation.kind == "count-mismatch"
+    assert full.to_dict() == labeled_embed(NO_INTERIOR, 2).to_dict()
+    spot = full_embedding_spot_check(NO_INTERIOR, 3, 4, 7)
+    assert not spot.verdict
+    assert spot.to_dict() == labeled_spot(NO_INTERIOR, 3, 4, 7).to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(GADGETS))

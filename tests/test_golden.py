@@ -4,7 +4,8 @@ The corpus under ``tests/golden/`` covers ``homs`` in all three modes and
 with ``--max-solutions`` (the solution order of ``--mode list`` is part of
 the output), ``endos`` on objects of at most 12 vertices,
 ``verify-gadget``/``embed-check --max-size 2`` for the four built-in gadgets
-and for a gadget-building mutant of C4, ``verify-gadget --max-size 3`` for
+and for a gadget-building mutant of C4, ``embed-check --max-size 2`` for a
+gadget with no interior vertex, ``verify-gadget --max-size 3`` for
 the built-ins, passing and failing ``strong-replacement --max-size 3``
 sweeps in both regimes and one that the no-isolated regime refuses,
 ``classify`` and ``cone-classify`` witnesses and decompositions,

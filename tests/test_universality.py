@@ -401,7 +401,7 @@ class TestDichotomySweep:
         with pytest.raises(ValueError, match="samples"):
             dichotomy_sweep(P3, 2, samples=-1)
 
-    @pytest.mark.parametrize("seed", [None, "1", 1.0])
+    @pytest.mark.parametrize("seed", [None, "1", 1.0, True])
     def test_seed_that_is_not_an_int_is_an_error(self, seed):
         # random.Random(None) draws from OS entropy: no report could be reproduced
         with pytest.raises(ValueError, match="seed must be an int"):
@@ -532,11 +532,37 @@ class TestFullEmbedding:
         with pytest.raises(ValueError, match="pair_count"):
             full_embedding_spot_check(builtin_gadget("C3"), 2, 0, 1)
 
-    @pytest.mark.parametrize("seed", [None, "1", 1.0])
+    @pytest.mark.parametrize("pair_count", [2.5, True, "4", None])
+    def test_spot_check_pair_count_that_is_not_an_int_is_an_error(self, pair_count):
+        # a float would reach range(), and a bool is an int only by accident
+        with pytest.raises(ValueError, match="pair_count must be an int"):
+            full_embedding_spot_check(builtin_gadget("C3"), 2, pair_count, 1)
+
+    @pytest.mark.parametrize("seed", [None, "1", 1.0, True])
     def test_spot_check_seed_that_is_not_an_int_is_an_error(self, seed):
         # random.Random(None) draws from OS entropy: no report could be reproduced
         with pytest.raises(ValueError, match="seed must be an int"):
             full_embedding_spot_check(builtin_gadget("C3"), 2, 3, seed)
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda g: full_embedding_check(g, 0), "need at least one vertex, got 0"),
+            (lambda g: full_embedding_check(g, 5), r"digraph enumeration is capped at 4 vertices \(requested 5\)"),
+            (lambda g: full_embedding_spot_check(g, 0, 4, 1), "need at least one vertex, got 0"),
+            (lambda g: full_embedding_spot_check(g, 5, 4, 1), r"digraph enumeration is capped at 4 vertices \(requested 5\)"),
+            (lambda g: full_embedding_spot_check(g, 3, 0, 1), "pair_count must be at least 1, got 0"),
+        ],
+        ids=["full-0", "full-5", "spot-0", "spot-5", "no-pairs"],
+    )
+    def test_sizes_are_checked_before_any_target_is_searched(self, monkeypatch, run, message):
+        # the sweep's one search into F(K_n) must not run, nor fail first, on a bad size
+        def no_search(*args):
+            raise AssertionError("a target was searched")
+
+        monkeypatch.setattr(universality, "_target_record", no_search)
+        with pytest.raises(ValueError, match=message):
+            run(builtin_gadget("C3"))
 
     def test_two_vertex_sweep(self):
         report = full_embedding_check(builtin_gadget("C3"), 2)
