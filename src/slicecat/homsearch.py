@@ -513,8 +513,12 @@ def endomorphism_verdict(X: SliceObject | Graph) -> EndoVerdict:
 
 
 def check_digraph_size(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= DIGRAPH_ENUMERATION_CAP.  A sweep up
-    to a size below 1 would pass vacuously; beyond the cap it is infeasible."""
+    """Raise ValueError unless n is an int, not a bool, with 1 <= n <=
+    DIGRAPH_ENUMERATION_CAP.  A sweep up to a size below 1 would pass
+    vacuously; beyond the cap it is infeasible.  Callers check before any
+    cached table lookup: ``True`` hashes and compares equal to 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"digraph size must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"need at least one vertex, got {n}")
     if n > DIGRAPH_ENUMERATION_CAP:
@@ -575,8 +579,8 @@ def least_masks(n: int, directed: bool) -> list[int]:
 @cache
 def digraph_masks(n: int, require_no_isolated: bool) -> tuple[int, ...]:
     """The arc masks of ``enumerate_digraphs``, in its order, as a table
-    built once per process; bit n*i + j is the arc (v_i, v_j)."""
-    check_digraph_size(n)
+    built once per process; bit n*i + j is the arc (v_i, v_j).  The caller
+    checks n with ``check_digraph_size``."""
     cells = _cells(n, True)
     # per vertex, the mask of the arcs at it
     touching = [sum(1 << k for k, c in enumerate(cells) if i in c) for i in range(n)]
@@ -648,6 +652,7 @@ def enumerate_digraphs(n: int, require_no_isolated: bool, *, canonical: bool = F
     some arc are produced.  ``canonical`` keeps one representative per
     isomorphism class, the least arc mask of the class (see ``least_masks``).
     """
+    check_digraph_size(n)
     masks = digraph_masks(n, require_no_isolated)
     if canonical:
         least = least_masks(n, True)

@@ -21,6 +21,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from math import prod
 from typing import NamedTuple, Optional
@@ -43,6 +44,7 @@ from .homsearch import (
     CARRIER_ENUMERATION_CAP,
     EndoVerdict,
     Pattern,
+    check_digraph_size,
     class_sweep,
     classify_endomorphisms,
     digraph_from_mask,
@@ -440,7 +442,7 @@ def classify_slice_object(X: SliceObject) -> DichotomyResult:
     ``RetractionPlan.validate``, and every verdict is cross-checked against
     the core test (``endomorphism_verdict``); a disagreement is a RuntimeError.
     """
-    return _classify_over_paths(X, _path_decomposition(X.base))
+    return _classify_over_paths(X, _base_decomposition(X.base))
 
 
 def _path_decomposition(base: Graph) -> tuple[tuple[Vertex, ...], ...]:
@@ -452,6 +454,10 @@ def _path_decomposition(base: Graph) -> tuple[tuple[Vertex, ...], ...]:
             "short paths (use the gadget machinery instead)"
         )
     return base_cls.decomposition or ()
+
+
+# one classification per distinct base graph; a universal base raises, so it is never kept
+_base_decomposition = lru_cache(maxsize=16)(_path_decomposition)
 
 
 def _classify_over_paths(X: SliceObject, decomposition: tuple[tuple[Vertex, ...], ...]) -> DichotomyResult:
@@ -492,7 +498,11 @@ def _component_slice(
     pos = {b: i for i, b in enumerate(order)}
     f = X.structure_map
     colors = {v: f"v{pos[f(v)] - lo}" for v in comp}
-    return SliceObject(X.carrier.induced(comp), build_path(hi - lo), colors)
+    return SliceObject(X.carrier.induced(comp), _SHORT_PATHS[hi - lo], colors)
+
+
+# the bases of every component slice: a non-universal base has no longer path
+_SHORT_PATHS = tuple(build_path(n) for n in range(4))
 
 
 def _fold_comparable_components(X: SliceObject, infos) -> Optional[DichotomyResult]:
@@ -765,6 +775,7 @@ def full_embedding_spot_check(
     if pair_count < 1:  # no pairs would pass vacuously
         raise ValueError(f"pair_count must be at least 1, got {pair_count}")
     _check_seed(seed)
+    check_digraph_size(n)
     masks = digraph_masks(n, True)
     rng = random.Random(seed)
     chosen_idx = sorted(

@@ -20,6 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import pytest
+
+from slicecat import universality
 from slicecat.arrow import Arc, ArrowResult, arrow_graph, product_slice
 from slicecat.core import (
     Digraph,
@@ -51,6 +54,14 @@ from slicecat.universality import (
     _find_section,
     _path_fold,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_base_memo():
+    """Start each test with no base classification kept by
+    ``classify_slice_object``: a test that monkeypatches
+    ``classify_slice_base`` must not read a base another test classified."""
+    universality._base_decomposition.cache_clear()
 
 
 def naive_homs(A: Graph, B: Graph) -> set[tuple[tuple[str, str], ...]]:

@@ -4,7 +4,7 @@ import pytest
 
 from slicecat.arrow import product_layout, product_rows
 from slicecat.core import Digraph, Graph, SliceObject, build_cycle, build_path
-from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget, verify_gadget_exhaustive
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
@@ -19,10 +19,12 @@ from slicecat.homsearch import (
     hom_count,
     hom_leaves,
     hom_leaves_into,
+    labeled_digraph_classes,
     mask_pairs,
     slice_hom_count,
     slice_pattern,
 )
+from slicecat.universality import full_embedding_check, full_embedding_spot_check
 
 from conftest import (
     graph_variable_order,
@@ -281,6 +283,25 @@ class TestDigraphEnumeration:
     def test_cap_is_enforced_with_message(self):
         with pytest.raises(ValueError, match="capped at 4"):
             list(enumerate_digraphs(5, True))
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True], ids=["float", "whole-float", "bool"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: verify_gadget_exhaustive(builtin_gadget("C3"), n),
+            lambda n: full_embedding_check(builtin_gadget("C3"), n),
+            lambda n: full_embedding_spot_check(builtin_gadget("C3"), n, 4, 1),
+            lambda n: list(enumerate_digraphs(n, True)),
+            lambda n: list(labeled_digraph_classes(n, True)),
+        ],
+        ids=["verify", "embed", "spot", "enumerate", "classes"],
+    )
+    def test_size_that_is_not_an_int_is_an_error(self, run, size):
+        # True == 1 and hashes as 1, so it would read the cached table of size 1
+        digraph_masks(1, True)
+        digraph_masks(2, True)
+        with pytest.raises(ValueError, match=f"digraph size must be an int, got {size!r}"):
+            run(size)
 
     def test_canonical_is_a_subset_with_all_classes(self):
         full = list(enumerate_digraphs(2, False))

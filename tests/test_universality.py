@@ -337,6 +337,32 @@ class TestClassifySliceObject:
         with pytest.raises(ValueError, match="universal"):
             classify_slice_object(identity_slice(c3))
 
+    def test_equal_bases_share_one_classification(self, monkeypatch):
+        # the memo is keyed by the base's value: an equal graph built anew is a hit
+        expected = universality._path_decomposition(P3)
+        calls = []
+        classify = universality.classify_slice_base
+        monkeypatch.setattr(universality, "classify_slice_base", lambda G: calls.append(G) or classify(G))
+        first, second = build_path(3), Graph(["v3", "v2", "v1", "v0"], [("v3", "v2"), ("v1", "v2"), ("v1", "v0")])
+        assert first == second and first is not second
+        for base in (first, second, first):
+            assert classify_slice_object(identity_slice(base)).verdict is EndoVerdict.RIGID
+        assert calls == [first]
+        assert universality._base_decomposition(second) == expected
+
+    def test_universal_base_is_refused_on_every_call_and_not_kept(self, monkeypatch):
+        calls = []
+        classify = universality.classify_slice_base
+        monkeypatch.setattr(universality, "classify_slice_base", lambda G: calls.append(G) or classify(G))
+        c3 = build_cycle(3)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError, match="base is universal") as exc:
+                classify_slice_object(identity_slice(c3))
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1 and len(calls) == 3
+        assert universality._base_decomposition.cache_info().currsize == 0
+
     def test_empty_carrier_rigid(self):
         x = SliceObject(Graph([]), P3, {})
         assert classify_slice_object(x).verdict is EndoVerdict.RIGID
