@@ -19,7 +19,7 @@ import traceback
 from typing import Iterator, Optional
 
 from . import arrow
-from .core import Digraph, Graph, Morphism, SliceObject
+from .core import Digraph, Graph, Morphism, SliceObject, check_int
 from .gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
@@ -150,8 +150,8 @@ def cmd_strong_replacement(args) -> int:
 
 
 def cmd_homs(args) -> int:
-    if args.max_solutions is not None and args.max_solutions < 1:
-        raise ValueError(f"limit must be at least 1, got {args.max_solutions}")
+    if args.max_solutions is not None:  # --mode count never hands the limit to a search
+        check_int(args.max_solutions, "limit", 1)
     A = _load_graph(args.source, slices=True)
     B = _load_graph(args.target, slices=True)
     if isinstance(A, SliceObject) != isinstance(B, SliceObject):

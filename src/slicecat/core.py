@@ -30,6 +30,17 @@ def _document(data: object, kind: str, keys: Sequence[str]) -> Mapping:
     return data
 
 
+def check_int(value: object, what: str, least: Optional[int] = None) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, and at least
+    ``least`` when that is given.  The one check of every size, count, limit
+    and seed a caller passes: a bool is an int only by accident, and a float
+    would reach ``range``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+
+
 def document_id(value: object, what: str) -> Vertex:
     """A vertex id read from a document: a string, or an integer taken as one."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
@@ -447,24 +458,21 @@ class SliceMorphism:
 
 def build_path(n: int) -> Graph:
     """The path P_n with n edges and n + 1 vertices v0..vn."""
-    if n < 0:
-        raise ValueError(f"path length must be non-negative, got {n}")
+    check_int(n, "path length", 0)
     vs = [f"v{i}" for i in range(n + 1)]
     return Graph(vs, [(vs[i], vs[i + 1]) for i in range(n)])
 
 
 def build_cycle(n: int) -> Graph:
     """The cycle C_n on n vertices v0..v(n-1)."""
-    if n < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
+    check_int(n, "cycle length", 3)
     vs = [f"v{i}" for i in range(n)]
     return Graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
 def build_star(k: int) -> Graph:
     """The star K_{1,k}: center v0 with k leaves; build_star(3) is the 3-leaf Y."""
-    if k < 0:
-        raise ValueError(f"leaf count must be non-negative, got {k}")
+    check_int(k, "leaf count", 0)
     vs = ["v0"] + [f"v{i}" for i in range(1, k + 1)]
     return Graph(vs, [("v0", f"v{i}") for i in range(1, k + 1)])
 

@@ -21,7 +21,7 @@ from string import ascii_lowercase
 from typing import Optional
 
 from . import arrow
-from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, document_id
+from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, check_int, document_id
 from .homsearch import class_sweep, digraph_from_mask, hom_leaves, labeled_digraph_classes, loop_mask
 
 # per built-in gadget, keyed by its base graph: the base's edges and the
@@ -124,8 +124,7 @@ def build_gk(k: int) -> ReplacementGadget:
     maps the graph onto the odd cycle with both distinguished vertices (K and
     M, exposed as a and b) landing on residue k.
     """
-    if k < 2:
-        raise ValueError(f"the replacement family starts at k = 2, got {k}")
+    check_int(k, "k", 2)  # the replacement family starts at k = 2
     m = 2 * k - 1
     cycle = build_cycle(m)
     labels = {v: (k if lab is None else lab) for v, lab in _GK_LABELS.items()}

@@ -63,7 +63,7 @@ from itertools import islice, permutations
 from operator import add, or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex
+from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, check_int
 
 DIGRAPH_ENUMERATION_CAP = 4
 # a carrier class walk keeps one entry per labeled graph: 2^21 at 7 vertices, 2^28 at 8
@@ -274,8 +274,8 @@ def _count_solutions(domains: list[int], constraints: Constraints) -> int:
 
 
 def _check_limit(limit: Optional[int]) -> None:
-    if limit is not None and limit < 1:  # an empty stream would read as "no solution"
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    if limit is not None:  # an empty stream would read as "no solution"
+        check_int(limit, "limit", 1)
 
 
 def _mapping(variables: Sequence[Vertex], values: Sequence[Vertex], leaf: list[int]) -> dict[Vertex, Vertex]:
@@ -517,8 +517,7 @@ def check_digraph_size(n: int) -> None:
     DIGRAPH_ENUMERATION_CAP.  A sweep up to a size below 1 would pass
     vacuously; beyond the cap it is infeasible.  Callers check before any
     cached table lookup: ``True`` hashes and compares equal to 1."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"digraph size must be an int, got {n!r}")
+    check_int(n, "digraph size")
     if n < 1:
         raise ValueError(f"need at least one vertex, got {n}")
     if n > DIGRAPH_ENUMERATION_CAP:
@@ -663,8 +662,7 @@ def enumerate_digraphs(n: int, require_no_isolated: bool, *, canonical: bool = F
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All labeled simple graphs on vertices v0..v(n-1), ascending edge mask."""
-    if n < 0:
-        raise ValueError(f"need a non-negative vertex count, got {n}")
+    check_int(n, "vertex count", 0)
     for mask in range(1 << len(_cells(n, False))):
         yield graph_from_mask(n, mask)
 

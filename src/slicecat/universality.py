@@ -37,6 +37,7 @@ from .core import (
     build_cycle,
     build_path,
     build_star,
+    check_int,
     path_order,
 )
 from .gadgets import Gadget
@@ -770,11 +771,8 @@ def full_embedding_spot_check(
     reproduced.  As in ``full_embedding_check``, one search into F(K_n)
     decides whether every sampled target is exact, so a gadget with an
     interior vertex and an exact F(K_n) searches no target of its own."""
-    if not isinstance(pair_count, int) or isinstance(pair_count, bool):
-        raise ValueError(f"pair_count must be an int, got {pair_count!r}")
-    if pair_count < 1:  # no pairs would pass vacuously
-        raise ValueError(f"pair_count must be at least 1, got {pair_count}")
-    _check_seed(seed)
+    check_int(pair_count, "pair_count", 1)  # no pairs would pass vacuously
+    check_int(seed, "seed")  # random.Random(None) would draw from OS entropy
     check_digraph_size(n)
     masks = digraph_masks(n, True)
     rng = random.Random(seed)
@@ -782,14 +780,6 @@ def full_embedding_spot_check(
         {(rng.randrange(len(masks)), rng.randrange(len(masks))) for _ in range(pair_count)}
     )
     return _embedding_sweep(gadget, n, [((n, masks[i]), (n, masks[j])) for i, j in chosen_idx], None)
-
-
-def _check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is an int and not a bool:
-    ``random.Random(None)`` draws from OS entropy, and a report drawn so
-    cannot be reproduced; a bool is an int only by accident."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an int, got {seed!r}")
 
 
 def _embedding_sweep(gadget: Gadget, n: int, pairs, progress) -> EmbeddingReport:
@@ -886,19 +876,18 @@ def dichotomy_sweep(
     carrier class is searched once, at its least edge mask, the first of its
     carriers the sweep reaches (``class_sweep``); ``instances`` counts labeled
     instances.  Carriers above ``CARRIER_ENUMERATION_CAP`` vertices, a
-    universal or an empty base are a ValueError, and so is a ``seed`` that
-    is not an int, so that every report can be reproduced; the base is
-    classified once, before the first instance.
+    universal or an empty base are a ValueError, and so is a count or a
+    ``seed`` that is not an int, so that every report can be reproduced;
+    all of it is checked, and the base classified once, before the first
+    instance.
     """
-    if max_carrier < 1:  # a sweep over no carrier sizes would pass vacuously
-        raise ValueError(f"max_carrier must be at least 1, got {max_carrier}")
+    check_int(max_carrier, "max_carrier", 1)  # a sweep over no carrier sizes would pass vacuously
     if max_carrier > CARRIER_ENUMERATION_CAP:
         raise ValueError(
             f"carrier enumeration is capped at {CARRIER_ENUMERATION_CAP} vertices (requested {max_carrier})"
         )
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
-    _check_seed(seed)
+    check_int(samples, "samples", 0)
+    check_int(seed, "seed")  # random.Random(None) would draw from OS entropy
     if not base.vertices:  # no carrier with a vertex maps to it
         raise ValueError("base has no vertices, so the sweep would pass vacuously")
     decomposition = _path_decomposition(base)
@@ -938,8 +927,7 @@ def random_slice_object(
     """
     if not base.vertices:
         raise ValueError("base has no vertices, so no vertex can be coloured")
-    if max_vertices < 1:
-        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+    check_int(max_vertices, "max_vertices", 1)
     n = rng.randint(1, max_vertices)
     vs = [f"v{i}" for i in range(n)]
     colors = {v: rng.choice(base.vertices) for v in vs}

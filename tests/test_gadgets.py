@@ -7,7 +7,7 @@ import pytest
 
 from slicecat import gadgets, homsearch
 from slicecat.arrow import arrow_graph, phi, product_slice
-from slicecat.core import Digraph, Graph, build_path, is_homomorphism
+from slicecat.core import Digraph, Graph, SliceObject, build_path, is_homomorphism
 from slicecat.gadgets import (
     BUILTIN_GADGET_NAMES,
     Gadget,
@@ -24,8 +24,11 @@ from slicecat.gadgets import (
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
+    digraph_from_mask,
     enumerate_digraphs,
     enumerate_homs,
+    labeled_digraph_classes,
+    loop_mask,
 )
 from slicecat.universality import full_embedding_check
 
@@ -35,6 +38,12 @@ SINGLE_ARC = Digraph(["u", "v"], [("u", "v")])
 TWO_CYCLE = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
 LOOP = Digraph(["u"], [("u", "u")])
 TWO_ARC_PATH = Digraph(["x", "y", "z"], [("x", "y"), ("y", "z")])
+
+
+def complete_digraph(n: int, loops: bool) -> Digraph:
+    """K_n on v0..v(n-1): every arc, and every loop when ``loops``."""
+    full = (1 << n * n) - 1
+    return digraph_from_mask(n, full if loops else full & ~loop_mask(n))
 
 
 def validated_verify_gadget(gadget, D) -> GadgetReport:
@@ -131,6 +140,23 @@ class TestReplacementFamily:
         with pytest.raises(ValueError):
             build_gk(1)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_odd_cycle_map_is_a_gadget_for_loop_free_digraphs(self, k):
+        # gk(k) over C_{2k-1} by its odd-cycle map, pointed at K and M (one
+        # residue, not adjacent): on loop-free digraphs its slice homs are the
+        # copies, and a loop folds the K-L and L-M paths onto each other
+        gk = build_gk(k)
+        gadget = Gadget(SliceObject(gk.graph, gk.to_odd_cycle.codomain, gk.to_odd_cycle), "K", "M")
+        classes = sorted({(n, m) for n, m in labeled_digraph_classes(4, True) if not m & loop_mask(n)})
+        assert len(classes) == 217
+        assert [key for key in classes if not verify_gadget(gadget, digraph_from_mask(*key)).verdict] == []
+        for n, homs in [(4, 12), (5, 20), (6, 30)]:
+            report = verify_gadget(gadget, complete_digraph(n, loops=False))
+            assert report.verdict and report.hom_count == homs
+        report = verify_gadget(gadget, LOOP)
+        assert not report.verdict and report.hom_count == 4
+        assert report.counterexample.kind == "extra-hom"
+
 
 class TestVerifyGadget:
     def test_c3_single_arc(self):
@@ -213,6 +239,42 @@ class TestVerifyGadget:
                 verify_gadget_exhaustive(builtin_gadget("C3"), max_n)
         with pytest.raises(ValueError, match="at least one vertex"):
             verify_mutated_gadget(builtin_gadget("C4"), "c", "0", max_n=0)
+
+
+def closed_walks(base: Graph, length: int) -> list[tuple]:
+    """The closed walks of ``length`` edges in ``base``, one of each reversal pair."""
+    walks = [(v,) for v in base.vertices]
+    for _ in range(length):
+        walks = [w + (u,) for w in walks for u in base.neighbors(w[-1])]
+    return sorted({min(w, w[::-1]) for w in walks if w[0] == w[-1]})
+
+
+def path_gadget(base: Graph, walk: tuple) -> Gadget:
+    """The coloured path along ``walk``, pointed at its two ends."""
+    ps = [f"p{i}" for i in range(len(walk))]
+    return Gadget(SliceObject(Graph(ps, zip(ps, ps[1:])), base, dict(zip(ps, walk))), ps[0], ps[-1])
+
+
+@pytest.mark.parametrize("name, passing", [("C3", 3), ("C4", 4), ("Y", 3)])
+def test_builtin_is_the_shortest_coloured_path_gadget(name, passing):
+    # every closed walk up to the built-in's length as a gadget, decided on
+    # K_2, K_3 and K_4 with loops: no shorter walk passes, and at its length
+    # only the built-in's colour walk under the base's automorphisms does
+    builtin = builtin_gadget(name)
+    base = builtin.base
+    length = builtin.carrier.vertex_count - 1
+    targets = [complete_digraph(n, loops=True) for n in (2, 3, 4)]
+
+    def passes(walk):
+        return all(verify_gadget(path_gadget(base, walk), D).verdict for D in targets)
+
+    for shorter in range(2, length):
+        assert not any(passes(w) for w in closed_walks(base, shorter)), shorter
+    autos = [h for h in enumerate_homs(base, base) if len(set(h.as_dict().values())) == base.vertex_count]
+    colours = tuple(builtin.slice.color(v) for v in builtin.carrier.vertices)
+    images = {min(w, w[::-1]) for w in (tuple(h(c) for c in colours) for h in autos)}
+    found = [w for w in closed_walks(base, length) if passes(w)]
+    assert len(found) == passing and set(found) == images
 
 
 class TestMutations:

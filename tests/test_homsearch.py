@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
+from slicecat import universality
 from slicecat.arrow import product_layout, product_rows
-from slicecat.core import Digraph, Graph, SliceObject, build_cycle, build_path
-from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget, verify_gadget_exhaustive
+from slicecat.core import Digraph, Graph, SliceObject, build_cycle, build_path, build_star
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, build_gk, builtin_gadget, verify_gadget_exhaustive
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
@@ -24,7 +26,7 @@ from slicecat.homsearch import (
     slice_hom_count,
     slice_pattern,
 )
-from slicecat.universality import full_embedding_check, full_embedding_spot_check
+from slicecat.universality import dichotomy_sweep, full_embedding_check, full_embedding_spot_check, random_slice_object
 
 from conftest import (
     graph_variable_order,
@@ -314,6 +316,44 @@ class TestDigraphEnumeration:
         a = [d.arcs for d in enumerate_digraphs(2, True)]
         b = [d.arcs for d in enumerate_digraphs(2, True)]
         assert a == b
+
+
+_P1 = build_path(1)
+_P1_OVER_P1 = SliceObject(_P1, _P1, {"v0": "v0", "v1": "v1"})
+_ARC = Digraph(["u", "v"], [("u", "v")])
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 2.0], ids=["bool", "float", "whole-float"])
+@pytest.mark.parametrize(
+    "run, what",
+    [
+        (lambda v: dichotomy_sweep(build_path(3), v, samples=5), "max_carrier"),
+        (lambda v: dichotomy_sweep(build_path(3), 2, samples=v), "samples"),
+        (lambda v: random_slice_object(build_path(3), random.Random(1), max_vertices=v), "max_vertices"),
+        (lambda v: list(enumerate_graphs(v)), "vertex count"),
+        (lambda v: list(enumerate_homs(_P1, _P1, limit=v)), "limit"),
+        (lambda v: list(enumerate_slice_homs(_P1_OVER_P1, _P1_OVER_P1, v)), "limit"),
+        (lambda v: list(enumerate_digraph_homs(_ARC, _ARC, v)), "limit"),
+        (build_path, "path length"),
+        (build_cycle, "cycle length"),
+        (build_star, "leaf count"),
+        (build_gk, "k"),
+    ],
+    ids=[
+        "dichotomy-max-carrier", "dichotomy-samples", "random-slice-object", "enumerate-graphs",
+        "homs", "slice-homs", "digraph-homs", "path", "cycle", "star", "gk",
+    ],
+)
+def test_count_that_is_not_an_int_is_an_error(monkeypatch, run, what, value):
+    # core.check_int is the one rule: True == 1 would run as a size of 1, and a
+    # float would reach range(); the dichotomy sweep refuses before any instance
+    def no_instances(*args):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(universality, "least_masks", no_instances)
+    monkeypatch.setattr(universality, "_check_dichotomy_instance", no_instances)
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be an int, got {value!r}")):
+        run(value)
 
 
 class TestDigraphHoms:
