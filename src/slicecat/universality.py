@@ -105,30 +105,22 @@ def classify_slice_base(G: Graph) -> BaseClassification:
     a cycle, or some component is a path with at least five vertices;
     otherwise every component is a path of length at most three.
     """
-    for v in G.vertices:
-        if G.degree(v) >= 3:
-            leaves = G.neighbors(v)[:3]
-            pattern = build_star(3)
-            mapping = {"v0": v, "v1": leaves[0], "v2": leaves[1], "v3": leaves[2]}
-            return BaseClassification(
-                BaseVerdict.UNIVERSAL, "Y", Morphism(pattern, G, mapping)
-            )
-    cycles, paths = [], []
-    for comp in G.components():
-        # no degree exceeds 2 here, so the all-2 components are the cycles;
-        # dropping comp[0] leaves a path whose ends are its two neighbours
-        if all(G.degree(v) == 2 for v in comp):
-            cycles.append((comp[0],) + path_order(G, comp[1:]))
-        else:
-            paths.append(path_order(G, comp))
-    if cycles:
-        order: Optional[tuple[Vertex, ...]] = cycles[0]
-        name = {3: "C3", 4: "C4"}.get(len(cycles[0]), "P4")
+    hub = next((v for v in G.vertices if G.degree(v) >= 3), None)
+    if hub is not None:  # build_star(3) is centre v0 with leaves v1..v3
+        name, order = "Y", (hub, *G.neighbors(hub)[:3])
     else:
-        order = next((p for p in paths if len(p) >= 5), None)
-        name = "P4"
-    if order is None:
-        return BaseClassification(BaseVerdict.NOT_UNIVERSAL, decomposition=tuple(paths))
+        cycles, paths = [], []
+        for comp in G.components():
+            # no degree exceeds 2 here, so the all-2 components are the cycles;
+            # dropping comp[0] leaves a path whose ends are its two neighbours
+            if all(G.degree(v) == 2 for v in comp):
+                cycles.append((comp[0],) + path_order(G, comp[1:]))
+            else:
+                paths.append(path_order(G, comp))
+        order = cycles[0] if cycles else next((p for p in paths if len(p) >= 5), None)
+        if order is None:
+            return BaseClassification(BaseVerdict.NOT_UNIVERSAL, decomposition=tuple(paths))
+        name = {3: "C3", 4: "C4"}.get(len(order), "P4")  # a longer cycle or path holds P4
     mapping = {f"v{i}": w for i, w in enumerate(order[:5])}
     return BaseClassification(BaseVerdict.UNIVERSAL, name, Morphism(PATTERN_BUILDERS[name](), G, mapping))
 
@@ -443,10 +435,33 @@ def classify_slice_object(X: SliceObject) -> DichotomyResult:
     ``RetractionPlan.validate``, and every verdict is cross-checked against
     the core test (``endomorphism_verdict``); a disagreement is a RuntimeError.
     """
-    return _classify_over_paths(X, _base_decomposition(X.base))
+    decomposition = _base_decomposition(X.base)
+    path_of = {b: order for order in decomposition for b in order}
+    position = {b: i for order in decomposition for i, b in enumerate(order)}
+    f = X.structure_map
+
+    infos = []
+    for comp in X.carrier.components():
+        img = sorted({position[f(v)] for v in comp})
+        if img != list(range(img[0], img[-1] + 1)):
+            raise RuntimeError("connected component has a non-contiguous image")
+        order = path_of[f(comp[0])]
+        outcome = retract_slice_to_path(_component_slice(X, comp, order, img[0], img[-1]))
+        if isinstance(outcome, RetractionPlan):
+            result = DichotomyResult(EndoVerdict.HAS_PROPER_ENDOMORPHISM, _proper_endomorphism(X, outcome.retraction))
+            break
+        infos.append((comp, order, img[0], img[-1]))
+    else:  # every component is rigid
+        result = _fold_comparable_components(X, infos) or DichotomyResult(EndoVerdict.RIGID)
+    problem = _enumeration_disagreement(X, result.verdict)
+    if problem is not None:
+        raise RuntimeError(problem)
+    return result
 
 
-def _path_decomposition(base: Graph) -> tuple[tuple[Vertex, ...], ...]:
+# one classification per distinct base graph; a universal base raises, so it is never kept
+@lru_cache(maxsize=16)
+def _base_decomposition(base: Graph) -> tuple[tuple[Vertex, ...], ...]:
     """The base's components as paths in order; ValueError for a universal base."""
     base_cls = classify_slice_base(base)
     if base_cls.verdict is BaseVerdict.UNIVERSAL:
@@ -457,38 +472,14 @@ def _path_decomposition(base: Graph) -> tuple[tuple[Vertex, ...], ...]:
     return base_cls.decomposition or ()
 
 
-# one classification per distinct base graph; a universal base raises, so it is never kept
-_base_decomposition = lru_cache(maxsize=16)(_path_decomposition)
-
-
-def _classify_over_paths(X: SliceObject, decomposition: tuple[tuple[Vertex, ...], ...]) -> DichotomyResult:
-    """``classify_slice_object`` with the base's ``decomposition`` given."""
-    path_of = {b: order for order in decomposition for b in order}
-    position = {b: i for order in decomposition for i, b in enumerate(order)}
-    f = X.structure_map
-
-    result: Optional[DichotomyResult] = None
-    infos = []
-    for comp in X.carrier.components():
-        img = sorted({position[f(v)] for v in comp})
-        if img != list(range(img[0], img[-1] + 1)):
-            raise RuntimeError("connected component has a non-contiguous image")
-        order = path_of[f(comp[0])]
-        outcome = retract_slice_to_path(_component_slice(X, comp, order, img[0], img[-1]))
-        if isinstance(outcome, RetractionPlan):
-            endo = {v: v for v in X.carrier.vertices}
-            endo.update(outcome.retraction.as_dict())
-            witness = SliceMorphism(X, X, endo)
-            result = DichotomyResult(EndoVerdict.HAS_PROPER_ENDOMORPHISM, witness)
-            break
-        infos.append((comp, order, img[0], img[-1]))
-
-    if result is None:
-        result = _fold_comparable_components(X, infos) or DichotomyResult(EndoVerdict.RIGID)
-    problem = _enumeration_disagreement(X, result.verdict)
-    if problem is not None:
-        raise RuntimeError(problem)
-    return result
+def _proper_endomorphism(X: SliceObject, part: Morphism) -> SliceMorphism:
+    """The endomorphism of X that is ``part`` on its domain and the identity
+    elsewhere, validated; a RuntimeError if it is a bijection.  A retraction
+    onto a path that is a proper subset of the carrier never is."""
+    witness = SliceMorphism(X, X, {v: v for v in X.carrier.vertices} | part.as_dict())
+    if witness.map.is_bijective():
+        raise RuntimeError("proper endomorphism witness is a bijection")
+    return witness
 
 
 def _component_slice(
@@ -518,12 +509,7 @@ def _fold_comparable_components(X: SliceObject, infos) -> Optional[DichotomyResu
                 _component_slice(X, comp_i, order_i, 0, top),
                 _component_slice(X, comp_j, order_i, 0, top),
             )
-            endo = {v: v for v in X.carrier.vertices}
-            endo.update(fold.map.as_dict())
-            witness = SliceMorphism(X, X, endo)
-            if witness.map.is_bijective():
-                raise RuntimeError("cross-component fold produced a bijection")
-            return DichotomyResult(EndoVerdict.HAS_PROPER_ENDOMORPHISM, witness)
+            return DichotomyResult(EndoVerdict.HAS_PROPER_ENDOMORPHISM, _proper_endomorphism(X, fold.map))
     return None
 
 
@@ -851,15 +837,16 @@ class DichotomyReport:
         }
 
 
-def _check_dichotomy_instance(X: SliceObject, decomposition: tuple[tuple[Vertex, ...], ...]) -> Optional[str]:
+def _check_dichotomy_instance(X: SliceObject) -> Optional[str]:
     """None when the instance satisfies the dichotomy, else a description.
 
-    The classifier cross-checks its verdict, and ``RetractionPlan.validate``
-    is the one check of a length-3 retraction; both fail by raising.  Every
-    instance is built by the library, so a ``RuntimeError`` or a
-    ``ValueError`` is a fault of the classifier, reported as a violation."""
+    ``classify_slice_object`` cross-checks its verdict, and
+    ``RetractionPlan.validate`` is the one check of a length-3 retraction;
+    both fail by raising.  Every instance is built by the library, so a
+    ``RuntimeError`` or a ``ValueError`` is a fault of the classifier,
+    reported as a violation."""
     try:
-        _classify_over_paths(X, decomposition)
+        classify_slice_object(X)
     except (RuntimeError, ValueError) as exc:
         return f"constructive classification failed: {exc}"
     return None
@@ -879,7 +866,8 @@ def dichotomy_sweep(
     universal or an empty base are a ValueError, and so is a count or a
     ``seed`` that is not an int, so that every report can be reproduced;
     all of it is checked, and the base classified once, before the first
-    instance.
+    instance.  Each instance goes through ``classify_slice_object``, which
+    reads that classification from its base memo.
     """
     check_int(max_carrier, "max_carrier", 1)  # a sweep over no carrier sizes would pass vacuously
     if max_carrier > CARRIER_ENUMERATION_CAP:
@@ -890,7 +878,7 @@ def dichotomy_sweep(
     check_int(seed, "seed")  # random.Random(None) would draw from OS entropy
     if not base.vertices:  # no carrier with a vertex maps to it
         raise ValueError("base has no vertices, so the sweep would pass vacuously")
-    decomposition = _path_decomposition(base)
+    _base_decomposition(base)  # a universal base is refused here, before any instance
     rng = random.Random(seed)
 
     def check(key):
@@ -901,7 +889,7 @@ def dichotomy_sweep(
         else:  # each sample key is new, so the samples are drawn in order
             objects = [random_slice_object(base, rng)]
         for count, X in enumerate(objects, 1):
-            problem = _check_dichotomy_instance(X, decomposition)
+            problem = _check_dichotomy_instance(X)
             if problem is not None:
                 return (count,), DichotomyViolation(X.to_dict(), problem)
         return (len(objects),), None

@@ -162,7 +162,7 @@ def labeled_strong(H, a, b, max_n, regime) -> dict:
 def labeled_dichotomy(base, max_carrier, samples=0, seed=0, progress=None) -> DichotomyReport:
     """Every labeled connected carrier, every hom into the base, then the
     seeded samples: one check per instance."""
-    decomposition = universality._path_decomposition(base)
+    universality._base_decomposition(base)  # a universal base is refused before any instance
 
     def objects():
         for n in range(1, max_carrier + 1):
@@ -179,7 +179,7 @@ def labeled_dichotomy(base, max_carrier, samples=0, seed=0, progress=None) -> Di
         instances += 1
         if progress and instances % 200 == 0:
             progress(instances)
-        problem = universality._check_dichotomy_instance(X, decomposition)
+        problem = universality._check_dichotomy_instance(X)
         if problem is not None:
             return DichotomyReport(instances, False, DichotomyViolation(X.to_dict(), problem))
     return DichotomyReport(instances, True)
@@ -587,12 +587,12 @@ def test_dichotomy_fails_inside_a_size_like_the_labeled_sweep(monkeypatch):
     target, orbit = _late_carrier_class(5, P3, 4)
     real = universality._check_dichotomy_instance
 
-    def liar(X, decomposition):
+    def liar(X):
         # invariant under relabeling: the carrier's class and a surjective structure map
         carrier = X.carrier
         if carrier.vertex_count == 5 and _edge_mask(carrier) in orbit and len(set(X.image())) == 4:
             return "planted"
-        return real(X, decomposition)
+        return real(X)
 
     monkeypatch.setattr(universality, "_check_dichotomy_instance", liar)
     reduced = dichotomy_sweep(P3, 5, samples=10, seed=1)

@@ -83,6 +83,25 @@ class TestClassifySliceBase:
         assert result.verdict is verdict
         assert result.pattern == pattern
 
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            # the first three neighbours of the hub are the leaves
+            (build_star(5), {"v0": "v0", "v1": "v1", "v2": "v2", "v3": "v3"}),
+            # the hub is the first vertex of degree 3, not the least vertex
+            (Graph(["a", "b", "c", "d", "e"], [("a", "e"), ("e", "b"), ("e", "d"), ("c", "d")]),
+             {"v0": "e", "v1": "a", "v2": "b", "v3": "d"}),
+            # a triangle with a pendant: Y is tried before any cycle
+            (Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]),
+             {"v0": "c", "v1": "a", "v2": "b", "v3": "d"}),
+        ],
+        ids=["star5", "late-hub", "triangle-and-hub"],
+    )
+    def test_y_witness_is_pinned(self, graph, expected):
+        assert classify_slice_base(graph).to_dict() == {
+            "verdict": "universal", "pattern": "Y", "embedding": {"map": expected}
+        }
+
     def test_universal_witness_revalidates(self):
         for graph in (build_cycle(3), build_cycle(6), build_star(5), build_path(9)):
             result = classify_slice_base(graph)
@@ -339,7 +358,7 @@ class TestClassifySliceObject:
 
     def test_equal_bases_share_one_classification(self, monkeypatch):
         # the memo is keyed by the base's value: an equal graph built anew is a hit
-        expected = universality._path_decomposition(P3)
+        expected = classify_slice_base(P3).decomposition
         calls = []
         classify = universality.classify_slice_base
         monkeypatch.setattr(universality, "classify_slice_base", lambda G: calls.append(G) or classify(G))
@@ -362,6 +381,11 @@ class TestClassifySliceObject:
             messages.append(str(exc.value))
         assert len(set(messages)) == 1 and len(calls) == 3
         assert universality._base_decomposition.cache_info().currsize == 0
+
+    def test_proper_endomorphism_refuses_a_bijection(self):
+        x = identity_slice(P3)
+        with pytest.raises(RuntimeError, match="bijection"):
+            universality._proper_endomorphism(x, Morphism.identity(P3))
 
     def test_empty_carrier_rigid(self):
         x = SliceObject(Graph([]), P3, {})
@@ -452,6 +476,27 @@ class TestDichotomySweep:
         report = dichotomy_sweep(base, 3, samples=30, seed=4)
         assert report.verdict and report.instances > 30
         assert calls == [base]
+        # the sweep fills the memo, and every instance's classifier reads it
+        info = universality._base_decomposition.cache_info()
+        assert info.misses == 1 and info.hits > 0
+
+    def test_sweep_classifies_through_the_public_name(self, monkeypatch):
+        exhaustive = dichotomy_sweep(P3, 3).instances
+        rng = random.Random(9)
+        seventh = [random_slice_object(P3, rng) for _ in range(7)][-1]
+        classify = universality.classify_slice_object
+
+        def planted(X):
+            if X == seventh:
+                raise RuntimeError("planted")
+            return classify(X)
+
+        monkeypatch.setattr(universality, "classify_slice_object", planted)
+        report = dichotomy_sweep(P3, 3, samples=20, seed=9)
+        assert not report.verdict and report.instances == exhaustive + 7
+        assert report.violation.to_dict() == {
+            "instance": seventh.to_dict(), "detail": "constructive classification failed: planted"
+        }
 
     def test_universal_base_is_refused_before_any_instance(self, monkeypatch):
         def no_instances(n, directed):
@@ -525,8 +570,8 @@ class TestDichotomySweep:
         seventh = [random_slice_object(P3, rng) for _ in range(7)][-1]
         check = universality._check_dichotomy_instance
 
-        def planted(X, decomposition):
-            return "planted" if X == seventh else check(X, decomposition)
+        def planted(X):
+            return "planted" if X == seventh else check(X)
 
         monkeypatch.setattr(universality, "_check_dichotomy_instance", planted)
         report = dichotomy_sweep(P3, 3, samples=20, seed=9)
