@@ -21,16 +21,33 @@ from string import ascii_lowercase
 from typing import Optional
 
 from . import arrow
-from .core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, Vertex, build_cycle, check_int, document_id
+from .core import (
+    Digraph,
+    Graph,
+    Morphism,
+    SliceMorphism,
+    SliceObject,
+    Vertex,
+    build_cycle,
+    build_path,
+    build_star,
+    check_int,
+    document_id,
+)
 from .homsearch import class_sweep, digraph_from_mask, hom_leaves, labeled_digraph_classes, loop_mask
 
-# per built-in gadget, keyed by its base graph: the base's edges and the
-# colours along the carrier path a, b, c, ...
+# the four minimal universal bases, over v0, v1, ...: a base graph is universal
+# iff it contains one of them
+MINIMAL_BASES = {"C3": build_cycle(3), "C4": build_cycle(4), "P4": build_path(4), "Y": build_star(3)}
+
+# per built-in gadget, keyed by its base graph: the ids its base gives v0, v1,
+# ... of the minimal base (the embedding classify_slice_base reports for that
+# base) and the colours along the carrier path a, b, c, ...
 _BUILTIN_GADGETS = {
-    "C3": ("01 12 02", "0120"),
-    "C4": ("01 12 23 03", "01230"),
-    "P4": ("01 12 23 34", "0121234323210"),
-    "Y": ("01 12 13", "0121310"),
+    "C3": ("012", "0120"),
+    "C4": ("0123", "01230"),
+    "P4": ("01234", "0121234323210"),
+    "Y": ("1023", "0121310"),
 }
 BUILTIN_GADGET_NAMES = tuple(_BUILTIN_GADGETS)
 
@@ -85,8 +102,8 @@ def builtin_gadget(base_name: str) -> Gadget:
     """One of the four verified gadgets, keyed by its base graph."""
     if base_name.upper() not in _BUILTIN_GADGETS:
         raise ValueError(f"unknown built-in gadget {base_name!r}; have {BUILTIN_GADGET_NAMES}")
-    edges, colors = _BUILTIN_GADGETS[base_name.upper()]
-    base = Graph(set(edges.replace(" ", "")), edges.split())
+    ids, colors = _BUILTIN_GADGETS[base_name.upper()]
+    base = MINIMAL_BASES[base_name.upper()].relabel({f"v{i}": w for i, w in enumerate(ids)})
     letters = list(ascii_lowercase[: len(colors)])
     carrier = Graph(letters, zip(letters, letters[1:]))
     return Gadget(SliceObject(carrier, base, dict(zip(letters, colors))), letters[0], letters[-1])

@@ -34,13 +34,11 @@ from .core import (
     SliceMorphism,
     SliceObject,
     Vertex,
-    build_cycle,
     build_path,
-    build_star,
     check_int,
     path_order,
 )
-from .gadgets import Gadget
+from .gadgets import MINIMAL_BASES, Gadget
 from .homsearch import (
     CARRIER_ENUMERATION_CAP,
     EndoVerdict,
@@ -60,14 +58,6 @@ from .homsearch import (
     mask_pairs,
     slice_pattern,
 )
-
-PATTERN_BUILDERS = {
-    "C3": lambda: build_cycle(3),
-    "C4": lambda: build_cycle(4),
-    "P4": lambda: build_path(4),
-    "Y": lambda: build_star(3),
-}
-
 
 class BaseVerdict(enum.Enum):
     UNIVERSAL = "universal"
@@ -106,7 +96,7 @@ def classify_slice_base(G: Graph) -> BaseClassification:
     otherwise every component is a path of length at most three.
     """
     hub = next((v for v in G.vertices if G.degree(v) >= 3), None)
-    if hub is not None:  # build_star(3) is centre v0 with leaves v1..v3
+    if hub is not None:  # Y is centre v0 with leaves v1..v3
         name, order = "Y", (hub, *G.neighbors(hub)[:3])
     else:
         cycles, paths = [], []
@@ -122,7 +112,7 @@ def classify_slice_base(G: Graph) -> BaseClassification:
             return BaseClassification(BaseVerdict.NOT_UNIVERSAL, decomposition=tuple(paths))
         name = {3: "C3", 4: "C4"}.get(len(order), "P4")  # a longer cycle or path holds P4
     mapping = {f"v{i}": w for i, w in enumerate(order[:5])}
-    return BaseClassification(BaseVerdict.UNIVERSAL, name, Morphism(PATTERN_BUILDERS[name](), G, mapping))
+    return BaseClassification(BaseVerdict.UNIVERSAL, name, Morphism(MINIMAL_BASES[name], G, mapping))
 
 
 @dataclass(frozen=True)
@@ -149,21 +139,10 @@ def classify_cone_base(G: Graph) -> ConeClassification:
     BFS 2-colors each component; a same-color edge closes an odd cycle, which
     is extracted through the two tree paths to their meeting point.
     """
-    # a vertex's colour is the parity of its BFS depth
-    parent: dict[Vertex, Optional[Vertex]] = {}
-    depth: dict[Vertex, int] = {}
-    for comp in G.components():
-        root = comp[0]
-        parent[root] = None
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in G.neighbors(x):
-                if y not in depth:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
+    # a vertex's colour is the parity of its BFS depth from its component's
+    # least vertex; the components are disjoint, so one multi-source BFS
+    # walks each of them as a BFS from that vertex alone would
+    depth, parent = _bfs(G, [comp[0] for comp in G.components()])
     for u, v in G.edges:
         if (depth[u] - depth[v]) % 2:
             continue
@@ -253,16 +232,21 @@ class RetractionPlan:
         SliceMorphism(X, X, r)  # commuting triangle re-check
 
 
-def _bfs_distance(graph: Graph, sources: list[Vertex]) -> dict[Vertex, int]:
+def _bfs(graph: Graph, sources: list[Vertex]) -> tuple[dict[Vertex, int], dict[Vertex, Optional[Vertex]]]:
+    """Breadth-first search from ``sources``: each reached vertex's distance
+    to the nearest source and its parent in the search tree (None at a
+    source)."""
     dist = {s: 0 for s in sources}
+    parent: dict[Vertex, Optional[Vertex]] = dict.fromkeys(sources)
     queue = deque(sources)
     while queue:
         x = queue.popleft()
         for y in graph.neighbors(x):
             if y not in dist:
                 dist[y] = dist[x] + 1
+                parent[y] = x
                 queue.append(y)
-    return dist
+    return dist, parent
 
 
 def _path_base(base: Graph) -> tuple[tuple[Vertex, ...], dict[Vertex, int]]:
@@ -301,7 +285,7 @@ def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertifica
     if n <= 2:
         path = _find_section(X, base_ord)
     else:
-        sigma = _bfs_distance(X.carrier, list(X.fiber(base_ord[3])))
+        sigma = _bfs(X.carrier, list(X.fiber(base_ord[3])))[0]
         k = min(sigma[s] for s in pre0)
         path = [min(s for s in pre0 if sigma[s] == k)]
         while sigma[path[-1]] > 0:
@@ -311,7 +295,7 @@ def retract_slice_to_path(X: SliceObject) -> RetractionPlan | RigidPathCertifica
     if set(path) == set(X.carrier.vertices):
         return RigidPathCertificate(tuple(path))
 
-    tau = _bfs_distance(X.carrier, pre0)
+    tau = _bfs(X.carrier, pre0)[0]
 
     def target_index(v: Vertex) -> int:
         c = pos[f(v)]

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +50,6 @@ from slicecat.universality import (
     EmbeddingViolation,
     RetractionPlan,
     RigidPathCertificate,
-    _bfs_distance,
     _find_section,
     _path_fold,
 )
@@ -216,6 +215,20 @@ def random_connected_surjective_slice(base: Graph, rng: random.Random, *, max_ve
             if base.has_edge(colors[u], colors[v]) and rng.random() < 0.35:
                 edges.append((u, v))
     return SliceObject(Graph(vs, edges), base, colors)
+
+
+def _bfs_distance(graph: Graph, sources: list[Vertex]) -> dict[Vertex, int]:
+    """Distance to the nearest of ``sources``, for every vertex reached: the
+    reference's own search, sharing no code with the retraction it checks."""
+    dist = {s: 0 for s in sources}
+    queue = deque(sources)
+    while queue:
+        x = queue.popleft()
+        for y in graph.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 class RetractionTieError(RuntimeError):

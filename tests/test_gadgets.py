@@ -30,7 +30,7 @@ from slicecat.homsearch import (
     labeled_digraph_classes,
     loop_mask,
 )
-from slicecat.universality import full_embedding_check
+from slicecat.universality import classify_slice_base, full_embedding_check
 
 from conftest import gadget_building_mutants, structure_map_mutations, verify_mutated_gadget
 
@@ -98,6 +98,15 @@ class TestBuiltins:
         (c,), (e,) = g.slice.fiber("2"), g.slice.fiber("3")
         mid = set(g.carrier.neighbors(c)) & set(g.carrier.neighbors(e))
         assert mid and not g.carrier.has_edge(c, e)
+
+    @pytest.mark.parametrize("name", BUILTIN_GADGET_NAMES)
+    def test_base_is_its_minimal_graph_under_the_classifier_renaming(self, name):
+        # each gadget's base is its minimal graph renamed v_i -> ids[i], and
+        # that renaming is the embedding the classifier reports for the base
+        ids, _ = gadgets._BUILTIN_GADGETS[name]
+        result = classify_slice_base(builtin_gadget(name).base)
+        assert result.pattern == name
+        assert result.embedding.as_dict() == {f"v{i}": w for i, w in enumerate(ids)}
 
     def test_all_builtins_satisfy_gadget_invariants(self):
         for name in BUILTIN_GADGET_NAMES:

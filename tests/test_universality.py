@@ -19,10 +19,11 @@ from slicecat.core import (
     disjoint_union,
 )
 from slicecat.arrow import arrow_slice
-from slicecat.gadgets import BUILTIN_GADGET_NAMES, builtin_gadget
+from slicecat.gadgets import BUILTIN_GADGET_NAMES, Gadget, builtin_gadget, verify_gadget
 from slicecat.homsearch import (
     EndoVerdict,
     classify_endomorphisms,
+    digraph_from_mask,
     enumerate_digraph_homs,
     enumerate_digraphs,
     enumerate_graphs,
@@ -132,6 +133,60 @@ class TestClassifySliceBase:
             assert classify_slice_base(g).verdict == naive_base_verdict(g)
 
 
+def _base_reaching(pattern: str, rng: random.Random) -> Graph:
+    """A seeded base whose classification is ``pattern``: the pattern's own
+    graph, a longer path or cycle for P4, or a wider star for Y, with 0-3
+    short paths beside it and every id scrambled."""
+    if pattern == "P4":
+        core = rng.choice([build_path(rng.randint(4, 9)), build_cycle(rng.randint(5, 9))])
+    elif pattern == "Y":
+        core = build_star(rng.randint(3, 6))
+    else:
+        core = build_cycle(int(pattern[1]))  # C3 or C4
+    g = disjoint_union([core] + [build_path(rng.randint(0, 3)) for _ in range(rng.randint(0, 3))])
+    names = rng.sample(range(1000), g.vertex_count)
+    return g.relabel({v: f"x{k}" for v, k in zip(g.vertices, names)})
+
+
+def _transported_gadget(pattern: str, G: Graph, ids: str | None = None) -> Gadget:
+    """The built-in gadget of ``pattern`` recoloured into G: its base read as
+    the minimal graph (through the classifier's embedding of that base, or
+    through v_i -> ids[i] when given), then mapped by G's embedding."""
+    g = builtin_gadget(pattern)
+    onto_pattern = {w: f"v{i}" for i, w in enumerate(ids)} if ids else {
+        w: v for v, w in classify_slice_base(g.base).embedding.as_dict().items()
+    }
+    into_G = classify_slice_base(G).embedding
+    colors = {x: into_G(onto_pattern[g.slice.color(x)]) for x in g.carrier.vertices}
+    return Gadget(SliceObject(g.carrier, G, colors), g.a, g.b)
+
+
+class TestUniversalDirectionOverTheUsersBase:
+    """A universal verdict transports its pattern's verified gadget onto the
+    user's base with no search: the classifier's embedding of the gadget's
+    own base renames it onto the minimal graph, and G's embedding takes it
+    into G.  Every built-in has an interior vertex, so a pass on the looped
+    complete digraph K_n covers the whole verify sweep up to n vertices."""
+
+    @pytest.mark.parametrize("pattern", BUILTIN_GADGET_NAMES)
+    def test_recoloured_gadget_verifies_over_seeded_bases(self, pattern):
+        rng = random.Random(f"transport:{pattern}")
+        for i in range(10):
+            G = _base_reaching(pattern, rng)
+            assert classify_slice_base(G).pattern == pattern
+            gadget = _transported_gadget(pattern, G)
+            for n in (4, 5, 6) if i == 0 else (4,):
+                report = verify_gadget(gadget, digraph_from_mask(n, (1 << n * n) - 1))
+                assert report.verdict and report.hom_count == n * n, (G, n)
+
+    def test_a_wrong_renaming_is_not_a_homomorphism(self):
+        # Y's gadget base has its centre at "1"; reading "0" as the centre
+        # sends the carrier edge b-c, coloured 1-2, onto two leaves of G
+        G = _base_reaching("Y", random.Random(5))
+        with pytest.raises(ValueError, match=r"does not preserve edge \('b', 'c'\)"):
+            _transported_gadget("Y", G, ids="0123")
+
+
 class TestClassifyConeBase:
     def test_odd_cycle_found(self):
         result = classify_cone_base(build_cycle(5))
@@ -151,6 +206,20 @@ class TestClassifyConeBase:
         result = classify_cone_base(g)
         assert result.verdict is BaseVerdict.UNIVERSAL
         assert all(v.startswith("1:") for v in result.odd_cycle)
+
+    def test_every_small_graph_keeps_its_classification(self):
+        # the verdict and witness of every labeled graph on at most 6
+        # vertices (33,868 graphs, 28,263 of them non-bipartite), pinned as
+        # a digest: a rewrite of the search must return the same reports
+        digest = hashlib.sha256()
+        tally: Counter = Counter()
+        for n in range(7):
+            for g in enumerate_graphs(n):
+                report = classify_cone_base(g).to_dict()
+                tally[report["verdict"]] += 1
+                digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
+        assert tally == {"universal": 28263, "not-universal": 5605}
+        assert digest.hexdigest() == "b92e06fb99854b053a98a8331f8420b8d3fd6483653f723faa2e09f8a63a105b"
 
     def test_odd_cycle_witness_is_a_real_cycle(self):
         rng = random.Random(73)
