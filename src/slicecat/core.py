@@ -292,13 +292,16 @@ def is_homomorphism(
     A non-total map or an image outside the codomain raises ``ValueError``
     (a malformed map is an error, not a negative answer).
     """
+    adj, edge_set = codomain._adj, codomain._edge_set  # type: ignore[attr-defined]
     for v in domain.vertices:
         if v not in mapping:
             raise ValueError(f"map is not total: no image for vertex {v!r}")
-        if not codomain.has_vertex(mapping[v]):
+        if mapping[v] not in adj:
             raise ValueError(f"image {mapping[v]!r} of {v!r} is not a codomain vertex")
     for u, v in domain.edges:
-        if not codomain.has_edge(mapping[u], mapping[v]):
+        a, b = mapping[u], mapping[v]
+        # the codomain has no loops, so a == b finds no edge
+        if ((a, b) if a < b else (b, a)) not in edge_set:
             return False, (u, v)
     return True, None
 
@@ -324,7 +327,9 @@ class Morphism:
             )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "_map", dict(sorted((str(k), str(v)) for k, v in mapping.items())))
+        # the map is total on the domain and names nothing else, so this is
+        # every key once, in the domain's sorted order
+        object.__setattr__(self, "_map", {v: mapping[v] for v in domain.vertices})
 
     @property
     def mapping(self) -> tuple[tuple[Vertex, Vertex], ...]:
@@ -426,12 +431,10 @@ class SliceMorphism:
         m = map if isinstance(map, Morphism) else Morphism(source.carrier, target.carrier, map)
         if m.domain != source.carrier or m.codomain != target.carrier:
             raise ValueError("carrier map endpoints do not match the slice objects")
+        above, below, image = target.structure_map._map, source.structure_map._map, m._map
         for v in source.carrier.vertices:
-            if target.color(m(v)) != source.color(v):
-                raise ValueError(
-                    f"triangle does not commute at {v!r}: "
-                    f"{target.color(m(v))!r} != {source.color(v)!r}"
-                )
+            if above[image[v]] != below[v]:
+                raise ValueError(f"triangle does not commute at {v!r}: {above[image[v]]!r} != {below[v]!r}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "map", m)

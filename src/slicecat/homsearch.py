@@ -6,7 +6,7 @@ lexicographic order.  Each pattern edge or arc is a binary constraint checked
 against per-host-vertex adjacency bitmasks (out and in for digraphs).  Slice
 colors and digraph loops narrow the initial domains.  AC-3 (Mackworth,
 "Consistency in networks of relations", 1977) runs at the root and after
-every assignment.
+every assignment, revising the variables from a first-in first-out queue.
 A revision narrows a variable's partners to the union of the support rows
 of its domain's values: a singleton domain reads its row, a larger one reads
 a table from domain bitset to union that is filled on first use.  Each
@@ -23,9 +23,10 @@ the variables that still have a choice (Bayardo & Pehoushek, AAAI 2000; Sang
 et al., SAT 2004), with a cache of component counts that lives for one call.
 ``hom_count``, ``slice_hom_count`` and ``digraph_hom_count`` return counts
 without building a morphism per solution.  ``classify_endomorphisms`` counts
-every subtree below an assignment that repeats a fixed value, where no
-bijection is left, and walks the rest.  ``endomorphism_verdict`` gives the
-same verdict without counts, from at most n + 1 existence searches.
+every subtree that holds no bijection, below an assignment that repeats a
+fixed value or where some vertex is in no domain, and walks the rest.
+``endomorphism_verdict`` gives the same verdict without counts, from at
+most n + 1 existence searches.
 
 A graph search is set up in two parts.  The pattern (the variable order,
 each variable's partner positions and colour) depends on the source alone;
@@ -57,8 +58,9 @@ progress and counterexamples keep a labeled meaning.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import islice, permutations
 from operator import add, or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -122,11 +124,13 @@ class _Unions(dict):
 
 def _propagate(doms: list[int], changed: Iterable[int], constraints: Constraints) -> Optional[list[int]]:
     """AC-3 from the variables in ``changed``, narrowing ``doms`` in place;
-    None when a domain is wiped out.  A singleton domain revises its partners
-    with its support row, a larger one with its union from the table."""
-    queue = list(changed)
+    None when a domain is wiped out.  The variables to revise wait in a
+    first-in first-out queue, as in Mackworth's AC-3.  A singleton domain
+    revises its partners with its support row, a larger one with its union
+    from the table."""
+    queue = deque(changed)
     while queue:
-        x = queue.pop()
+        x = queue.popleft()
         dx = doms[x]
         i = -1 if dx & (dx - 1) else dx.bit_length() - 1
         for support, unions, partners in constraints[x]:
@@ -210,12 +214,15 @@ def _count(doms: list[int], constraints: Constraints, cache: dict) -> int:
     constraint graph among them (Bayardo & Pehoushek, "Counting models using
     connected components", AAAI 2000).  Component counts multiply.  A
     one-variable component counts its domain's bits; a larger one branches on
-    its first variable, propagates and counts the rest, and is cached by its
-    variables and domains for the lifetime of ``cache`` (one caller's call).
+    the middle variable of the breadth-first order it was collected in,
+    propagates and counts the rest, and is cached by its variables and
+    domains for the lifetime of ``cache`` (one caller's call).  On a long
+    chain the middle variable splits the rest in two, so the nesting stays
+    shallow where branching on an end would peel one variable per level.
 
     Nested components are frames on an explicit stack, not Python calls, so
-    their depth (up to one per variable, as on a long path) is not bounded by
-    the recursion limit.
+    their depth (up to one per variable) is not bounded by the recursion
+    limit.
     """
     # per component being summed: the product it interrupted (domains,
     # pending variables, running total), then its cache key, branching
@@ -235,11 +242,12 @@ def _count(doms: list[int], constraints: Constraints, cache: dict) -> int:
             if len(component) == 1:
                 total *= doms[component[0]].bit_count()
                 continue
+            x = component[len(component) // 2]
             component.sort()
-            key = (tuple(component), tuple([doms[x] for x in component]))
+            key = (tuple(component), tuple([doms[y] for y in component]))
             count = cache.get(key)
             if count is None:
-                frames.append([doms, pending, total, key, component[0], component[1:], doms[component[0]], 0])
+                frames.append([doms, pending, total, key, x, [y for y in component if y != x], doms[x], 0])
                 break
             total *= count
         else:
@@ -428,24 +436,28 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
     Counts come from raw solutions; only the witness is built and validated.
 
     One depth-first walk in static order counts where it would otherwise
-    descend into maps that cannot be bijections.  When the value just
-    assigned is already another variable's only value, every solution below
-    is non-bijective: the walk adds ``_count`` of the node and does not
-    descend.  The leaves it reaches are told apart by their sum; they are
-    automorphisms unless propagation forced two variables onto one value.
+    descend into maps that cannot be bijections.  Two rules find such a
+    node: the value just assigned is already another variable's only value
+    (no solution below is injective), or some vertex is in no variable's
+    domain (none is surjective).  There the walk adds ``_count`` of the node
+    and does not descend.  The leaves it reaches are told apart by their
+    sum; they are automorphisms unless propagation forced two variables onto
+    one value.
     The first non-bijective leaf, or the first solution under the first
     counted node with a non-zero count, whichever the walk meets first, is
     the first non-bijective endomorphism in static order: the witness.
     """
     carrier = X if isinstance(X, Graph) else X.carrier
     variables, domains, constraints = _hom_search(X, X)
+    every_vertex = (1 << carrier.vertex_count) - 1
     cache: dict = {}
     endo_count = 0
     first: Optional[list[int]] = None
 
     def non_bijective(doms: list[int], depth: int) -> bool:
         nonlocal endo_count, first
-        if doms.count(doms[depth]) == 1:  # no other variable is fixed to this value
+        # no other variable is fixed to this value, and every vertex can still be hit
+        if doms.count(doms[depth]) == 1 and reduce(or_, doms) == every_vertex:
             return False
         count = _count(doms, constraints, cache)
         if count and first is None:
@@ -453,7 +465,6 @@ def classify_endomorphisms(X: SliceObject | Graph) -> EndoReport:
         endo_count += count
         return True
 
-    every_vertex = (1 << carrier.vertex_count) - 1
     auto_count = 0
     root = _root(domains, constraints)  # never None: the identity is a solution
     for leaf in _dfs(root, constraints, non_bijective):

@@ -158,6 +158,67 @@ class TestHomomorphismCheck:
         assert built > 0
 
 
+def refusal(build) -> str:
+    """The text of the ValueError that ``build()`` raises."""
+    with pytest.raises(ValueError) as caught:
+        build()
+    return str(caught.value)
+
+
+class TestValidatorRefusals:
+    """Every refusal of ``Morphism`` and ``SliceMorphism``, word for word."""
+
+    P2 = build_path(2)
+
+    def test_stray_key(self):
+        message = refusal(lambda: Morphism(self.P2, self.P2, {"v0": "v1", "v1": "v0", "v2": "v1", "zz": "v0"}))
+        assert message == "map assigns vertices outside the domain: ['zz']"
+
+    def test_map_that_is_not_total(self):
+        message = refusal(lambda: Morphism(self.P2, self.P2, {"v0": "v1", "v2": "v1"}))
+        assert message == "map is not total: no image for vertex 'v1'"
+
+    def test_image_outside_the_codomain(self):
+        message = refusal(lambda: Morphism(self.P2, self.P2, {"v0": "v1", "v1": "zz", "v2": "v1"}))
+        assert message == "image 'zz' of 'v1' is not a codomain vertex"
+
+    def test_non_edge_names_the_first_violating_edge(self):
+        # ('v0', 'v1') lands on an edge; ('v1', 'v2') is the first that does not
+        message = refusal(lambda: Morphism(self.P2, self.P2, {"v0": "v0", "v1": "v1", "v2": "v1"}))
+        assert message == "map does not preserve edge ('v1', 'v2'): ('v1', 'v1') is not a codomain edge"
+        message = refusal(lambda: Morphism(self.P2, self.P2, {"v0": "v2", "v1": "v0", "v2": "v2"}))
+        assert message == "map does not preserve edge ('v0', 'v1'): ('v2', 'v0') is not a codomain edge"
+
+    def test_scrambled_key_order_is_kept_sorted(self):
+        m = Morphism(self.P2, self.P2, {"v2": "v1", "v0": "v1", "v1": "v2"})
+        assert m.mapping == (("v0", "v1"), ("v1", "v2"), ("v2", "v1"))
+        assert list(m.as_dict()) == ["v0", "v1", "v2"]
+
+    def test_structure_map_endpoints_that_do_not_match(self):
+        p1 = build_path(1)
+        message = refusal(lambda: SliceObject(p1, self.P2, Morphism.identity(p1)))
+        assert message == "structure map endpoints do not match carrier/base"
+
+    def test_slice_morphism_endpoints_that_do_not_match(self):
+        x = SliceObject(self.P2, self.P2, {v: v for v in self.P2.vertices})
+        message = refusal(lambda: SliceMorphism(x, x, Morphism.identity(build_path(1))))
+        assert message == "carrier map endpoints do not match the slice objects"
+
+    def test_different_bases(self):
+        x = SliceObject(build_path(1), build_path(1), {"v0": "v0", "v1": "v1"})
+        y = SliceObject(build_path(1), build_path(2), {"v0": "v0", "v1": "v1"})
+        message = refusal(lambda: SliceMorphism(x, y, {"v0": "v0", "v1": "v1"}))
+        assert message == "slice morphism endpoints live over different bases"
+
+    def test_non_commuting_triangle_names_its_vertex_and_both_colours(self):
+        # over the identity colouring only the identity commutes: v2 -> v0
+        # lands on colour v0, where v2 has colour v2
+        x = SliceObject(self.P2, self.P2, {"v0": "v0", "v1": "v1", "v2": "v2"})
+        SliceMorphism(x, x, {"v0": "v0", "v1": "v1", "v2": "v2"})
+        message = refusal(lambda: SliceMorphism(x, x, {"v0": "v0", "v1": "v1", "v2": "v0"}))
+        assert message == "triangle does not commute at 'v2': 'v0' != 'v2'"
+
+
 class TestSliceTypes:
     def test_slice_object_validates_structure_map(self):
         p3 = build_path(3)

@@ -6,8 +6,10 @@ ascending values would emit: sorted by the images along that order.  Each
 count (``hom_count``, ``slice_hom_count``, ``digraph_hom_count``) must equal
 the length of that stream.  ``classify_endomorphisms`` must agree with the
 oracle's counts, and its witness must be the oracle's first non-bijective
-endomorphism in that sequence.  ``endomorphism_verdict`` must give the
-verdict of the oracle's counts.
+endomorphism in that sequence, and its report must equal the one of
+``reference_classify_endomorphisms``, the walk with its repeated-singleton
+cut alone.  ``endomorphism_verdict`` must give the verdict of the oracle's
+counts.
 """
 
 import random
@@ -16,10 +18,16 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicecat.core import Digraph, Graph, Morphism, SliceObject, build_cycle, build_path, disjoint_union
+from slicecat.core import Digraph, Graph, Morphism, SliceMorphism, SliceObject, build_cycle, build_path, disjoint_union
 from slicecat.homsearch import (
+    EndoReport,
     EndoVerdict,
     _adjacency_masks,
+    _count,
+    _dfs,
+    _hom_search,
+    _mapping,
+    _root,
     classify_endomorphisms,
     digraph_hom_count,
     digraph_hom_leaves,
@@ -36,6 +44,7 @@ from slicecat.universality import random_slice_object
 from conftest import (
     digraph_variable_order,
     graph_variable_order,
+    load_workloads,
     naive_digraph_homs,
     naive_endo_counts,
     naive_homs,
@@ -188,14 +197,73 @@ def test_slice_endo_counts_match_oracle(x):
     _check_endo_report(classify_endomorphisms(x), x.carrier, naive_slice_homs(x, x))
 
 
+PATH_BASES = [build_path(3), disjoint_union([build_path(3), build_path(3)])]
+
+
+def reference_classify_endomorphisms(X) -> EndoReport:
+    """``classify_endomorphisms`` as it walked before its surjectivity cut:
+    a subtree is counted, not walked, only below an assignment that repeats
+    another variable's fixed value."""
+    carrier = X if isinstance(X, Graph) else X.carrier
+    variables, domains, constraints = _hom_search(X, X)
+    cache: dict = {}
+    endo_count = 0
+    first = None
+
+    def non_bijective(doms, depth):
+        nonlocal endo_count, first
+        if doms.count(doms[depth]) == 1:
+            return False
+        count = _count(doms, constraints, cache)
+        if count and first is None:
+            first = next(_dfs(doms, constraints))
+        endo_count += count
+        return True
+
+    every_vertex = (1 << carrier.vertex_count) - 1
+    auto_count = 0
+    for leaf in _dfs(_root(domains, constraints), constraints, non_bijective):
+        if sum(leaf) == every_vertex:
+            auto_count += 1
+        else:
+            endo_count += 1
+            if first is None:
+                first = leaf
+    endo_count += auto_count
+    witness = None
+    if first is not None:
+        m = _mapping(variables, carrier.vertices, first)
+        witness = Morphism(X, X, m) if isinstance(X, Graph) else SliceMorphism(X, X, m).map
+    if endo_count == 1:
+        verdict = EndoVerdict.RIGID
+    elif endo_count > auto_count:
+        verdict = EndoVerdict.HAS_PROPER_ENDOMORPHISM
+    else:
+        verdict = EndoVerdict.AUTOMORPHISMS_ONLY
+    return EndoReport(verdict=verdict, witness=witness, endo_count=endo_count, auto_count=auto_count)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 12])
+def test_endos_benchmark_objects_classify_as_without_the_surjectivity_cut(seed):
+    # products of every 3-vertex and seeded 4-vertex digraph, gk(2) twice
+    # and three paths: the surjectivity cut fires on objects of each kind
+    workloads = load_workloads()
+    for call in workloads._build_endos(random.Random(f"endos:{seed}")):
+        x = call.args[0]
+        assert classify_endomorphisms(x).to_dict() == reference_classify_endomorphisms(x).to_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_vertices=7), st.sampled_from(BASES + PATH_BASES).flatmap(slice_objects)))
+def test_endo_walk_classifies_as_without_the_surjectivity_cut(x):
+    assert classify_endomorphisms(x).to_dict() == reference_classify_endomorphisms(x).to_dict()
+
+
 def _oracle_verdict(x) -> EndoVerdict:
     endo, auto = naive_endo_counts(x)
     if endo == 1:
         return EndoVerdict.RIGID
     return EndoVerdict.HAS_PROPER_ENDOMORPHISM if endo > auto else EndoVerdict.AUTOMORPHISMS_ONLY
-
-
-PATH_BASES = [build_path(3), disjoint_union([build_path(3), build_path(3)])]
 
 
 @settings(max_examples=200, deadline=None)

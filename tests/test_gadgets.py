@@ -430,6 +430,18 @@ class TestStrongReplacement:
         assert (report.endo_count, report.auto_count) == (1, 1)
         assert report.witness is None
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_replacement_family_on_the_looped_complete_digraph(self, k, n):
+        # every digraph without isolated vertices on at most n vertices lies
+        # inside the looped K_n, so this one search decides the no-isolated
+        # sweep up to n: one hom into each loop-free arc's copy, ten into
+        # each loop's
+        vs = [f"v{i}" for i in range(n)]
+        complete = Digraph(vs, [(u, v) for u in vs for v in vs])
+        report = check_strong_replacement(build_gk(k).graph, "K", "M", complete, regime="no-isolated")
+        assert report.holds and report.homs_checked == n * (n - 1) + 10 * n
+
     def test_replacement_graph_over_directed_triangle(self):
         gk = build_gk(3)
         triangle = Digraph(["u", "v", "w"], [("u", "v"), ("v", "w"), ("w", "u")])
